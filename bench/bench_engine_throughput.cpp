@@ -17,10 +17,10 @@
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "bounds/zhao.hpp"
 #include "exp/bench_io.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/runner.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -43,13 +43,12 @@ int main(int argc, char** argv) {
   const auto seeds = static_cast<std::uint32_t>(args.get_uint("seeds", 2));
   const double nu = args.get_double("nu", 0.25);
   const std::uint64_t violation_t = args.get_uint("violation-t", 8);
-  // --batch-seeds W > 0 appends the cross-seed batched section: the
-  // adaptive same-cell workload (one sparse cell, W seeds) timed both as
-  // W serial engine runs and as one lockstep batched pass
-  // (sim/batch_engine.hpp).  0 skips the section; the grid above is
-  // always serial, so rounds_per_sec keeps its historical meaning.
-  const auto batch_seeds =
-      static_cast<std::uint32_t>(args.get_uint("batch-seeds", 0));
+  // --samecell-seeds W > 0 appends the adaptive same-cell section (one
+  // sparse cell, W seeds) timed under both RNG disciplines.  0 skips it;
+  // the grid above is unaffected, so rounds_per_sec keeps its historical
+  // meaning.
+  const auto samecell_seeds =
+      static_cast<std::uint32_t>(args.get_uint("samecell-seeds", 0));
   const exp::BenchOptions io = exp::parse_bench_options(args);
   if (args.handle_help(std::cout)) return 0;
   args.reject_unconsumed();
@@ -152,17 +151,13 @@ int main(int argc, char** argv) {
           static_cast<double>(telemetry_total.phase_nanos[ph]) * 1e-9);
     }
   }
-  if (batch_seeds > 0) {
+  if (samecell_seeds > 0) {
     // The adaptive same-cell workload: one sparse cell of the adaptive
     // consistency sweep (scenarios/adaptive_consistency.json — miners
     // 40, Δ 3, private-withholding, hardness a safe multiple of the neat
-    // bound), where one wave = batch_seeds seeds of one config.  Sparse
-    // cells are where cross-seed batching pays: most rounds are provably
-    // quiet and a batched lane commits whole runs of them in O(1).
-    // Three modes are timed on identical seeds: the legacy sequential-
-    // RNG serial path (the engine's only mode before the counter RNG
-    // landed — the reference the batch-speedup claim is made against),
-    // the counter-RNG serial path, and the batched pass.
+    // bound), where one wave = samecell_seeds seeds of one config.  Most
+    // rounds here are provably quiet, and a counter-RNG run commits whole
+    // runs of them in O(1); a legacy-RNG run steps every round.
     constexpr double kHardnessMultiple = 2.5;
     sim::ExperimentConfig cell;
     cell.engine.miner_count = 40;
@@ -174,70 +169,34 @@ int main(int argc, char** argv) {
                static_cast<double>(cell.engine.delta));
     cell.engine.rounds = rounds;
     cell.adversary = sim::AdversaryKind::kPrivateWithhold;
-    cell.seeds = batch_seeds;
-    const sim::AdversaryFactory factory =
-        sim::default_adversary_factory(cell.adversary);
+    cell.seeds = samecell_seeds;
     const double cell_rounds = static_cast<double>(rounds) *
-                               static_cast<double>(batch_seeds);
-    const auto time_summary = [&](auto&& run) {
+                               static_cast<double>(samecell_seeds);
+    const auto time_rps = [&](const sim::ExperimentConfig& config) {
       const auto start = Clock::now();
-      const sim::ExperimentSummary summary = run();
+      (void)sim::run_experiment(config, violation_t);
       const double seconds =
           std::chrono::duration<double>(Clock::now() - start).count();
-      return std::pair<sim::ExperimentSummary, double>(summary, seconds);
+      return std::pair<double, double>(
+          seconds, seconds > 0.0 ? cell_rounds / seconds : 0.0);
     };
 
     sim::ExperimentConfig legacy_cell = cell;
     legacy_cell.engine.rng_mode = sim::RngMode::kLegacy;
-    const auto [legacy_summary, legacy_seconds] = time_summary([&] {
-      return sim::run_experiment_with(legacy_cell, violation_t, factory);
-    });
-    const auto [serial_summary, serial_seconds] = time_summary([&] {
-      return sim::run_experiment_with(cell, violation_t, factory);
-    });
-    const auto [batched_summary, batched_seconds] = time_summary([&] {
-      return sim::run_experiment_batched_with(cell, violation_t, factory,
-                                              batch_seeds);
-    });
-
-    // The batched pass must be a pure execution detail: any summary
-    // drift here means the differential battery should have caught it.
-    if (batched_summary.violation_depth.mean() !=
-            serial_summary.violation_depth.mean() ||
-        batched_summary.honest_blocks.mean() !=
-            serial_summary.honest_blocks.mean()) {
-      std::cerr << "bench_engine_throughput: batched summary diverged "
-                   "from serial on the same-cell workload\n";
-      return 1;
-    }
-
-    const auto rps = [cell_rounds](double seconds) {
-      return seconds > 0.0 ? cell_rounds / seconds : 0.0;
-    };
-    const double legacy_rps = rps(legacy_seconds);
-    const double serial_rps = rps(serial_seconds);
-    const double batched_rps = rps(batched_seconds);
+    const auto [legacy_seconds, legacy_rps] = time_rps(legacy_cell);
+    const auto [serial_seconds, serial_rps] = time_rps(cell);
     report.begin_section(
         "adaptive same-cell workload (n=40, delta=3, p at " +
-            format_fixed(kHardnessMultiple, 1) + "x the neat bound, W=" +
-            std::to_string(batch_seeds) + ")",
-        {"mode", "rng", "elapsed s", "rounds/s"});
-    report.add_row({"serial", "legacy", format_fixed(legacy_seconds, 3),
+            format_fixed(kHardnessMultiple, 1) + "x the neat bound, " +
+            std::to_string(samecell_seeds) + " seeds)",
+        {"rng", "elapsed s", "rounds/s"});
+    report.add_row({"legacy", format_fixed(legacy_seconds, 3),
                     format_fixed(legacy_rps, 0)});
-    report.add_row({"serial", "counter", format_fixed(serial_seconds, 3),
+    report.add_row({"counter", format_fixed(serial_seconds, 3),
                     format_fixed(serial_rps, 0)});
-    report.add_row({"batched", "counter", format_fixed(batched_seconds, 3),
-                    format_fixed(batched_rps, 0)});
-    report.set_meta_number("batch_seeds", batch_seeds);
+    report.set_meta_number("samecell_seeds", samecell_seeds);
     report.set_meta_number("samecell_legacy_rounds_per_sec", legacy_rps);
     report.set_meta_number("samecell_serial_rounds_per_sec", serial_rps);
-    report.set_meta_number("batched_rounds_per_sec", batched_rps);
-    report.set_meta_number(
-        "batch_speedup",
-        legacy_rps > 0.0 ? batched_rps / legacy_rps : 0.0);
-    report.set_meta_number(
-        "batch_speedup_vs_counter_serial",
-        serial_rps > 0.0 ? batched_rps / serial_rps : 0.0);
   }
 
   report.finish();

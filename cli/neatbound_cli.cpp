@@ -177,10 +177,6 @@ int run_command(int argc, char** argv) {
     overrides.rng = rng_override;
   }
   scenario::ScenarioRunOptions run_options;
-  run_options.batch_seeds = static_cast<std::uint32_t>(args.get_uint(
-      "batch-seeds", 1,
-      "run W seeds of a cell as one lockstep batched pass (counter RNG "
-      "only; results are bit-identical for every W)"));
   run_options.checkpoint_path = args.get_string(
       "checkpoint", "", "snapshot accumulators here after every wave");
   if (run_options.checkpoint_path == "true") {

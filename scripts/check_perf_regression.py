@@ -77,21 +77,16 @@ def main() -> int:
 
     base = perf_entry(args.baseline)
     cur = perf_entry(args.current)
-    ok = gate("serial", throughput(base, args.baseline, "rounds_per_sec"),
+    ok = gate("grid", throughput(base, args.baseline, "rounds_per_sec"),
               throughput(cur, args.current, "rounds_per_sec"),
               args.max_regression)
-    # Mode-aware batched gate: enforced only when both sides carry the
-    # batched row (older history entries predate the batch engine; a
-    # current run without the row means --batch-seeds was 0, which the
-    # CI invocation never does).
-    if "batched_rounds_per_sec" in base and "batched_rounds_per_sec" in cur:
-        ok = gate("batched",
-                  throughput(base, args.baseline, "batched_rounds_per_sec"),
-                  throughput(cur, args.current, "batched_rounds_per_sec"),
+    # The same-cell row is gated once both sides carry it (older history
+    # entries predate it).
+    key = "samecell_serial_rounds_per_sec"
+    if key in base and key in cur:
+        ok = gate("same-cell", throughput(base, args.baseline, key),
+                  throughput(cur, args.current, key),
                   args.max_regression) and ok
-    elif "batched_rounds_per_sec" in cur:
-        print("batched: no baseline row yet — skipping (will be gated once "
-              "the history records one)")
     if not ok:
         return 1
     print("OK: within the regression budget")

@@ -30,9 +30,9 @@ regress — each rule encodes a bug class a previous PR fixed by hand:
                       standard libraries).  Since the counter-based
                       generator landed, the sequential support::Rng is
                       additionally banned outside support/ itself: its
-                      hidden stream state is order-dependent, which is
-                      exactly what the cross-seed batched engine cannot
-                      replay.  New draws go through support/crng.hpp,
+                      hidden stream state is order-dependent, so it
+                      cannot be read out of order the way quiet-round
+                      skipping and replay read counter draws.  New draws go through support/crng.hpp,
                       addressed as (key = (cell, seed), counter =
                       (round, actor, purpose, slot)); the RngMode::
                       kLegacy compatibility sites carry in-source
@@ -626,7 +626,7 @@ def rule_rng(model: Model) -> list[Finding]:
                     break
             # The sequential support::Rng is the pre-counter legacy path:
             # hidden state makes draw N depend on draws 1..N-1, which is
-            # exactly what the batched engine cannot replay out of order.
+            # exactly what quiet-round skipping cannot reproduce.
             # It survives behind RngMode::kLegacy for one release; those
             # sites carry allows.  `\bRng\b` does not match crng:: or
             # RngMode, and support/ itself (where Rng is defined) is
@@ -635,7 +635,7 @@ def rule_rng(model: Model) -> list[Finding]:
                     and LEGACY_RNG_RE.search(line):
                 hit = ("sequential support::Rng draw outside support/: "
                        "hidden stream state is order-dependent and blocks "
-                       "batched replay; new code keys draws through "
+                       "out-of-order draws; new code keys draws through "
                        "support/crng.hpp (legacy-mode sites carry an "
                        "allow until kLegacy is retired)")
             if hit is not None:

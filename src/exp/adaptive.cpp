@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "exp/checkpoint.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/engine.hpp"
 #include "support/contracts.hpp"
 #include "support/invariant.hpp"
@@ -62,9 +61,7 @@ std::uint64_t sweep_fingerprint(const SweepGrid& grid,
         .integer(engine.delta)
         .integer(engine.rounds)
         // rng_mode shapes trajectories, so checkpoints must not resume
-        // across it.  batch_seeds is deliberately NOT hashed: batching is
-        // bit-identical to serial, so resuming under a different width is
-        // sound.
+        // across it.
         .integer(static_cast<std::uint64_t>(engine.rng_mode))
         .integer(static_cast<std::uint64_t>(cell.config.adversary))
         .integer(cell.config.base_seed);
@@ -155,14 +152,9 @@ WaveLoopOutcome run_waves(std::vector<CellState>& cells,
   std::uint32_t waves_this_process = 0;
   while (true) {
     // Plan the wave: cell-major, seed-ascending — the fold order below.
-    // A job is a chunk of ≤ batch_seeds consecutive seeds of one cell;
-    // counter-RNG cells run each chunk as one lockstep batched pass
-    // (sim/batch_engine.hpp, bit-identical to per-seed runs), legacy
-    // cells always chunk per seed.
     struct WaveJob {
       std::size_t cell;
-      std::uint32_t first;
-      std::uint32_t count;
+      std::uint32_t seed;
     };
     std::vector<WaveJob> jobs;
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -173,59 +165,37 @@ WaveLoopOutcome run_waves(std::vector<CellState>& cells,
               ? adaptive.min_seeds
               : std::min(cell.seeds_done + adaptive.batch,
                          adaptive.max_seeds);
-      const std::uint32_t width =
-          cell.config.engine.rng_mode == sim::RngMode::kCounter
-              ? std::max<std::uint32_t>(adaptive.batch_seeds, 1)
-              : 1;
-      for (std::uint32_t k = cell.seeds_done; k < target;) {
-        const std::uint32_t count = std::min(width, target - k);
-        jobs.push_back({i, k, count});
-        k += count;
+      for (std::uint32_t k = cell.seeds_done; k < target; ++k) {
+        jobs.push_back({i, k});
       }
     }
     if (jobs.empty()) break;
 
     // Seed k of cell i always consumes engine seed base_seed + k of that
-    // cell's config — independent of which wave (or chunk) scheduled it.
-    std::vector<std::vector<sim::RunResult>> results(jobs.size());
+    // cell's config — independent of which wave scheduled it.
+    std::vector<sim::RunResult> results(jobs.size());
     parallel_for_indexed(jobs.size(), options.threads, [&](std::size_t j) {
-      const WaveJob& job = jobs[j];
-      const sim::ExperimentConfig& cell_config = cells[job.cell].config;
-      if (job.count > 1) {
-        std::vector<std::uint64_t> seeds(job.count);
-        for (std::uint32_t d = 0; d < job.count; ++d) {
-          seeds[d] = cell_config.base_seed + job.first + d;
-        }
-        results[j] = sim::run_batch(
-            cell_config.engine, seeds,
-            [&](const sim::EngineConfig& engine_config) {
-              return factory(cell_config, engine_config);
-            });
-      } else {
-        sim::EngineConfig engine_config = cell_config.engine;
-        engine_config.seed = cell_config.base_seed + job.first;
-        sim::ExecutionEngine engine(engine_config,
-                                    factory(cell_config, engine_config));
-        results[j].push_back(engine.run());
-      }
+      const sim::ExperimentConfig& cell_config = cells[jobs[j].cell].config;
+      sim::EngineConfig engine_config = cell_config.engine;
+      engine_config.seed = cell_config.base_seed + jobs[j].seed;
+      sim::ExecutionEngine engine(engine_config,
+                                  factory(cell_config, engine_config));
+      results[j] = engine.run();
     });
 
     // Seed-ordered fold (jobs are cell-major, ascending k) — identical
     // to the serial fixed-budget accumulation truncated at seeds_done.
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       CellState& cell = cells[jobs[j].cell];
-      for (std::size_t d = 0; d < results[j].size(); ++d) {
-        // The serial≡parallel bit-identity hangs on folding seed k as the
-        // cell's k-th accumulation, whatever order the pool ran the jobs.
-        NEATBOUND_INVARIANT(cell.seeds_done == jobs[j].first + d,
-                            "wave fold out of seed order");
-        sim::accumulate_run(cell.summary, results[j][d],
-                            options.violation_t);
-        if (results[j][d].violation_depth > options.violation_t) {
-          ++cell.violations;
-        }
-        ++cell.seeds_done;
+      // The serial≡parallel bit-identity hangs on folding seed k as the
+      // cell's k-th accumulation, whatever order the pool ran the jobs.
+      NEATBOUND_INVARIANT(cell.seeds_done == jobs[j].seed,
+                          "wave fold out of seed order");
+      sim::accumulate_run(cell.summary, results[j], options.violation_t);
+      if (results[j].violation_depth > options.violation_t) {
+        ++cell.violations;
       }
+      ++cell.seeds_done;
     }
 
     // Stopping decisions happen only here, at the wave boundary, from

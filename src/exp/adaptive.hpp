@@ -81,15 +81,6 @@ struct AdaptiveOptions {
   /// 0 = run to completion.  This is the deterministic "kill" hook the
   /// resume tests and the CI round-trip use.
   std::uint32_t stop_after_waves = 0;
-  /// Cross-seed batch width W: a wave's seeds for one cell are chunked
-  /// into groups of ≤ W and each group runs as one lockstep batched pass
-  /// (sim/batch_engine.hpp) instead of W separate engine runs.  Results
-  /// are bit-identical for every W — batching is an execution detail, so
-  /// it is NOT part of the checkpoint fingerprint and a checkpoint may be
-  /// resumed under a different width.  Only counter-RNG cells batch;
-  /// legacy cells fall back to per-seed runs.  0 and 1 both mean
-  /// per-seed.
-  std::uint32_t batch_seeds = 1;
   /// Invoked once per completed wave, after stopping decisions and the
   /// checkpoint write.  Observation only — it cannot influence the
   /// schedule, is not part of the checkpoint fingerprint, and a callback

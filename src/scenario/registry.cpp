@@ -148,7 +148,7 @@ void register_builtin_networks(ScenarioRegistry& registry) {
         const std::uint64_t salt = params.get_uint("salt", 0);
         if (engine.rng_mode == sim::RngMode::kCounter) {
           // Counter mode: the delay of (round, sender, recipient) is a
-          // pure function of the run key — batched/serial/replayed runs
+          // pure function of the run key — skipping/stepping/replayed runs
           // read identical delays.  The salt shifts the cell word so two
           // salted models on one run stay independent.
           crng::Key key = sim::engine_rng_key(engine);

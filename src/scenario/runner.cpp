@@ -136,7 +136,6 @@ exp::AdaptiveOptions resolve_adaptive_options(
   adaptive.checkpoint_path = options.checkpoint_path;
   adaptive.resume = options.resume;
   adaptive.stop_after_waves = options.stop_after_waves;
-  adaptive.batch_seeds = options.batch_seeds;
   adaptive.progress = options.progress;
   // The automatic fingerprint only sees engine configs; the registry
   // components (and their parameters) decide what those configs *run*,

@@ -62,9 +62,6 @@ struct ScenarioRunOptions {
   /// Interrupt deterministically after N scheduling waves (0 = run to
   /// completion) — the CI/resume-test hook, surfaced by the CLI.
   std::uint32_t stop_after_waves = 0;
-  /// Cross-seed batch width forwarded to exp::AdaptiveOptions::batch_seeds
-  /// (the CLI's --batch-seeds); 0/1 = per-seed runs.
-  std::uint32_t batch_seeds = 1;
   /// Wave-boundary progress callback, forwarded into
   /// exp::AdaptiveOptions::progress (adaptive path only; observation
   /// only, not part of the checkpoint fingerprint).

@@ -92,7 +92,7 @@ class Adversary {
   /// strategy must not key decisions on the round number or on how often
   /// act() ran.  Engines may then skip act() entirely in such rounds; the
   /// per-strategy skip-vs-noskip differential test
-  /// (tests/sim/test_batch_equivalence.cpp) enforces the claim.  Default
+  /// (tests/sim/test_quiet_skip_equivalence.cpp) enforces the claim.  Default
   /// false: opting in is a reviewed decision, not an inference.
   [[nodiscard]] virtual bool quiet_act_is_noop() const { return false; }
 

@@ -8,7 +8,7 @@
 // instead of O(positions) — the skip-sampling step ROADMAP items 1 and 2
 // call for.  Gap i is drawn from lane (i mod 4) of the Philox block at
 // counter (i/4, 0, purpose, 0), so the whole field is a pure function of
-// (key, purpose): any engine — serial, batched, replayed from a trace —
+// (key, purpose): any run — stepped, quiet-skipped, replayed from a trace —
 // walking the same positions sees the same successes, regardless of how
 // many other draws happened in between.
 #pragma once

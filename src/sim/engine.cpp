@@ -343,12 +343,6 @@ void ExecutionEngine::honest_mining_phase(std::uint64_t round) {
   honest_counts_.push_back(round_activity_.honest_mined);
 }
 
-void ExecutionEngine::begin_run() {
-  NEATBOUND_EXPECTS(!ran_, "run() may be called once");
-  ran_ = true;
-  honest_counts_.reserve(config_.rounds);
-}
-
 void ExecutionEngine::step_round(std::uint64_t round,
                                  const RoundObserver& observer) {
   round_activity_ = {};
@@ -385,10 +379,6 @@ void ExecutionEngine::step_round(std::uint64_t round,
   if (observer) observer(*this, round);
 }
 
-bool ExecutionEngine::skip_if_quiet(std::uint64_t round) {
-  return skip_quiet_rounds(round, round) > round;
-}
-
 std::uint64_t ExecutionEngine::skip_quiet_rounds(std::uint64_t round,
                                                  std::uint64_t last) {
   if (!quiet_eligible_) return round;
@@ -423,15 +413,14 @@ std::uint64_t ExecutionEngine::skip_quiet_rounds(std::uint64_t round,
   round_activity_ = {};
   round_miners_.clear();
   // neatbound-analyze: allow(hot-alloc) — reserved to `rounds` in
-  // begin_run; this append never reallocates.
+  // run(); this append never reallocates.
   honest_counts_.insert(honest_counts_.end(), skipped, 0);
   consistency_.observe_rounds_unchanged(skipped);
   NEATBOUND_COUNT_ADD(kQuietRoundsSkipped, skipped);
   return stop;
 }
 
-RunResult ExecutionEngine::finish_run(bool take_telemetry) {
-  NEATBOUND_EXPECTS(ran_, "finish_run() requires begin_run()");
+RunResult ExecutionEngine::finish_run() {
   RunResult result;
   result.honest_counts = honest_counts_;
   result.honest_blocks_total = 0;
@@ -447,21 +436,27 @@ RunResult ExecutionEngine::finish_run(bool take_telemetry) {
   result.violation_depth = consistency_.violation_depth();
   result.chain = measure_chain(store_, best_honest_tip(), config_.rounds);
   result.store_size = store_.size();
-  if (take_telemetry) result.telemetry = telemetry::snapshot();
+  result.telemetry = telemetry::snapshot();
   return result;
 }
 
 RunResult ExecutionEngine::run(const RoundObserver& observer) {
-  begin_run();
+  NEATBOUND_EXPECTS(!ran_, "run() may be called once");
+  ran_ = true;
+  honest_counts_.reserve(config_.rounds);
   // Telemetry registers are thread_local and reset here, so the snapshot
   // taken by finish_run covers exactly this run, on whichever worker
-  // thread executed it.  (A batched pass resets once for all lanes —
-  // sim/batch_engine.cpp.)
+  // thread executed it.
   telemetry::reset();
   for (std::uint64_t round = 1; round <= config_.rounds; ++round) {
+    // An observer must see every round, so only unobserved runs skip.
+    if (!observer) {
+      round = skip_quiet_rounds(round, config_.rounds);
+      if (round > config_.rounds) break;
+    }
     step_round(round, observer);
   }
-  return finish_run(/*take_telemetry=*/true);
+  return finish_run();
 }
 
 }  // namespace neatbound::sim

@@ -43,13 +43,14 @@ namespace neatbound::sim {
 ///
 /// kCounter (the default) addresses every draw as a pure function of
 /// (key = (cell, seed), counter = (round, actor, purpose)) — see
-/// support/crng.hpp — which makes draws order-independent: the batched
-/// cross-seed engine (sim/batch_engine.hpp) and the serial engine produce
-/// bit-identical trajectories, pinned by tests/sim/test_batch_equivalence.
+/// support/crng.hpp — which makes draws order-independent: the engine can
+/// prove a round quiet from the gap cursors alone and commit it without
+/// stepping it (ExecutionEngine::run, pinned by
+/// tests/sim/test_quiet_skip_equivalence).
 ///
 /// kLegacy is the pre-counter sequential stream (support/rng.hpp), kept
 /// behind this switch for one release so existing pinned baselines can be
-/// cross-checked; it cannot be batched or quiet-skipped.
+/// cross-checked; it is never quiet-skipped.
 enum class RngMode : std::uint8_t {
   kLegacy = 0,
   kCounter = 1,
@@ -137,49 +138,13 @@ class ExecutionEngine {
 
   /// Runs the configured number of rounds and returns the metrics.
   /// May be called once per engine instance.  The optional observer fires
-  /// after each round's deliveries, mining and adversary turn.
+  /// after each round's deliveries, mining and adversary turn.  Without an
+  /// observer, runs of provably-quiet rounds are committed in O(1) instead
+  /// of being stepped (see skip_quiet_rounds).  The result is identical
+  /// either way; only the telemetry counters quiet_rounds_skipped and
+  /// ancestry_queries (re-queried on stepped rounds whose tips disagree)
+  /// tell the two apart.
   [[nodiscard]] RunResult run(const RoundObserver& observer = {});
-
-  // --- stepping API (used by sim/batch_engine to interleave W lanes) ---
-  //
-  // run() is exactly begin_run(); telemetry::reset(); step_round(1..T);
-  // finish_run(true).  External steppers call begin_run once, then for
-  // each round either step_round or (counter mode only) skip_if_quiet,
-  // and finally finish_run.  Telemetry reset is left to the caller so a
-  // batched pass can account one whole-pass snapshot instead of W.
-
-  /// Marks the engine as running and reserves per-round storage.
-  void begin_run();
-  /// Executes one round (deliver → mine → adversary → metrics).  Rounds
-  /// must be stepped in order 1, 2, ..., config.rounds.
-  NEATBOUND_HOT void step_round(std::uint64_t round,
-                                const RoundObserver& observer = {});
-  /// Counter-mode fast path: returns true iff `round` is provably quiet —
-  /// no due deliveries, no honest or adversary mining success, and an
-  /// adversary whose act() is a no-op on such rounds — in which case the
-  /// round is committed in O(1) (zero honest count, unchanged-round
-  /// metrics fold) without executing it.  Returns false (and does
-  /// nothing) when the round must be stepped; always false in legacy
-  /// mode, with an environment attached, or for adversaries that did not
-  /// opt into the quiet-act contract.  Callers that attach a
-  /// RoundObserver must not use this (the observer would miss the round).
-  [[nodiscard]] NEATBOUND_HOT bool skip_if_quiet(std::uint64_t round);
-  /// Bulk form of skip_if_quiet: commits every provably-quiet round of
-  /// `round, round+1, ...` up to and including `last`, stopping at the
-  /// first round that must be stepped, and returns the first round NOT
-  /// committed (== `round` when round itself is busy or the fast path is
-  /// unavailable; == `last + 1` when the whole range was quiet).  The
-  /// whole run of quiet rounds costs O(1): the three event sources name
-  /// their next busy round directly (gap-cursor positions are flat
-  /// (round, slot) addresses; the calendar exposes its earliest pending
-  /// round), so nothing is examined per skipped round.
-  [[nodiscard]] NEATBOUND_HOT std::uint64_t skip_quiet_rounds(
-      std::uint64_t round, std::uint64_t last);
-  /// Assembles the RunResult after the final round.  `take_telemetry`
-  /// controls whether the thread-local telemetry snapshot is attached —
-  /// a batched pass attaches it to lane 0 only (the pass-wide convention
-  /// documented in docs/observability.md).
-  [[nodiscard]] RunResult finish_run(bool take_telemetry);
 
   // --- read-only access for tests / examples after run() ---
   [[nodiscard]] const protocol::BlockStore& store() const noexcept {
@@ -228,6 +193,28 @@ class ExecutionEngine {
  private:
   class Ops;  // AdversaryOps implementation
 
+  /// Executes one round (deliver → mine → adversary → metrics).  Rounds
+  /// are stepped in order 1, 2, ..., config.rounds.
+  NEATBOUND_HOT void step_round(std::uint64_t round,
+                                const RoundObserver& observer);
+  /// Commits every provably-quiet round of `round, round+1, ...` up to
+  /// and including `last` — no due deliveries, no honest or adversary
+  /// mining success, and an adversary whose act() is a no-op on such
+  /// rounds — stopping at the first round that must be stepped, and
+  /// returns the first round NOT committed (== `round` when round itself
+  /// is busy or the fast path is unavailable: legacy mode, an attached
+  /// environment, or an adversary that did not opt into the quiet-act
+  /// contract).  A committed round is observably identical to a stepped
+  /// one (zero honest count, unchanged-round metrics fold).  The whole
+  /// run of quiet rounds costs O(1): the three event sources name their
+  /// next busy round directly (gap-cursor positions are flat
+  /// (round, slot) addresses; the calendar exposes its earliest pending
+  /// round), so nothing is examined per skipped round.
+  [[nodiscard]] NEATBOUND_HOT std::uint64_t skip_quiet_rounds(
+      std::uint64_t round, std::uint64_t last);
+  /// Assembles the RunResult after the final round.
+  [[nodiscard]] RunResult finish_run();
+
   NEATBOUND_HOT void deliver_due(std::uint64_t round);
   NEATBOUND_HOT void honest_mining_phase(std::uint64_t round);
   NEATBOUND_HOT void broadcast_honest(std::uint64_t round,
@@ -269,7 +256,7 @@ class ExecutionEngine {
   crng::Key key_;
   GapCursor honest_gaps_;
   GapCursor adversary_gaps_;
-  /// Precomputed eligibility for skip_if_quiet: counter mode, no
+  /// Precomputed eligibility for skip_quiet_rounds: counter mode, no
   /// environment, and an adversary honouring the quiet-act contract.
   bool quiet_eligible_ = false;
   ConsistencyTracker consistency_;

@@ -18,9 +18,13 @@ void ConsistencyTracker::observe_round(
   ++epoch_;
   scratch_.clear();
   for (const protocol::BlockIndex tip : tips) {
+    // neatbound-analyze: allow(hot-alloc) — lazy stamp-array growth,
+    // amortized O(1) per block ever mined (not per round).
     if (tip_epoch_.size() <= tip) tip_epoch_.resize(tip + 1, 0);
     if (tip_epoch_[tip] == epoch_) continue;
     tip_epoch_[tip] = epoch_;
+    // neatbound-analyze: allow(hot-alloc) — reused scratch: cleared, not
+    // freed, each round, so capacity settles at the distinct-tip maximum.
     scratch_.push_back(tip);
   }
   last_round_disagreed_ = scratch_.size() >= 2;

@@ -29,17 +29,13 @@ class ConsistencyTracker {
   void observe_round(std::span<const protocol::BlockIndex> tips,
                      const protocol::BlockStore& store);
 
-  /// Records a round whose tips are bit-identical to the previous
+  /// Records `count` rounds whose tips are bit-identical to the previous
   /// observe_round call (no adoptions happened): the divergence maximum
   /// cannot move, so only the disagreement-round count is folded in.  The
-  /// counter-mode quiet-round fast path (sim/batch_engine.hpp) calls this
-  /// instead of recomputing; results are identical by construction, which
-  /// the batched-vs-serial differential battery pins.
-  void observe_round_unchanged() noexcept { observe_rounds_unchanged(1); }
-
-  /// observe_round_unchanged, `count` rounds at once — the bulk form the
-  /// quiet-round skip uses to commit a whole run of silent rounds in
-  /// O(1).
+  /// engine's quiet-round fast path (ExecutionEngine::run) calls this to
+  /// commit a whole run of silent rounds in O(1); results are identical to
+  /// observing each round, which tests/sim/test_quiet_skip_equivalence
+  /// pins.
   void observe_rounds_unchanged(std::uint64_t count) noexcept {
     disagreement_rounds_ += last_round_disagreed_ ? count : 0;
   }

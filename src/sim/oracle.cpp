@@ -73,6 +73,9 @@ InvariantOracle::InvariantOracle(OracleConfig config) : config_(config) {
   record_ring_.resize(config_.slice_rounds);
 }
 
+// neatbound-analyze: allow(hot-alloc) — accepted allocation boundary:
+// an armed oracle is a diagnostic observer (ring records, frozen
+// artifacts); unobserved runs, the engine's hot path, never call it.
 ExecutionEngine::RoundObserver InvariantOracle::observer() {
   return [this](const ExecutionEngine& engine, std::uint64_t round) {
     observe(engine, round);

@@ -60,6 +60,8 @@ void PrivateWithholdAdversary::act(AdversaryOps& ops) {
   while (ops.remaining_queries() > 0) {
     if (const auto mined = ops.try_mine_on(private_tip_)) {
       private_tip_ = *mined;
+      // neatbound-analyze: allow(hot-alloc) — one amortized append per
+      // adversary block mined, not per round.
       withheld_.push_back(*mined);
     }
   }
@@ -179,6 +181,8 @@ void BalanceAttackAdversary::act(AdversaryOps& ops) {
       const protocol::BlockIndex parent =
           repair_.empty() ? store.parent_of(main) : repair_.back();
       if (const auto mined = ops.try_mine_on(parent)) {
+        // neatbound-analyze: allow(hot-alloc) — one amortized append per
+        // adversary block mined, not per round.
         repair_.push_back(*mined);
       }
       if (!repair_.empty() &&
@@ -277,6 +281,8 @@ void SelfishMiningAdversary::act(AdversaryOps& ops) {
   while (ops.remaining_queries() > 0) {
     if (const auto mined = ops.try_mine_on(private_tip_)) {
       private_tip_ = *mined;
+      // neatbound-analyze: allow(hot-alloc) — one amortized append per
+      // adversary block mined, not per round.
       private_chain_.push_back(*mined);
     }
   }
@@ -378,6 +384,8 @@ void DelaySaturatingWithholder::act(AdversaryOps& ops) {
   while (ops.remaining_queries() > 0) {
     if (const auto mined = ops.try_mine_on(private_tip_)) {
       private_tip_ = *mined;
+      // neatbound-analyze: allow(hot-alloc) — one amortized append per
+      // adversary block mined, not per round.
       withheld_.push_back(*mined);
     }
   }

@@ -3,8 +3,9 @@
 // Unlike support/rng.hpp's sequential streams, every draw here is a pure
 // function of (key, counter): there is no hidden state to thread through
 // the simulator, so any draw is addressable out of order, from any
-// thread, and identically whether runs execute one seed at a time or W
-// seeds in lockstep (sim/batch_engine.hpp).  The simulator keys draws as
+// thread, and the engine can locate the next mining success without
+// drawing the rounds before it (sim/draws.hpp).  The simulator keys draws
+// as
 //
 //   key     = (cell, seed)            cell = hash of the engine params
 //   counter = (a, b, purpose, slot)   a = round or flat draw index,

@@ -180,17 +180,21 @@ TEST(Oracle, ArmedRunIsBitIdenticalToUnarmed) {
   EXPECT_EQ(armed.store_size, unarmed.store_size);
   // The oracle reads through the same instrumented store, so in
   // telemetry-ON builds its own binary-lifting lookups show up in the
-  // ancestry-queries diagnostic counter; every counter that measures
-  // *simulation* work must still match exactly.
+  // ancestry-queries diagnostic counter, as do the armed run's stepped
+  // quiet rounds, which the unarmed run skips; every other counter that
+  // measures *simulation* work must still match exactly.
   const auto ancestry =
       static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
+  const auto quiet =
+      static_cast<std::size_t>(telemetry::Counter::kQuietRoundsSkipped);
   for (std::size_t i = 0; i < armed.telemetry.counters.size(); ++i) {
-    if (i == ancestry) continue;
+    if (i == ancestry || i == quiet) continue;
     EXPECT_EQ(armed.telemetry.counters[i], unarmed.telemetry.counters[i])
         << "counter " << i;
   }
   EXPECT_GE(armed.telemetry.counters[ancestry],
             unarmed.telemetry.counters[ancestry]);
+  EXPECT_EQ(armed.telemetry.counters[quiet], 0u);
 }
 
 TEST(Oracle, FreezesFirstViolationWithViewsAndBoundedSlice) {

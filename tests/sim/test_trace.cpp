@@ -17,6 +17,7 @@
 
 #include "sim/aggregate.hpp"
 #include "sim/strategies.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::sim {
 namespace {
@@ -205,7 +206,21 @@ TEST(RoundTracer, TracedRunIsBitIdenticalToUntraced) {
   EXPECT_EQ(traced.chain.quality, untraced.chain.quality);
   EXPECT_EQ(traced.store_size, untraced.store_size);
   // Event counters are part of the trajectory; phase wall times are not.
-  EXPECT_EQ(traced.telemetry.counters, untraced.telemetry.counters);
+  // The exceptions: the traced run steps the quiet rounds the untraced
+  // run skips, and a stepped round whose tips disagree re-queries their
+  // common ancestry.
+  const auto ancestry =
+      static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
+  const auto quiet =
+      static_cast<std::size_t>(telemetry::Counter::kQuietRoundsSkipped);
+  for (std::size_t i = 0; i < traced.telemetry.counters.size(); ++i) {
+    if (i == ancestry || i == quiet) continue;
+    EXPECT_EQ(traced.telemetry.counters[i], untraced.telemetry.counters[i])
+        << "counter " << i;
+  }
+  EXPECT_GE(traced.telemetry.counters[ancestry],
+            untraced.telemetry.counters[ancestry]);
+  EXPECT_EQ(traced.telemetry.counters[quiet], 0u);
 }
 
 TEST(RoundTracer, RecordsAreConsistentWithTheRun) {
