@@ -17,7 +17,6 @@
 #include <chrono>
 #include <iostream>
 #include <string>
-#include <utility>
 
 #include "bounds/zhao.hpp"
 #include "exp/bench_io.hpp"
@@ -156,8 +155,8 @@ int main(int argc, char** argv) {
     // consistency sweep (scenarios/adaptive_consistency.json — miners
     // 40, Δ 3, private-withholding, hardness a safe multiple of the neat
     // bound), where one wave = samecell_seeds seeds of one config.  Most
-    // rounds here are provably quiet, and a counter-RNG run commits whole
-    // runs of them in O(1); a legacy-RNG run steps every round.
+    // rounds here are provably quiet, and the engine commits whole runs of
+    // them in O(1).
     constexpr double kHardnessMultiple = 2.5;
     sim::ExperimentConfig cell;
     cell.engine.miner_count = 40;
@@ -172,30 +171,20 @@ int main(int argc, char** argv) {
     cell.seeds = samecell_seeds;
     const double cell_rounds = static_cast<double>(rounds) *
                                static_cast<double>(samecell_seeds);
-    const auto time_rps = [&](const sim::ExperimentConfig& config) {
-      const auto start = Clock::now();
-      (void)sim::run_experiment(config, violation_t);
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      return std::pair<double, double>(
-          seconds, seconds > 0.0 ? cell_rounds / seconds : 0.0);
-    };
-
-    sim::ExperimentConfig legacy_cell = cell;
-    legacy_cell.engine.rng_mode = sim::RngMode::kLegacy;
-    const auto [legacy_seconds, legacy_rps] = time_rps(legacy_cell);
-    const auto [serial_seconds, serial_rps] = time_rps(cell);
+    const auto start = Clock::now();
+    (void)sim::run_experiment(cell, violation_t);
+    const double serial_seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    const double serial_rps =
+        serial_seconds > 0.0 ? cell_rounds / serial_seconds : 0.0;
     report.begin_section(
         "adaptive same-cell workload (n=40, delta=3, p at " +
             format_fixed(kHardnessMultiple, 1) + "x the neat bound, " +
             std::to_string(samecell_seeds) + " seeds)",
-        {"rng", "elapsed s", "rounds/s"});
-    report.add_row({"legacy", format_fixed(legacy_seconds, 3),
-                    format_fixed(legacy_rps, 0)});
-    report.add_row({"counter", format_fixed(serial_seconds, 3),
-                    format_fixed(serial_rps, 0)});
+        {"elapsed s", "rounds/s"});
+    report.add_row(
+        {format_fixed(serial_seconds, 3), format_fixed(serial_rps, 0)});
     report.set_meta_number("samecell_seeds", samecell_seeds);
-    report.set_meta_number("samecell_legacy_rounds_per_sec", legacy_rps);
     report.set_meta_number("samecell_serial_rounds_per_sec", serial_rps);
   }
 

@@ -62,6 +62,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,16 @@ void stamp_telemetry_meta(exp::BenchReporter& report,
   }
 }
 
+/// Count flags feed 32-bit fields: a wider value is an error, never a
+/// silent truncation.
+std::uint32_t flag_uint32(const std::string& name, std::uint64_t value) {
+  if (value > 0xffffffffULL) {
+    throw std::runtime_error("flag --" + name + " must fit in 32 bits, have " +
+                             std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 /// Swallows records: --chrome-trace without --trace still needs a traced
 /// run, just not its JSONL.
 class DiscardTraceSink final : public sim::RoundTraceSink {
@@ -151,7 +162,7 @@ int run_command(int argc, char** argv) {
   scenario::SpecOverrides overrides;
   if (const auto v = args.get_opt_uint(
           "miners", "override engine miner count (spec value otherwise)")) {
-    overrides.miners = static_cast<std::uint32_t>(*v);
+    overrides.miners = flag_uint32("miners", *v);
   }
   overrides.nu = args.get_opt_double(
       "nu", "override adversary fraction (spec value otherwise)");
@@ -161,21 +172,12 @@ int run_command(int argc, char** argv) {
       "rounds", "override rounds per run (spec value otherwise)");
   if (const auto v = args.get_opt_uint(
           "seeds", "override seeds per cell (spec value otherwise)")) {
-    overrides.seeds = static_cast<std::uint32_t>(*v);
+    overrides.seeds = flag_uint32("seeds", *v);
   }
   overrides.base_seed = args.get_opt_uint(
       "base-seed", "override base seed (spec value otherwise)");
   overrides.violation_t = args.get_opt_uint(
       "violation-t", "override consistency depth T (spec value otherwise)");
-  const std::string rng_override = args.get_string(
-      "rng", "", "override the RNG discipline: counter | legacy");
-  if (!rng_override.empty()) {
-    if (rng_override != "counter" && rng_override != "legacy") {
-      std::cerr << "neatbound_cli run: --rng expects counter or legacy\n";
-      return 2;
-    }
-    overrides.rng = rng_override;
-  }
   scenario::ScenarioRunOptions run_options;
   run_options.checkpoint_path = args.get_string(
       "checkpoint", "", "snapshot accumulators here after every wave");
@@ -185,9 +187,11 @@ int run_command(int argc, char** argv) {
   }
   run_options.resume = args.get_bool(
       "resume", false, "resume the --checkpoint file if it exists");
-  run_options.stop_after_waves = static_cast<std::uint32_t>(args.get_uint(
-      "stop-after-waves", 0,
-      "interrupt after N scheduling waves, exit 3 (0 = run to the end)"));
+  run_options.stop_after_waves = flag_uint32(
+      "stop-after-waves",
+      args.get_uint(
+          "stop-after-waves", 0,
+          "interrupt after N scheduling waves, exit 3 (0 = run to the end)"));
   const std::string trace_path = args.get_string(
       "trace", "", "write a per-round JSONL trace of one dedicated run");
   const std::string trace_rounds_text = args.get_string(

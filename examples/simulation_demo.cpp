@@ -88,11 +88,10 @@ int main(int argc, char** argv) {
                             3)
             << ")\n\n";
 
-  // Validate the winning chain against the oracle (H.ver + PoW target).
+  // Validate the winning chain against the oracle (linkage + H.ver).
   const auto report = protocol::validate_chain(
-      engine.store(), engine.best_honest_tip(), engine.oracle(),
-      engine.target(), engine.validation_policy());
-  std::cout << "Winning-chain validation (H.ver + PoW target): "
+      engine.store(), engine.best_honest_tip(), engine.oracle());
+  std::cout << "Winning-chain validation (linkage + H.ver): "
             << (report.valid ? "VALID" : ("INVALID - " + report.failure))
             << "\n\n";
 

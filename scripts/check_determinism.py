@@ -8,7 +8,7 @@ break that contract in simulation codebases:
 
   nondeterministic-source   std::random_device, rand()/srand(), time()-
                             style entropy.  Every random draw must come
-                            from the seeded support/rng.hpp stream.
+                            from a seeded support/crng.hpp key.
   wall-clock                std::chrono::system_clock /
                             high_resolution_clock.  steady_clock is
                             allowed only via the rule below.
@@ -19,8 +19,9 @@ break that contract in simulation codebases:
                             explicit allow).  Clock reads scattered
                             through sim code eventually leak into output
                             or, worse, into control flow.
-  time-seeded-rng           any RNG or seed expression built from a
-                            clock's now() — allowed clocks included.
+  time-seeded-rng           any crng::Key or crng::Stream, std engine or
+                            seed expression built from a clock's now() —
+                            allowed clocks included.
   unordered-iteration       iterating an unordered_map/unordered_set.
                             Hash-order is libstdc++-version- and
                             pointer-dependent; anything iterated in hash
@@ -85,7 +86,7 @@ SIMPLE_RULES = {
     ],
     "time-seeded-rng": [
         re.compile(
-            r"(?:\bRng\b|\bmt19937(?:_64)?\b|\bminstd_rand0?\b"
+            r"(?:\bKey\b|\bStream\b|\bmt19937(?:_64)?\b|\bminstd_rand0?\b"
             r"|\bdefault_random_engine\b|\branlux\w+\b|[Ss]eed\w*)"
             r"[^;]*?[({=][^;]*\bnow\s*\(\)"),
     ],

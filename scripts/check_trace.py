@@ -31,7 +31,7 @@ exporter emits fixed-point fractional microseconds, e.g. 1234.567).
 
 --artifact validates a replayable violation artifact from `neatbound_cli
 run --oracle --oracle-dump` (schema in docs/observability.md): the
-"neatbound-violation-v2" format tag, exact key sets at every level, a
+"neatbound-violation-v3" format tag, exact key sets at every level, a
 known invariant name, a measured value that actually violates the bound
 (strictly above it for common-prefix, strictly below for the window
 invariants), a violating round inside the run, views indexed 0..n-1
@@ -191,11 +191,10 @@ def check_chrome_trace(text: str, *, label: str = "chrome") -> list[str]:
     return errors
 
 
-ARTIFACT_FORMAT = "neatbound-violation-v2"
+ARTIFACT_FORMAT = "neatbound-violation-v3"
 ARTIFACT_KEYS = ("format", "engine", "violation_t", "oracle", "adversary",
                  "network", "violation", "views", "trace")
-ENGINE_KEYS = ("miners", "nu", "delta", "rounds", "p", "seed", "rng")
-RNG_MODES = ("counter", "legacy")
+ENGINE_KEYS = ("miners", "nu", "delta", "rounds", "p", "seed")
 ORACLE_KEYS = ("common_prefix", "common_prefix_t", "growth_window",
                "growth_min_blocks", "quality_window", "quality_min_ratio",
                "slice_rounds")
@@ -254,9 +253,6 @@ def check_artifact(text: str, *, label: str = "artifact") -> list[str]:
             if not _is_nonneg_number(engine[key]):
                 errors.append(f"{label}: engine.{key} must be a finite "
                               f"non-negative number, got {engine[key]!r}")
-        if engine["rng"] not in RNG_MODES:
-            errors.append(f"{label}: engine.rng must be one of "
-                          f"{', '.join(RNG_MODES)}, got {engine['rng']!r}")
         if _is_uint(engine["rounds"]):
             rounds = engine["rounds"]
 
@@ -463,7 +459,7 @@ def _artifact(**overrides: object) -> dict:
     base = {
         "format": ARTIFACT_FORMAT,
         "engine": {"miners": 12, "nu": 0.4, "delta": 3, "rounds": 400,
-                   "p": 0.03, "seed": 611, "rng": "counter"},
+                   "p": 0.03, "seed": 611},
         "violation_t": 3,
         "oracle": {"common_prefix": True, "common_prefix_t": 3,
                    "growth_window": 0, "growth_min_blocks": 1,
@@ -509,13 +505,11 @@ _BAD_ARTIFACTS = [
     ("artifact-extra-key", json.dumps({**_artifact(), "surprise": 1}),
      "wrong key set"),
     ("artifact-bad-format", _mutated(["format"], "neatbound-violation-v9"),
-     "is not 'neatbound-violation-v2'"),
+     "is not 'neatbound-violation-v3'"),
     ("artifact-engine-keys", _mutated(["engine", "seed"], None),
      "wrong key set"),
     ("artifact-bad-nu", _mutated(["engine", "nu"], -0.4),
      "engine.nu"),
-    ("artifact-bad-rng", _mutated(["engine", "rng"], "sequential"),
-     "engine.rng"),
     ("artifact-bad-invariant",
      _mutated(["violation", "invariant"], "common-suffix"),
      "unknown invariant"),

@@ -27,16 +27,12 @@ regress — each rule encodes a bug class a previous PR fixed by hand:
   rng-stream          no std::<...>_distribution, no std RNG engines,
                       no <random> include — their sequences are
                       implementation-defined (non-reproducible across
-                      standard libraries).  Since the counter-based
-                      generator landed, the sequential support::Rng is
-                      additionally banned outside support/ itself: its
-                      hidden stream state is order-dependent, so it
+                      standard libraries) and their hidden stream state
                       cannot be read out of order the way quiet-round
-                      skipping and replay read counter draws.  New draws go through support/crng.hpp,
-                      addressed as (key = (cell, seed), counter =
-                      (round, actor, purpose, slot)); the RngMode::
-                      kLegacy compatibility sites carry in-source
-                      allows until the legacy path is retired.
+                      skipping and replay read counter draws.  Draws go
+                      through support/crng.hpp, addressed as (key =
+                      (cell, seed), counter = (round, actor, purpose,
+                      slot)).
   contract-coverage   every public mutating method defined in
                       protocol/, net/ and exp/ with a non-trivial body
                       (>= 2 statements) contains at least one
@@ -153,11 +149,6 @@ RNG_PATTERNS = [
     (re.compile(r"#\s*include\s*<random>"),
      "<random> is banned in src/ and cli/"),
 ]
-
-# The legacy sequential generator (support/rng.hpp) by unqualified class
-# name.  Does not match crng:: (no word boundary before the R) or RngMode
-# (no word boundary after the g).
-LEGACY_RNG_RE = re.compile(r"\bRng\b")
 
 # Simulation-core modules may not grow private file writers; the single
 # exemption is the sanctioned bounded trace serializer.
@@ -624,20 +615,6 @@ def rule_rng(model: Model) -> list[Finding]:
                            f"so every draw stays addressable as "
                            f"(key, counter)")
                     break
-            # The sequential support::Rng is the pre-counter legacy path:
-            # hidden state makes draw N depend on draws 1..N-1, which is
-            # exactly what quiet-round skipping cannot reproduce.
-            # It survives behind RngMode::kLegacy for one release; those
-            # sites carry allows.  `\bRng\b` does not match crng:: or
-            # RngMode, and support/ itself (where Rng is defined) is
-            # exempt.
-            if hit is None and fm.module != "support" \
-                    and LEGACY_RNG_RE.search(line):
-                hit = ("sequential support::Rng draw outside support/: "
-                       "hidden stream state is order-dependent and blocks "
-                       "out-of-order draws; new code keys draws through "
-                       "support/crng.hpp (legacy-mode sites carry an "
-                       "allow until kLegacy is retired)")
             if hit is not None:
                 out.append(Finding(fm.rel, lineno, "rng-stream", hit))
     return out

@@ -111,9 +111,7 @@ StationaryComparisonRow compare_stationary(std::uint64_t delta, double alpha,
         row.max_abs_err_fixed, std::fabs(closed[i] - fixed.distribution[i]));
   }
 
-  // neatbound-analyze: allow(rng-stream) — analysis-side walk seeding
-  // (see markov/walk.hpp)
-  markov::RandomWalk walk(matrix, /*start=*/0, Rng(seed));
+  markov::RandomWalk walk(matrix, /*start=*/0, crng::Key{seed, 0});
   const auto visits = walk.visit_counts(walk_steps);
   for (std::size_t i = 0; i < closed.size(); ++i) {
     const double freq = static_cast<double>(visits[i]) /

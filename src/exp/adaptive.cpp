@@ -60,9 +60,6 @@ std::uint64_t sweep_fingerprint(const SweepGrid& grid,
         .number(engine.p)
         .integer(engine.delta)
         .integer(engine.rounds)
-        // rng_mode shapes trajectories, so checkpoints must not resume
-        // across it.
-        .integer(static_cast<std::uint64_t>(engine.rng_mode))
         .integer(static_cast<std::uint64_t>(cell.config.adversary))
         .integer(cell.config.base_seed);
   }

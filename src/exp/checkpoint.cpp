@@ -188,8 +188,7 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path,
   checkpoint.waves_done = document.at("waves_done").as_uint();
   for (const support::JsonValue& entry : document.at("cells").as_array()) {
     CellCheckpoint cell;
-    cell.seeds_done =
-        static_cast<std::uint32_t>(entry.at("seeds_done").as_uint());
+    cell.seeds_done = entry.at("seeds_done").as_uint32();
     cell.violations = entry.at("violations").as_uint();
     cell.stopped = entry.at("stopped").as_bool();
     cell.stopped_early = entry.at("stopped_early").as_bool();

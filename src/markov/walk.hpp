@@ -7,17 +7,17 @@
 #include <vector>
 
 #include "markov/chain.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::markov {
 
 class RandomWalk {
  public:
-  /// Starts at `start`; the walk owns its RNG stream.
-  // neatbound-analyze: allow(rng-stream) — analysis-side Monte Carlo
-  // cross-check, never batched or replayed out of order; a
-  // crng::Purpose::kWalk migration is reserved but not yet scheduled.
-  RandomWalk(const TransitionMatrix& matrix, std::size_t start, Rng rng);
+  /// Starts at `start`; step draws come from the key's
+  /// (a = 0, b = 0, Purpose::kWalk) counter subspace, so one key always
+  /// replays the same walk.
+  RandomWalk(const TransitionMatrix& matrix, std::size_t start,
+             crng::Key key);
 
   /// Takes one step; returns the new state.
   std::size_t step();
@@ -31,8 +31,7 @@ class RandomWalk {
  private:
   const TransitionMatrix& matrix_;
   std::size_t current_;
-  // neatbound-analyze: allow(rng-stream) — analysis-side walk (above)
-  Rng rng_;
+  crng::Stream stream_;
 };
 
 }  // namespace neatbound::markov

@@ -1,12 +1,13 @@
 // The random oracle H : {0,1}* → {0,1}^κ of the paper's Section III,
-// instantiated at κ = 64 with a splitmix64-based mixing function, plus the
-// verification oracle H.ver and the proof-of-work predicate
-//   H(h₋₁, η, m) ≤ D_p.
+// instantiated at κ = 64 with a mix64-based mixing function, plus the
+// verification oracle H.ver.
 //
-// Substitution note (see DESIGN.md): the analysis requires only that each
-// query succeeds independently with probability p and that block ids are
-// collision-free; a seeded 64-bit mixer provides both, is reproducible,
-// and supports the full H/H.ver interface the model specifies.
+// Substitution note: the analysis requires only that each query succeeds
+// independently with probability p and that block ids are collision-free.
+// Success is decided by the counter RNG's addressable Bernoulli(p) field
+// (sim/draws.hpp), so no ≤ D_p target test exists; the seeded mixer gives
+// collision-free ids, is reproducible, and supports the H/H.ver interface
+// the model specifies.
 #pragma once
 
 #include <cstdint>
@@ -17,26 +18,6 @@ namespace neatbound::protocol {
 
 /// 64-bit hash value (κ = 64).
 using HashValue = std::uint64_t;
-
-/// The proof-of-work target D_p: a query succeeds iff H(...) ≤ D_p.
-class PowTarget {
- public:
-  /// D_p chosen so that P[H(x) ≤ D_p] = p for uniform H output.
-  static PowTarget from_probability(double p);
-
-  [[nodiscard]] HashValue threshold() const noexcept { return threshold_; }
-
-  /// The success probability this target realizes (≈ p up to 2⁻⁶⁴ rounding).
-  [[nodiscard]] double probability() const noexcept;
-
-  [[nodiscard]] bool satisfied_by(HashValue h) const noexcept {
-    return h <= threshold_;
-  }
-
- private:
-  explicit PowTarget(HashValue threshold) noexcept : threshold_(threshold) {}
-  HashValue threshold_;
-};
 
 /// The random oracle, seeded per execution so runs are reproducible.
 class RandomOracle {

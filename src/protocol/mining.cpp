@@ -2,30 +2,6 @@
 
 namespace neatbound::protocol {
 
-std::optional<Block> try_mine(const RandomOracle& oracle,
-                              const PowTarget& target, HashValue parent_hash,
-                              // neatbound-analyze: allow(rng-stream) —
-                              // legacy-mode entry point
-                              std::uint64_t payload_digest, Rng& rng) {
-  return try_mine_with_nonce(oracle, target, parent_hash, payload_digest,
-                             rng.bits());
-}
-
-std::optional<Block> try_mine_with_nonce(const RandomOracle& oracle,
-                                         const PowTarget& target,
-                                         HashValue parent_hash,
-                                         std::uint64_t payload_digest,
-                                         std::uint64_t nonce) {
-  const HashValue hash = oracle.query(parent_hash, nonce, payload_digest);
-  if (!target.satisfied_by(hash)) return std::nullopt;
-  Block block;
-  block.hash = hash;
-  block.parent_hash = parent_hash;
-  block.nonce = nonce;
-  block.payload_digest = payload_digest;
-  return block;
-}
-
 Block assemble_block(const RandomOracle& oracle, HashValue parent_hash,
                      std::uint64_t payload_digest, std::uint64_t nonce) {
   Block block;

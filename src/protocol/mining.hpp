@@ -2,44 +2,19 @@
 // queries for the adversary (Section III's access discipline).
 #pragma once
 
-#include <optional>
-
 #include "protocol/block.hpp"
 #include "protocol/hash.hpp"
-#include "support/rng.hpp"
 
 namespace neatbound::protocol {
 
-/// Attempts a single proof-of-work query: draws a fresh nonce η, computes
-/// H(parent_hash, η, payload_digest) and succeeds iff it meets the target.
-/// Returns the assembled block on success (miner/class/round/message are
-/// filled by the caller), nullopt on failure.
-///
-/// The success probability equals PowTarget::probability() exactly, since
-/// the oracle output is uniform over 64-bit values for fresh nonces.
-[[nodiscard]] std::optional<Block> try_mine(const RandomOracle& oracle,
-                                            const PowTarget& target,
-                                            HashValue parent_hash,
-                                            std::uint64_t payload_digest,
-    // neatbound-analyze: allow(rng-stream) — legacy-mode entry point
-                                            Rng& rng);
-
-/// Batched-RNG variant: the caller supplies the nonce η it drew itself —
-/// the engine pre-draws one dense block of nonces for a whole round of
-/// honest queries (same stream, same order as per-query draws, so results
-/// are bit-identical) instead of interleaving RNG steps with hashing.
-[[nodiscard]] std::optional<Block> try_mine_with_nonce(
-    const RandomOracle& oracle, const PowTarget& target,
-    HashValue parent_hash, std::uint64_t payload_digest, std::uint64_t nonce);
-
-/// Counter-mode assembly: success of the query was already decided by the
-/// addressable Bernoulli(p) field (sim/draws.hpp), so no target test is
-/// performed here — the block is assembled unconditionally.  Its hash
-/// still commits to (parent, nonce, payload) via the oracle, so hash
-/// linkage and H.ver hold exactly as in legacy mode; only the per-block
-/// ≤-target certificate is absent (see ValidationPolicy and
-/// docs/correctness.md — the paper's analysis uses the per-query success
-/// probability p and collision-free ids, never the certificate itself).
+/// Block assembly for a successful query.  Success itself was already
+/// decided by the addressable Bernoulli(p) field (sim/draws.hpp), so no
+/// target test is performed here.  The block's hash still commits to
+/// (parent, nonce, payload) via the oracle, so hash linkage and H.ver
+/// hold (docs/architecture.md, "RNG keying" — the paper's analysis uses
+/// the per-query success probability p and collision-free ids, never a
+/// ≤-target certificate).  Miner, class, round and message are filled by
+/// the caller.
 [[nodiscard]] Block assemble_block(const RandomOracle& oracle,
                                    HashValue parent_hash,
                                    std::uint64_t payload_digest,

@@ -3,9 +3,7 @@
 namespace neatbound::protocol {
 
 ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
-                                const RandomOracle& oracle,
-                                const PowTarget& target,
-                                ValidationPolicy policy) {
+                                const RandomOracle& oracle) {
   const auto chain = store.chain_to(tip);
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const BlockIndex b = chain[i];
@@ -28,18 +26,8 @@ ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
       return ValidationReport::fail("H.ver failed at height " +
                                     std::to_string(height));
     }
-    if (policy.check_pow_target && !target.satisfied_by(store.hash_of(b))) {
-      return ValidationReport::fail("proof of work misses target at height " +
-                                    std::to_string(height));
-    }
   }
   return ValidationReport::ok();
-}
-
-ValidationReport validate_chain(const BlockStore& store, BlockIndex tip,
-                                const RandomOracle& oracle,
-                                const PowTarget& target) {
-  return validate_chain(store, tip, oracle, target, ValidationPolicy{});
 }
 
 }  // namespace neatbound::protocol

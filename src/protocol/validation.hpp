@@ -1,6 +1,6 @@
 // Chain validation: the checks an honest player performs before accepting
-// a chain (Section III): hash linkage, proof-of-work validity via H.ver,
-// height monotonicity and round sanity.
+// a chain (Section III): hash linkage, H.ver, height monotonicity and
+// round sanity.
 #pragma once
 
 #include <string>
@@ -20,30 +20,11 @@ struct ValidationReport {
   }
 };
 
-/// Which checks validate_chain applies.  Counter-mode executions
-/// (EngineConfig::rng_mode == kCounter) decide query success via an
-/// addressable Bernoulli field rather than a hash-vs-target comparison,
-/// so their block hashes are full-range uniform and carry no ≤-target
-/// certificate — such chains validate with check_pow_target off, while
-/// hash linkage, H.ver, height and round checks always apply.
-struct ValidationPolicy {
-  bool check_pow_target = true;
-};
-
-/// Validates the full chain from genesis to `tip` against the oracle and
-/// target: every block's hash must verify (H.ver), satisfy the PoW target
-/// (when the policy asks for it), link to its parent's hash, increase
-/// height by one, and not precede its parent's round.
+/// Validates the full chain from genesis to `tip` against the oracle:
+/// every block's hash must verify (H.ver), link to its parent's hash,
+/// increase height by one, and not precede its parent's round.
 [[nodiscard]] ValidationReport validate_chain(const BlockStore& store,
                                               BlockIndex tip,
-                                              const RandomOracle& oracle,
-                                              const PowTarget& target,
-                                              ValidationPolicy policy);
-
-/// Legacy-policy overload: all checks on.
-[[nodiscard]] ValidationReport validate_chain(const BlockStore& store,
-                                              BlockIndex tip,
-                                              const RandomOracle& oracle,
-                                              const PowTarget& target);
+                                              const RandomOracle& oracle);
 
 }  // namespace neatbound::protocol

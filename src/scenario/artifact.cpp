@@ -39,6 +39,17 @@ const JsonValue& require(const JsonValue& object, const char* key,
   return *value;
 }
 
+/// A required 32-bit field; a value past 2^32 is refused, never narrowed.
+std::uint32_t require_uint32(const JsonValue& object, const char* key,
+                             const std::string& where) {
+  const JsonValue& value = require(object, key, where);
+  try {
+    return value.as_uint32();
+  } catch (const std::exception& e) {
+    artifact_error(where + "." + key + ": " + e.what());
+  }
+}
+
 // --- writer helpers ---------------------------------------------------------
 
 std::string json_escape(const std::string& text) {
@@ -116,25 +127,15 @@ void write_component(std::ostream& os, const ComponentSpec& component,
 
 sim::EngineConfig parse_engine(const JsonValue& engine) {
   reject_unknown_keys(engine,
-                      {"miners", "nu", "delta", "rounds", "p", "seed", "rng"},
+                      {"miners", "nu", "delta", "rounds", "p", "seed"},
                       "engine");
   sim::EngineConfig config;
-  config.miner_count = static_cast<std::uint32_t>(
-      require(engine, "miners", "engine").as_uint());
+  config.miner_count = require_uint32(engine, "miners", "engine");
   config.adversary_fraction = require(engine, "nu", "engine").as_number();
   config.p = require(engine, "p", "engine").as_number();
   config.delta = require(engine, "delta", "engine").as_uint();
   config.rounds = require(engine, "rounds", "engine").as_uint();
   config.seed = require(engine, "seed", "engine").as_uint();
-  const std::string rng = require(engine, "rng", "engine").as_string();
-  if (rng == "counter") {
-    config.rng_mode = sim::RngMode::kCounter;
-  } else if (rng == "legacy") {
-    config.rng_mode = sim::RngMode::kLegacy;
-  } else {
-    artifact_error("engine: rng must be 'counter' or 'legacy', got '" + rng +
-                   "'");
-  }
   try {
     sim::validate_engine_config(config);
   } catch (const std::exception& e) {
@@ -200,10 +201,8 @@ sim::OracleViolation parse_violation(const JsonValue& violation) {
   out.round = require(violation, "round", "violation").as_uint();
   out.measured = require(violation, "measured", "violation").as_uint();
   out.bound = require(violation, "bound", "violation").as_uint();
-  out.view_a = static_cast<std::uint32_t>(
-      require(violation, "view_a", "violation").as_uint());
-  out.view_b = static_cast<std::uint32_t>(
-      require(violation, "view_b", "violation").as_uint());
+  out.view_a = require_uint32(violation, "view_a", "violation");
+  out.view_b = require_uint32(violation, "view_b", "violation");
   if (out.round == 0) {
     artifact_error("violation: rounds are 1-based");
   }
@@ -224,10 +223,8 @@ sim::ViewSnapshot parse_view(const JsonValue& view, std::size_t index) {
   if (!view.is_object()) artifact_error(where + ": expected a JSON object");
   reject_unknown_keys(view, {"miner", "tip", "height", "hash"}, where);
   sim::ViewSnapshot snapshot;
-  snapshot.miner =
-      static_cast<std::uint32_t>(require(view, "miner", where).as_uint());
-  snapshot.tip = static_cast<protocol::BlockIndex>(
-      require(view, "tip", where).as_uint());
+  snapshot.miner = require_uint32(view, "miner", where);
+  snapshot.tip = require_uint32(view, "tip", where);
   snapshot.height = require(view, "height", where).as_uint();
   snapshot.hash = parse_hex16(require(view, "hash", where).as_string(), where);
   if (snapshot.miner != index) {
@@ -266,10 +263,7 @@ void write_artifact(std::ostream& os, const ViolationArtifact& artifact) {
      << ",\"delta\":" << u(artifact.engine.delta)
      << ",\"rounds\":" << u(artifact.engine.rounds)
      << ",\"p\":" << exp::exact_double_repr(artifact.engine.p)
-     << ",\"seed\":" << u(artifact.engine.seed) << ",\"rng\":\""
-     << (artifact.engine.rng_mode == sim::RngMode::kCounter ? "counter"
-                                                            : "legacy")
-     << "\"},\n";
+     << ",\"seed\":" << u(artifact.engine.seed) << "},\n";
   os << "\"violation_t\":" << u(artifact.violation_t) << ",\n";
   const sim::OracleConfig& oracle = artifact.oracle;
   os << "\"oracle\":{\"common_prefix\":"

@@ -39,7 +39,7 @@
 namespace neatbound::scenario {
 
 /// The artifact format tag; bump on any schema change.
-inline constexpr std::string_view kArtifactFormat = "neatbound-violation-v2";
+inline constexpr std::string_view kArtifactFormat = "neatbound-violation-v3";
 
 struct ViolationArtifact {
   /// Full config of the violating run — seed is the violating seed and

@@ -10,7 +10,6 @@ namespace neatbound::scenario {
 
 void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides) {
   if (overrides.miners) spec.miners = *overrides.miners;
-  if (overrides.rng) spec.rng = *overrides.rng;
   if (overrides.nu) spec.nu = *overrides.nu;
   if (overrides.delta) spec.delta = *overrides.delta;
   if (overrides.rounds) spec.rounds = *overrides.rounds;
@@ -58,8 +57,6 @@ sim::ExperimentConfig build_config(const ScenarioSpec& spec,
   config.engine.rounds = static_cast<std::uint64_t>(
       axis_or(spec, point, "rounds", static_cast<double>(spec.rounds)));
   config.engine.p = axis_or(spec, point, "p", spec.p);
-  config.engine.rng_mode =
-      spec.rng == "legacy" ? sim::RngMode::kLegacy : sim::RngMode::kCounter;
 
   if (spec.hardness_mode == "neat-bound-multiple") {
     // Operation-for-operation the arithmetic of bench_consistency_sweep:

@@ -39,7 +39,6 @@ struct SpecOverrides {
   std::optional<std::uint32_t> seeds;
   std::optional<std::uint64_t> base_seed;
   std::optional<std::uint64_t> violation_t;
-  std::optional<std::string> rng;  ///< "counter" | "legacy"
 };
 
 void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides);

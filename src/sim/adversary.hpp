@@ -44,7 +44,7 @@ class AdversaryOps {
   /// Spends one query attempting to extend `parent`.  Returns the new
   /// (private) block's index on success.  Contract violation if the
   /// budget is exhausted.
-  virtual std::optional<protocol::BlockIndex> try_mine_on(
+  virtual std::optional<protocol::BlockIndex> mine_on(
       protocol::BlockIndex parent) = 0;
 
   // --- publication ---
@@ -84,7 +84,7 @@ class Adversary {
   /// (or keep withholding) blocks via `ops`.
   virtual void act(AdversaryOps& ops) = 0;
 
-  /// Quiet-round contract (counter-mode fast path): return true iff act()
+  /// Quiet-round contract (quiet-round skipping): return true iff act()
   /// is observably a no-op — no publication, no internal state change that
   /// could alter any later action — in every round where (a) no honest
   /// block was mined or delivered since the previous executed act() call

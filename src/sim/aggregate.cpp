@@ -5,7 +5,6 @@
 
 #include "support/contracts.hpp"
 #include "support/crng.hpp"
-#include "support/rng.hpp"  // mix64 only (stateless key hashing)
 
 namespace neatbound::sim {
 

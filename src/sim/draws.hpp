@@ -1,6 +1,6 @@
-// Addressable Bernoulli success fields for counter-mode mining.
+// Addressable Bernoulli success fields for mining.
 //
-// Counter mode decides mining success by an iid Bernoulli(p) field over a
+// The engine decides mining success by an iid Bernoulli(p) field over a
 // flat position space (honest query g = (round−1)·n + miner; adversary
 // query g = (round−1)·budget + query-index), enumerated by geometric
 // gaps: the number of failures between consecutive successes is

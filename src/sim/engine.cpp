@@ -79,32 +79,22 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     return remaining_;
   }
 
-  std::optional<protocol::BlockIndex> try_mine_on(
+  std::optional<protocol::BlockIndex> mine_on(
       protocol::BlockIndex parent) override {
     NEATBOUND_EXPECTS(remaining_ > 0, "adversary query budget exhausted");
     const std::uint64_t query = budget_ - remaining_;  // index within round
     --remaining_;
-    protocol::Block block;
-    if (engine_.config_.rng_mode == RngMode::kCounter) {
-      // Success is decided by the addressable Bernoulli field at flat
-      // position (round−1)·budget + query; block draws are keyed by
-      // (round, query) so they are independent of every other success.
-      const std::uint64_t pos = (round_ - 1) * budget_ + query;
-      if (!engine_.adversary_gaps_.contains_take(pos)) return std::nullopt;
-      const crng::Block draws = crng::philox4x64(
-          {round_, query, purpose_of(crng::Purpose::kAdversaryBlock), 0},
-          engine_.key_);
-      block = protocol::assemble_block(engine_.oracle_,
-                                       engine_.store_.hash_of(parent),
-                                       /*payload_digest=*/draws[1],
-                                       /*nonce=*/draws[0]);
-    } else {
-      auto mined = protocol::try_mine(
-          engine_.oracle_, engine_.target_, engine_.store_.hash_of(parent),
-          mix64(++engine_.payload_counter_), engine_.rng_);
-      if (!mined) return std::nullopt;
-      block = std::move(*mined);
-    }
+    // Success is decided by the addressable Bernoulli field at flat
+    // position (round−1)·budget + query; block draws are keyed by
+    // (round, query) so they are independent of every other success.
+    const std::uint64_t pos = (round_ - 1) * budget_ + query;
+    if (!engine_.adversary_gaps_.contains_take(pos)) return std::nullopt;
+    const crng::Block draws = crng::philox4x64(
+        {round_, query, purpose_of(crng::Purpose::kAdversaryBlock), 0},
+        engine_.key_);
+    protocol::Block block = protocol::assemble_block(
+        engine_.oracle_, engine_.store_.hash_of(parent),
+        /*payload_digest=*/draws[1], /*nonce=*/draws[0]);
     block.round = round_;
     block.miner_class = protocol::MinerClass::kAdversary;
     block.miner = engine_.honest_count_;  // corrupted ids share one bucket
@@ -150,30 +140,24 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
       honest_count_(honest_miner_count(config)),
       adversary_queries_(corrupted_count(config)),
       oracle_(mix64(config.seed ^ 0x5bd1e995u)),
-      target_(protocol::PowTarget::from_probability(config.p)),
       calendar_(config.miner_count),
       adversary_(std::move(adversary)),
-      environment_(std::move(environment)),
-      rng_(mix64(config.seed)) {
+      environment_(std::move(environment)) {
   validate_engine_config(config);
   NEATBOUND_EXPECTS(adversary_ != nullptr, "an adversary is required");
-  if (config.rng_mode == RngMode::kCounter) {
-    key_ = engine_rng_key(config);
-    honest_gaps_ = GapCursor(key_, crng::Purpose::kHonestGap, config.p);
-    if (adversary_queries_ > 0) {
-      adversary_gaps_ =
-          GapCursor(key_, crng::Purpose::kAdversaryGap, config.p);
-    }
-    // Quiet-round skipping additionally requires that the adversary's
-    // act() is observably a no-op on quiet rounds (the contract in
-    // sim/adversary.hpp) and that no environment feeds block payloads.
-    quiet_eligible_ =
-        environment_ == nullptr &&
-        (adversary_queries_ == 0 || adversary_->quiet_act_is_noop());
+  key_ = engine_rng_key(config);
+  honest_gaps_ = GapCursor(key_, crng::Purpose::kHonestGap, config.p);
+  if (adversary_queries_ > 0) {
+    adversary_gaps_ = GapCursor(key_, crng::Purpose::kAdversaryGap, config.p);
   }
+  // Quiet-round skipping requires that the adversary's act() is
+  // observably a no-op on quiet rounds (the contract in
+  // sim/adversary.hpp) and that no environment feeds block payloads.
+  quiet_eligible_ =
+      environment_ == nullptr &&
+      (adversary_queries_ == 0 || adversary_->quiet_act_is_noop());
   views_.resize(honest_count_);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
-  nonce_scratch_.resize(honest_count_);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
   round_miners_.reserve(honest_count_);
@@ -304,39 +288,21 @@ void ExecutionEngine::register_honest_block(std::uint64_t round,
 }
 
 void ExecutionEngine::honest_mining_phase(std::uint64_t round) {
-  if (config_.rng_mode == RngMode::kCounter) {
-    // Counter mode: walk the honest Bernoulli success field over this
-    // round's positions [(round−1)·n, round·n).  The cursor is monotone
-    // and every earlier round consumed its own span, so its next success
-    // is already ≥ the round base; miners come out in increasing order,
-    // matching the legacy m = 0..n−1 query loop.
-    const std::uint64_t end =
-        round * static_cast<std::uint64_t>(honest_count_);
-    const std::uint64_t base = end - honest_count_;
-    while (honest_gaps_.peek() < end) {
-      const auto m = static_cast<std::uint32_t>(honest_gaps_.take() - base);
-      const crng::Block draws = crng::philox4x64(
-          {round, m, purpose_of(crng::Purpose::kHonestBlock), 0}, key_);
-      register_honest_block(
-          round, m,
-          protocol::assemble_block(oracle_, store_.hash_of(tips_scratch_[m]),
-                                   /*payload_digest=*/draws[1],
-                                   /*nonce=*/draws[0]));
-    }
-  } else {
-    // Legacy batched RNG: draw the round's nonces in one dense pass
-    // (identical stream order to per-query draws), then run the queries.
-    for (std::uint32_t m = 0; m < honest_count_; ++m) {
-      nonce_scratch_[m] = rng_.bits();
-    }
-    for (std::uint32_t m = 0; m < honest_count_; ++m) {
-      const protocol::BlockIndex parent = tips_scratch_[m];
-      auto mined = protocol::try_mine_with_nonce(
-          oracle_, target_, store_.hash_of(parent), mix64(++payload_counter_),
-          nonce_scratch_[m]);
-      if (!mined) continue;
-      register_honest_block(round, m, std::move(*mined));
-    }
+  // Walk the honest Bernoulli success field over this round's positions
+  // [(round−1)·n, round·n).  The cursor is monotone and every earlier
+  // round consumed its own span, so its next success is already ≥ the
+  // round base; miners come out in increasing id order.
+  const std::uint64_t end = round * static_cast<std::uint64_t>(honest_count_);
+  const std::uint64_t base = end - honest_count_;
+  while (honest_gaps_.peek() < end) {
+    const auto m = static_cast<std::uint32_t>(honest_gaps_.take() - base);
+    const crng::Block draws = crng::philox4x64(
+        {round, m, purpose_of(crng::Purpose::kHonestBlock), 0}, key_);
+    register_honest_block(
+        round, m,
+        protocol::assemble_block(oracle_, store_.hash_of(tips_scratch_[m]),
+                                 /*payload_digest=*/draws[1],
+                                 /*nonce=*/draws[0]));
   }
   // neatbound-analyze: allow(hot-alloc) — one amortized append per round
   // into the result metric; geometric growth, not per-miner work.
@@ -363,14 +329,12 @@ void ExecutionEngine::step_round(std::uint64_t round,
     Ops ops(*this, round, adversary_queries_);
     adversary_->act(ops);
     // Publication may not change views until delivery, so the snapshot
-    // taken above remains valid for metrics.
-    if (config_.rng_mode == RngMode::kCounter) {
-      // Unspent queries of this round are forfeited: the success field
-      // restarts at the next round's base regardless of how much budget
-      // the strategy used, so trajectories never depend on spent budget.
-      adversary_gaps_.advance_to(round *
-                                 static_cast<std::uint64_t>(adversary_queries_));
-    }
+    // taken above remains valid for metrics.  Unspent queries of this
+    // round are forfeited: the success field restarts at the next round's
+    // base regardless of how much budget the strategy used, so
+    // trajectories never depend on spent budget.
+    adversary_gaps_.advance_to(round *
+                               static_cast<std::uint64_t>(adversary_queries_));
   }
   {
     NEATBOUND_PHASE_SCOPE(kMetrics);

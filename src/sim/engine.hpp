@@ -26,7 +26,6 @@
 #include "net/delivery.hpp"
 #include "protocol/block_store.hpp"
 #include "protocol/hash.hpp"
-#include "protocol/validation.hpp"
 #include "sim/adversary.hpp"
 #include "sim/draws.hpp"
 #include "sim/environment.hpp"
@@ -34,27 +33,9 @@
 #include "sim/miner_view.hpp"
 #include "support/crng.hpp"
 #include "support/hot.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace neatbound::sim {
-
-/// Which random-number discipline a run uses.
-///
-/// kCounter (the default) addresses every draw as a pure function of
-/// (key = (cell, seed), counter = (round, actor, purpose)) — see
-/// support/crng.hpp — which makes draws order-independent: the engine can
-/// prove a round quiet from the gap cursors alone and commit it without
-/// stepping it (ExecutionEngine::run, pinned by
-/// tests/sim/test_quiet_skip_equivalence).
-///
-/// kLegacy is the pre-counter sequential stream (support/rng.hpp), kept
-/// behind this switch for one release so existing pinned baselines can be
-/// cross-checked; it is never quiet-skipped.
-enum class RngMode : std::uint8_t {
-  kLegacy = 0,
-  kCounter = 1,
-};
 
 struct EngineConfig {
   std::uint32_t miner_count = 16;      ///< n (honest + corrupted)
@@ -63,14 +44,17 @@ struct EngineConfig {
   std::uint64_t delta = 1;             ///< Δ, max message delay in rounds
   std::uint64_t rounds = 1000;         ///< T, rounds to execute
   std::uint64_t seed = 1;              ///< master seed (oracle + mining)
-  RngMode rng_mode = RngMode::kCounter;  ///< draw discipline (see RngMode)
 };
 
 /// The counter-RNG key of a run: cell = hash of the trajectory-shaping
-/// parameters (n, ν, p, Δ), seed = the run seed.  `rounds` is excluded on
-/// purpose — truncating the horizon must replay a prefix of the same
-/// trajectory (what the oracle replayer and checkpoint resume rely on) —
-/// and so is rng_mode itself (the key is only consulted in counter mode).
+/// parameters (n, ν, p, Δ), seed = the run seed.  Every draw of the run is
+/// addressed as a pure function of (key, counter = (round, actor,
+/// purpose)) — see support/crng.hpp — so the engine can prove a round
+/// quiet from the gap cursors alone and commit it without stepping it
+/// (pinned by tests/sim/test_quiet_skip_equivalence).  `rounds` is
+/// excluded on purpose: truncating the horizon must replay a prefix of the
+/// same trajectory (what the oracle replayer and checkpoint resume rely
+/// on).
 [[nodiscard]] crng::Key engine_rng_key(const EngineConfig& config);
 
 /// Honest miner count the engine derives from a config: n minus
@@ -153,15 +137,6 @@ class ExecutionEngine {
   [[nodiscard]] const protocol::RandomOracle& oracle() const noexcept {
     return oracle_;
   }
-  [[nodiscard]] const protocol::PowTarget& target() const noexcept {
-    return target_;
-  }
-  /// The validation policy matching this run's RNG discipline: counter
-  /// mode assembles blocks without a per-block ≤-target certificate
-  /// (protocol::assemble_block), so only legacy chains carry one.
-  [[nodiscard]] protocol::ValidationPolicy validation_policy() const noexcept {
-    return {.check_pow_target = config_.rng_mode == RngMode::kLegacy};
-  }
   [[nodiscard]] std::uint32_t honest_count() const noexcept {
     return honest_count_;
   }
@@ -202,10 +177,10 @@ class ExecutionEngine {
   /// mining success, and an adversary whose act() is a no-op on such
   /// rounds — stopping at the first round that must be stepped, and
   /// returns the first round NOT committed (== `round` when round itself
-  /// is busy or the fast path is unavailable: legacy mode, an attached
-  /// environment, or an adversary that did not opt into the quiet-act
-  /// contract).  A committed round is observably identical to a stepped
-  /// one (zero honest count, unchanged-round metrics fold).  The whole
+  /// is busy or the fast path is unavailable: an attached environment, or
+  /// an adversary that did not opt into the quiet-act contract).  A
+  /// committed round is observably identical to a stepped one (zero
+  /// honest count, unchanged-round metrics fold).  The whole
   /// run of quiet rounds costs O(1): the three event sources name their
   /// next busy round directly (gap-cursor positions are flat
   /// (round, slot) addresses; the calendar exposes its earliest pending
@@ -232,8 +207,8 @@ class ExecutionEngine {
   /// lower-indexed view) reproduces the old lowest-index-wins scan.
   NEATBOUND_HOT void note_adoption(std::uint32_t miner);
 
-  /// Common tail of both mining modes: stamps metadata on a freshly mined
-  /// honest block, stores it, updates views/metrics and broadcasts it.
+  /// Stamps metadata on a freshly mined honest block, stores it, updates
+  /// views/metrics and broadcasts it.
   NEATBOUND_HOT void register_honest_block(std::uint64_t round,
                                            std::uint32_t miner,
                                            protocol::Block&& block);
@@ -242,27 +217,22 @@ class ExecutionEngine {
   std::uint32_t honest_count_;
   std::uint32_t adversary_queries_;
   protocol::RandomOracle oracle_;
-  protocol::PowTarget target_;
   protocol::BlockStore store_;
   net::DeliveryCalendar calendar_;
   std::vector<MinerView> views_;
   std::unique_ptr<Adversary> adversary_;
   std::unique_ptr<Environment> environment_;
-  // neatbound-analyze: allow(rng-stream) — RngMode::kLegacy stream state,
-  // kept bit-stable for one release alongside the counter path below.
-  Rng rng_;
-  /// Counter-mode state: the run key plus cursors over the honest and
-  /// adversary Bernoulli success fields (unused in legacy mode).
+  /// The run key plus cursors over the honest and adversary Bernoulli
+  /// success fields.
   crng::Key key_;
   GapCursor honest_gaps_;
   GapCursor adversary_gaps_;
-  /// Precomputed eligibility for skip_quiet_rounds: counter mode, no
-  /// environment, and an adversary honouring the quiet-act contract.
+  /// Precomputed eligibility for skip_quiet_rounds: no environment, and
+  /// an adversary honouring the quiet-act contract.
   bool quiet_eligible_ = false;
   ConsistencyTracker consistency_;
   std::vector<std::uint32_t> honest_counts_;
   std::uint64_t adversary_blocks_total_ = 0;
-  std::uint64_t payload_counter_ = 0;
   /// Current tip of every honest view, maintained incrementally on each
   /// adoption (never rescanned).
   std::vector<protocol::BlockIndex> tips_scratch_;
@@ -270,8 +240,6 @@ class ExecutionEngine {
   protocol::BlockIndex best_tip_ = protocol::kGenesisIndex;
   std::uint64_t best_height_ = 0;
   std::uint32_t best_view_ = 0;
-  /// One pre-drawn nonce per honest miner per round (batched RNG path).
-  std::vector<std::uint64_t> nonce_scratch_;
   std::vector<bool> echoed_;  ///< per block: gossip echo already scheduled
   /// Reset at the top of every round; read only by observers/tracers —
   /// no simulation decision ever consults these.

@@ -14,7 +14,7 @@ void MaxDelayAdversary::act(AdversaryOps& ops) {
   // Mine with the full budget but never publish: A(t₀, t₀+T−1) is counted
   // while honest mining patterns stay untouched.
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_)) {
       private_tip_ = *mined;
     }
   }
@@ -58,7 +58,7 @@ void PrivateWithholdAdversary::act(AdversaryOps& ops) {
 
   // Spend the whole budget extending the private fork.
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_)) {
       private_tip_ = *mined;
       // neatbound-analyze: allow(hot-alloc) — one amortized append per
       // adversary block mined, not per round.
@@ -180,7 +180,7 @@ void BalanceAttackAdversary::act(AdversaryOps& ops) {
       const protocol::BlockIndex main = branch_[0];
       const protocol::BlockIndex parent =
           repair_.empty() ? store.parent_of(main) : repair_.back();
-      if (const auto mined = ops.try_mine_on(parent)) {
+      if (const auto mined = ops.mine_on(parent)) {
         // neatbound-analyze: allow(hot-alloc) — one amortized append per
         // adversary block mined, not per round.
         repair_.push_back(*mined);
@@ -199,7 +199,7 @@ void BalanceAttackAdversary::act(AdversaryOps& ops) {
       const std::uint64_t h0 = store.height_of(branch_[0]);
       const std::uint64_t h1 = store.height_of(branch_[1]);
       const std::uint8_t lagging = h0 <= h1 ? 0 : 1;
-      if (const auto mined = ops.try_mine_on(branch_[lagging])) {
+      if (const auto mined = ops.mine_on(branch_[lagging])) {
         partition_.publish_to_group(ops, *mined, lagging);
         branch_[lagging] = *mined;
       }
@@ -279,7 +279,7 @@ void SelfishMiningAdversary::act(AdversaryOps& ops) {
   honest_block_this_round_ = false;
 
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_)) {
       private_tip_ = *mined;
       // neatbound-analyze: allow(hot-alloc) — one amortized append per
       // adversary block mined, not per round.
@@ -328,7 +328,7 @@ void ForkBalancerAdversary::act(AdversaryOps& ops) {
         // never split at the front any more.
         pending_valid_ = false;
       }
-      if (const auto mined = ops.try_mine_on(parent)) {
+      if (const auto mined = ops.mine_on(parent)) {
         if (!pending_valid_) {
           pending_child_ = *mined;
           pending_parent_ = parent;
@@ -348,7 +348,7 @@ void ForkBalancerAdversary::act(AdversaryOps& ops) {
       const std::uint64_t h0 = store.height_of(branch_[0]);
       const std::uint64_t h1 = store.height_of(branch_[1]);
       const std::uint8_t lagging = h0 <= h1 ? 0 : 1;
-      if (const auto mined = ops.try_mine_on(branch_[lagging])) {
+      if (const auto mined = ops.mine_on(branch_[lagging])) {
         partition_.publish_to_group(ops, *mined, lagging);
         branch_[lagging] = *mined;
       }
@@ -382,7 +382,7 @@ void DelaySaturatingWithholder::act(AdversaryOps& ops) {
   }
 
   while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.try_mine_on(private_tip_)) {
+    if (const auto mined = ops.mine_on(private_tip_)) {
       private_tip_ = *mined;
       // neatbound-analyze: allow(hot-alloc) — one amortized append per
       // adversary block mined, not per round.

@@ -134,17 +134,13 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
   }
   RoundRecord record;
   record.round = value.at("round").as_uint();
-  record.honest_mined =
-      static_cast<std::uint32_t>(value.at("honest_mined").as_uint());
-  record.adversary_mined =
-      static_cast<std::uint32_t>(value.at("adversary_mined").as_uint());
+  record.honest_mined = value.at("honest_mined").as_uint32();
+  record.adversary_mined = value.at("adversary_mined").as_uint32();
   for (const support::JsonValue& id : value.at("mined_by").as_array()) {
-    record.mined_by.push_back(static_cast<std::uint32_t>(id.as_uint()));
+    record.mined_by.push_back(id.as_uint32());
   }
-  record.delivered =
-      static_cast<std::uint32_t>(value.at("delivered").as_uint());
-  record.adoptions =
-      static_cast<std::uint32_t>(value.at("adoptions").as_uint());
+  record.delivered = value.at("delivered").as_uint32();
+  record.adoptions = value.at("adoptions").as_uint32();
   record.best_height = value.at("best_height").as_uint();
   record.violation_depth = value.at("violation_depth").as_uint();
   // Empty mined_by with honest_mined > 0 is the aggregate-engine form

@@ -2,6 +2,16 @@
 
 #include <cmath>
 
+namespace neatbound {
+
+std::uint64_t mix64(std::uint64_t x) noexcept {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace neatbound
+
 namespace neatbound::crng {
 
 namespace {

@@ -1,11 +1,14 @@
-// Counter-based pseudo-random number generation (Philox4x64-10).
+// Counter-based pseudo-random number generation (Philox4x64-10), the
+// library's one draw discipline.
 //
-// Unlike support/rng.hpp's sequential streams, every draw here is a pure
-// function of (key, counter): there is no hidden state to thread through
-// the simulator, so any draw is addressable out of order, from any
-// thread, and the engine can locate the next mining success without
-// drawing the rounds before it (sim/draws.hpp).  The simulator keys draws
-// as
+// Every draw is a pure function of (key, counter): there is no hidden
+// state to thread through the simulator, so any draw is addressable out
+// of order, from any thread, and the engine can locate the next mining
+// success without drawing the rounds before it (sim/draws.hpp).  The
+// library never uses std::*_distribution either: their output sequences
+// are implementation-defined, which would make seed-pinned tests and
+// recorded experiment outputs non-reproducible across standard
+// libraries.  The simulator keys draws as
 //
 //   key     = (cell, seed)            cell = hash of the engine params
 //   counter = (a, b, purpose, slot)   a = round or flat draw index,
@@ -26,6 +29,17 @@
 
 #include "support/contracts.hpp"
 
+namespace neatbound {
+
+/// Stateless 64-bit mixing function (the splitmix64 output finalizer).
+/// Not a draw source: it hashes parameters into keys and salts
+/// (engine_rng_key, the aggregate key, registry salts) and is the round
+/// function of protocol::RandomOracle.  Bit-exact outputs are part of the
+/// pinned-trajectory contract.
+[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+
+}  // namespace neatbound
+
 namespace neatbound::crng {
 
 /// 128-bit key: which random function we are evaluating.
@@ -45,7 +59,7 @@ struct Counter {
 /// Disjoint draw namespaces.  Every consumer owns one value, so no two
 /// subsystems can ever collide on a counter no matter how (a, b) are
 /// assigned.  Values are part of the pinned-trajectory contract: renaming
-/// is free, renumbering changes every counter-mode result.
+/// is free, renumbering changes every pinned trajectory.
 enum class Purpose : std::uint64_t {
   kHonestGap = 1,       ///< gaps between honest mining successes
   kHonestBlock = 2,     ///< per-success honest block draws (nonce, ...)
@@ -69,8 +83,7 @@ using Block = std::array<std::uint64_t, 4>;
 [[nodiscard]] std::uint64_t draw(const Key& key, const Counter& counter) noexcept;
 
 /// Maps 64 random bits to a uniform double in [0, 1) with 53 bits of
-/// precision — the same mapping as support::Rng::uniform(), so counter
-/// and legacy modes share one real-valued draw convention.
+/// precision.
 [[nodiscard]] inline double to_unit(std::uint64_t bits) noexcept {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
@@ -79,9 +92,7 @@ using Block = std::array<std::uint64_t, 4>;
 /// distributions whose draw count is data-dependent (rejection sampling,
 /// BINV inversion).  Consumes lanes of slot 0, 1, 2, ... in order; two
 /// Streams on the same subspace produce identical sequences, and Streams
-/// on different subspaces are independent.  The distribution arithmetic
-/// mirrors support::Rng exactly (same mappings, cutoffs and inversions),
-/// only the bit source differs.
+/// on different subspaces are independent.
 class Stream {
  public:
   Stream(Key key, std::uint64_t a, std::uint64_t b, Purpose purpose) noexcept
@@ -100,8 +111,14 @@ class Stream {
   /// Bernoulli(p).
   [[nodiscard]] bool bernoulli(double p);
 
-  /// Binomial(n, p) — exact distribution (BINV with recursive splitting,
-  /// identical arithmetic to support::Rng::binomial).
+  /// Binomial(n, p) — exact distribution.
+  ///
+  /// Uses BINV sequential inversion, O(1 + np) expected time, when
+  /// np ≤ kInversionCutoff; otherwise splits the trial count (Binomial(a+b,
+  /// p) =d Binomial(a, p) + Binomial(b, p)) so that each leaf is inverted
+  /// cheaply.  Exactness matters: the paper's per-round block counts are
+  /// Binomial(μn, p) and Binomial(νn, p) with tiny p, and the tails
+  /// (P[X=1] vs P[X>1]) are precisely what the analysis counts.
   [[nodiscard]] std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Geometric: number of Bernoulli(p) failures before the first success.

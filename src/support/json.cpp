@@ -82,6 +82,16 @@ std::uint64_t JsonValue::as_uint() const {
   return static_cast<std::uint64_t>(n);
 }
 
+std::uint32_t JsonValue::as_uint32() const {
+  const std::uint64_t n = as_uint();
+  if (n > 0xffffffffULL) {
+    throw std::runtime_error(
+        "JSON: expected a non-negative 32-bit integer, have " +
+        std::to_string(n));
+  }
+  return static_cast<std::uint32_t>(n);
+}
+
 const std::string& JsonValue::as_string() const {
   if (!is_string()) kind_error("string", kind_name());
   return string_;

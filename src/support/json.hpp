@@ -57,6 +57,8 @@ class JsonValue {
   /// as_number, additionally required to be a non-negative integer that
   /// fits the return type exactly.
   [[nodiscard]] std::uint64_t as_uint() const;
+  /// as_uint, additionally required to fit 32 bits (no silent narrowing).
+  [[nodiscard]] std::uint32_t as_uint32() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;

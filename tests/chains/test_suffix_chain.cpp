@@ -175,7 +175,7 @@ TEST_P(SuffixChainSweep, WalkFrequenciesApproachClosedForm) {
   const SuffixStateSpace space(delta);
   const auto m = build_suffix_chain_matrix(space, alpha);
   const auto pi = stationary_closed_form_vector(space, alpha);
-  markov::RandomWalk walk(m, 0, Rng(1234 + delta));
+  markov::RandomWalk walk(m, 0, crng::Key{1234 + delta, 0});
   const std::uint64_t steps = 200000;
   const auto visits = walk.visit_counts(steps);
   for (std::size_t i = 0; i < space.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -135,6 +136,19 @@ TEST(Checkpoint, FingerprintMismatchAndMalformedFilesThrow) {
   EXPECT_THROW((void)load_sweep_checkpoint(file.path(), 43),
                std::runtime_error);
 
+  // seeds_done past 2^32, which a bare cast would truncate back to 0.
+  {
+    std::ifstream in(file.path());
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::string field = "\"seeds_done\": 0";
+    const auto pos = text.find(field);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, field.size(), "\"seeds_done\": 4294967296");
+    std::ofstream(file.path(), std::ios::trunc) << text;
+    EXPECT_THROW((void)load_sweep_checkpoint(file.path(), 42),
+                 std::runtime_error);
+  }
   std::ofstream(file.path(), std::ios::trunc) << "{\"format\": \"other\"}";
   EXPECT_THROW((void)load_sweep_checkpoint(file.path()),
                std::runtime_error);

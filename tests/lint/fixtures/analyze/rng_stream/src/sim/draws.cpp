@@ -1,6 +1,6 @@
 // Fixture: every banned randomness construction — the <random> include,
 // a std engine, and a std distribution.  Draws must go through
-// support/rng.hpp so streams stay addressable for the Philox migration.
+// support/crng.hpp so every draw stays addressable as (key, counter).
 // analyze-expect: rng-stream
 #include <random>
 

@@ -1,14 +1,13 @@
 // Known-bad fixture for scripts/check_determinism.py: a clock feeding a
-// seed.  The raw steady_clock read is a finding of its own
+// counter-RNG key.  The raw steady_clock read is a finding of its own
 // (raw-steady-clock); the seeding pattern stays a separate rule because
-// an *allowed* clock read feeding a seed must still fire.
+// an *allowed* clock read feeding a key must still fire.
 // lint-expect: time-seeded-rng
 // lint-expect: raw-steady-clock
 #include <chrono>
 
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
-neatbound::Rng jittery_stream() {
-  const auto seed = std::chrono::steady_clock::now().time_since_epoch().count();
-  return neatbound::Rng(static_cast<unsigned long long>(seed));
+neatbound::crng::Key jittery_key() {
+  return neatbound::crng::Key{0, static_cast<unsigned long long>(std::chrono::steady_clock::now().time_since_epoch().count())};
 }

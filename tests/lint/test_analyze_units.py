@@ -20,7 +20,7 @@ import neatbound_srcmodel as srcmodel  # noqa: E402
 class IncludeGraphTests(unittest.TestCase):
     def test_resolves_src_relative_targets(self):
         graph = analyze.build_include_graph({
-            "src/sim/a.hpp": ["sim/b.hpp", "support/rng.hpp"],
+            "src/sim/a.hpp": ["sim/b.hpp", "support/crng.hpp"],
             "src/sim/b.hpp": [],
         })
         self.assertEqual(graph["src/sim/a.hpp"], ["src/sim/b.hpp"])

@@ -22,7 +22,7 @@ TransitionMatrix two_state(double a, double b) {
 TEST(RandomWalk, VisitFrequenciesMatchStationary) {
   const double a = 0.3, b = 0.1;
   const auto m = two_state(a, b);
-  RandomWalk walk(m, 0, Rng(99));
+  RandomWalk walk(m, 0, crng::Key{99, 0});
   const std::uint64_t steps = 400000;
   const auto visits = walk.visit_counts(steps);
   const double freq1 =
@@ -32,7 +32,7 @@ TEST(RandomWalk, VisitFrequenciesMatchStationary) {
 
 TEST(RandomWalk, StepReturnsCurrentState) {
   const auto m = two_state(0.5, 0.5);
-  RandomWalk walk(m, 0, Rng(7));
+  RandomWalk walk(m, 0, crng::Key{7, 0});
   for (int i = 0; i < 10; ++i) {
     const std::size_t stepped = walk.step();
     EXPECT_EQ(stepped, walk.current());
@@ -44,7 +44,7 @@ TEST(RandomWalk, DeterministicChainFollowsCycle) {
   m.set(0, 1, 1.0);
   m.set(1, 2, 1.0);
   m.set(2, 0, 1.0);
-  RandomWalk walk(m, 0, Rng(1));
+  RandomWalk walk(m, 0, crng::Key{1, 0});
   EXPECT_EQ(walk.step(), 1u);
   EXPECT_EQ(walk.step(), 2u);
   EXPECT_EQ(walk.step(), 0u);
@@ -52,7 +52,7 @@ TEST(RandomWalk, DeterministicChainFollowsCycle) {
 
 TEST(RandomWalk, StartOutOfRangeThrows) {
   const auto m = two_state(0.5, 0.5);
-  EXPECT_THROW(RandomWalk(m, 5, Rng(1)), ContractViolation);
+  EXPECT_THROW(RandomWalk(m, 5, crng::Key{1, 0}), ContractViolation);
 }
 
 TEST(PiNorm, UniformOverUniformIsOne) {
@@ -143,7 +143,7 @@ TEST(MarkovChernoff, EmpiricalConcentrationWithinBound) {
   int below = 0;
   const int reps = 300;
   for (int r = 0; r < reps; ++r) {
-    RandomWalk walk(m, 0, Rng(1000 + static_cast<std::uint64_t>(r)));
+    RandomWalk walk(m, 0, crng::Key{1000 + static_cast<std::uint64_t>(r), 0});
     const auto visits = walk.visit_counts(steps);
     const double count = static_cast<double>(visits[1]);
     if (count <= (1.0 - delta) * mass * static_cast<double>(steps)) ++below;

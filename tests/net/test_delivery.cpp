@@ -83,7 +83,7 @@ TEST(DeliveryCalendar, LateScheduleClampsToNextCollect) {
 }
 
 TEST(DeliveryCalendar, DrainDueMatchesCollectDue) {
-  Rng rng(5);
+  crng::Stream rng({5, 0}, 0, 0, crng::Purpose::kGeneric);
   std::vector<Delivery> inserts;
   for (int i = 0; i < 200; ++i) {
     inserts.push_back(
@@ -146,10 +146,10 @@ TEST(Schedules, MaxDelayAlwaysDelta) {
 }
 
 TEST(Schedules, UniformWithinBounds) {
-  UniformRandomDelay schedule(5, Rng(1));
+  CounterUniformDelay schedule(5, crng::Key{1, 0});
   bool saw_low = false, saw_high = false;
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t d = schedule.delay(0, 0, 1, 0);
+  for (std::uint64_t round = 0; round < 2000; ++round) {
+    const std::uint64_t d = schedule.delay(round, 0, 1, 0);
     ASSERT_GE(d, 1u);
     ASSERT_LE(d, 5u);
     saw_low |= (d == 1);
@@ -176,7 +176,7 @@ TEST(Schedules, SplitChecksIds) {
 TEST(Schedules, DeltaValidation) {
   EXPECT_THROW(ImmediateDelivery(0), ContractViolation);
   EXPECT_THROW(MaxDelayDelivery(0), ContractViolation);
-  EXPECT_THROW(UniformRandomDelay(0, Rng(1)), ContractViolation);
+  EXPECT_THROW(CounterUniformDelay(0, crng::Key{1, 0}), ContractViolation);
   EXPECT_THROW(SplitDelivery(0, {0, 1}), ContractViolation);
 }
 

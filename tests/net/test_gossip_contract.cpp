@@ -27,7 +27,7 @@ class SingleVictimAdversary final : public Adversary {
   }
   void act(AdversaryOps& ops) override {
     while (ops.remaining_queries() > 0) {
-      if (const auto mined = ops.try_mine_on(tip_)) {
+      if (const auto mined = ops.mine_on(tip_)) {
         tip_ = *mined;
         ops.publish_to(0, *mined, 1);
       }

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::net {
 namespace {
@@ -76,7 +76,7 @@ TEST(DeliveryCalendarDeterminism, IdenticalScheduleIdenticalPopSequence) {
   // upstream.  Includes heavy due-round ties (the interesting case: order
   // within a tie is the schedule order, which is a deterministic
   // function of the insertion sequence).
-  Rng rng(42);
+  crng::Stream rng({42, 0}, 0, 0, crng::Purpose::kGeneric);
   std::vector<Delivery> inserts;
   for (int i = 0; i < 500; ++i) {
     inserts.push_back(
@@ -109,7 +109,7 @@ TEST(DeliveryCalendarDeterminism, IdenticalScheduleIdenticalPopSequence) {
 }
 
 TEST(DeliveryCalendarDeterminism, DueOrderIsNonDecreasingAndComplete) {
-  Rng rng(7);
+  crng::Stream rng({7, 0}, 0, 0, crng::Purpose::kGeneric);
   DeliveryCalendar queue(4);
   std::size_t scheduled = 0;
   for (int i = 0; i < 300; ++i) {

@@ -5,7 +5,7 @@
 #include "protocol/mining.hpp"
 #include "protocol/validation.hpp"
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::protocol {
 namespace {
@@ -131,38 +131,33 @@ TEST(BlockStore, IndexOfUnknownHashThrows) {
 }
 
 TEST(Validation, AcceptsHonestlyMinedChain) {
-  // Build a chain through real mining so H.ver and the target hold.
+  // Build a chain through real block assembly so linkage and H.ver hold.
   const RandomOracle oracle(21);
-  const PowTarget target = PowTarget::from_probability(0.5);
   BlockStore store;
-  Rng rng(22);
   BlockIndex tip = kGenesisIndex;
-  std::uint64_t round = 1;
-  while (store.height_of(tip) < 5) {
-    auto mined = try_mine(oracle, target, store.block(tip).hash,
-                          mix64(round), rng);
-    ++round;
-    if (!mined) continue;
-    mined->round = round;
-    tip = store.add(std::move(*mined));
+  for (std::uint64_t round = 1; round <= 5; ++round) {
+    Block mined = assemble_block(oracle, store.block(tip).hash,
+                                 /*payload_digest=*/mix64(round),
+                                 /*nonce=*/mix64(round + 100));
+    mined.round = round;
+    tip = store.add(std::move(mined));
   }
-  const ValidationReport report = validate_chain(store, tip, oracle, target);
+  const ValidationReport report = validate_chain(store, tip, oracle);
   EXPECT_TRUE(report.valid) << report.failure;
 }
 
 TEST(Validation, RejectsForgedBlock) {
   const RandomOracle oracle(31);
-  const PowTarget target = PowTarget::from_probability(1e-6);
   BlockStore store;
   // A forged block whose hash was never produced by the oracle.
   Block fake;
-  fake.hash = 1;  // satisfies the target numerically…
+  fake.hash = 1;
   fake.parent_hash = 0;
   fake.nonce = 99;
   fake.payload_digest = 7;
   fake.round = 1;
   const BlockIndex tip = store.add(std::move(fake));
-  const ValidationReport report = validate_chain(store, tip, oracle, target);
+  const ValidationReport report = validate_chain(store, tip, oracle);
   EXPECT_FALSE(report.valid);
   EXPECT_NE(report.failure.find("H.ver"), std::string::npos);
 }

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::protocol {
 namespace {
@@ -60,7 +60,7 @@ BlockStore grow_chain(std::size_t blocks) {
 /// Every block picks a uniformly random existing parent — short and bushy.
 BlockStore grow_random_attach(std::size_t blocks, std::uint64_t seed) {
   BlockStore store;
-  Rng rng(seed);
+  crng::Stream rng({seed, 0}, 0, 0, crng::Purpose::kGeneric);
   for (std::size_t i = 0; i < blocks; ++i) {
     const auto parent =
         static_cast<BlockIndex>(rng.uniform_below(store.size()));
@@ -73,7 +73,7 @@ BlockStore grow_random_attach(std::size_t blocks, std::uint64_t seed) {
 /// back — the shape real longest-chain executions produce.
 BlockStore grow_chain_with_forks(std::size_t blocks, std::uint64_t seed) {
   BlockStore store;
-  Rng rng(seed);
+  crng::Stream rng({seed, 0}, 0, 0, crng::Purpose::kGeneric);
   BlockIndex tip = kGenesisIndex;
   for (std::size_t i = 0; i < blocks; ++i) {
     BlockIndex parent = tip;
@@ -88,7 +88,7 @@ BlockStore grow_chain_with_forks(std::size_t blocks, std::uint64_t seed) {
 
 void check_against_naive(const BlockStore& store, std::uint64_t seed,
                          std::size_t pairs) {
-  Rng rng(seed);
+  crng::Stream rng({seed, 0}, 0, 0, crng::Purpose::kGeneric);
   for (std::size_t i = 0; i < pairs; ++i) {
     const auto a = static_cast<BlockIndex>(rng.uniform_below(store.size()));
     const auto b = static_cast<BlockIndex>(rng.uniform_below(store.size()));
@@ -127,7 +127,7 @@ TEST(BlockStoreAncestry, MatchesNaiveOnChainWithForks) {
 
 TEST(BlockStoreAncestry, AncestorAtHeightWalksToExactHeight) {
   const BlockStore store = grow_chain_with_forks(600, 5);
-  Rng rng(19);
+  crng::Stream rng({19, 0}, 0, 0, crng::Purpose::kGeneric);
   for (int i = 0; i < 500; ++i) {
     const auto a = static_cast<BlockIndex>(rng.uniform_below(store.size()));
     const std::uint64_t target = rng.uniform_below(store.height_of(a) + 1);

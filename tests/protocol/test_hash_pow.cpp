@@ -1,32 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "protocol/hash.hpp"
 #include "protocol/mining.hpp"
-#include "stats/intervals.hpp"
-#include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::protocol {
 namespace {
-
-TEST(PowTarget, ProbabilityRoundTrips) {
-  for (const double p : {1e-9, 1e-4, 0.01, 0.25, 0.75}) {
-    const PowTarget target = PowTarget::from_probability(p);
-    EXPECT_NEAR(target.probability(), p, p * 1e-9);
-  }
-}
-
-TEST(PowTarget, SatisfiedByThresholdBoundary) {
-  const PowTarget target = PowTarget::from_probability(0.5);
-  EXPECT_TRUE(target.satisfied_by(0));
-  EXPECT_TRUE(target.satisfied_by(target.threshold()));
-  EXPECT_FALSE(target.satisfied_by(target.threshold() + 1));
-}
-
-TEST(PowTarget, RejectsDegenerateP) {
-  EXPECT_THROW((void)PowTarget::from_probability(0.0), ContractViolation);
-  EXPECT_THROW((void)PowTarget::from_probability(1.0), ContractViolation);
-}
 
 TEST(RandomOracle, Deterministic) {
   const RandomOracle a(42), b(42);
@@ -71,37 +52,32 @@ TEST(RandomOracle, OutputLooksUniform) {
   EXPECT_LT(chi2, 24.3);
 }
 
-TEST(TryMine, SuccessRateMatchesP) {
+TEST(TryMine, AssembledIdsAreCollisionFree) {
+  // The paper's second requirement of the oracle: distinct queries give
+  // distinct block ids.  Sibling blocks share parent and payload and
+  // differ only in their Philox nonce.
   const RandomOracle oracle(3);
-  const double p = 0.01;
-  const PowTarget target = PowTarget::from_probability(p);
-  Rng rng(5);
-  std::uint64_t successes = 0;
-  const std::uint64_t trials = 300000;
-  for (std::uint64_t i = 0; i < trials; ++i) {
-    if (try_mine(oracle, target, /*parent=*/i, /*payload=*/i, rng)) {
-      ++successes;
-    }
+  crng::Stream nonces(crng::Key{5, 0}, 0, 0, crng::Purpose::kGeneric);
+  std::set<HashValue> ids;
+  const std::size_t blocks = 100000;
+  for (std::size_t i = 0; i < blocks; ++i) {
+    ids.insert(assemble_block(oracle, /*parent_hash=*/1234,
+                              /*payload_digest=*/5678, nonces.bits())
+                   .hash);
   }
-  const auto ci = stats::wilson_interval(successes, trials,
-                                         stats::z_for_confidence(0.999));
-  EXPECT_TRUE(ci.contains(p)) << "successes=" << successes;
+  EXPECT_EQ(ids.size(), blocks);
 }
 
-TEST(TryMine, SuccessfulBlockVerifies) {
+TEST(TryMine, AssembledBlockVerifies) {
   const RandomOracle oracle(9);
-  const PowTarget target = PowTarget::from_probability(0.5);
-  Rng rng(2);
+  crng::Stream nonces(crng::Key{2, 0}, 0, 0, crng::Purpose::kGeneric);
   for (int i = 0; i < 100; ++i) {
-    const auto block = try_mine(oracle, target, 1234, 5678, rng);
-    if (!block) continue;
-    EXPECT_TRUE(oracle.verify(1234, block->nonce, 5678, block->hash));
-    EXPECT_TRUE(target.satisfied_by(block->hash));
-    EXPECT_EQ(block->parent_hash, 1234u);
-    EXPECT_EQ(block->payload_digest, 5678u);
-    return;  // found and checked at least one success
+    const Block block = assemble_block(oracle, 1234, 5678, nonces.bits());
+    EXPECT_TRUE(oracle.verify(1234, block.nonce, 5678, block.hash));
+    EXPECT_FALSE(oracle.verify(1235, block.nonce, 5678, block.hash));
+    EXPECT_EQ(block.parent_hash, 1234u);
+    EXPECT_EQ(block.payload_digest, 5678u);
   }
-  FAIL() << "no mining success in 100 tries at p = 0.5";
 }
 
 }  // namespace

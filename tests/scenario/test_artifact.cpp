@@ -129,19 +129,38 @@ void expect_rejected(const std::string& text, const std::string& what) {
   }
 }
 
+/// `text` with the first `"key":<n>` rewritten to n + 2^32: a value a
+/// bare 32-bit cast would silently truncate back to the original n.
+std::string widened(std::string text, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto pos = text.find(needle);
+  EXPECT_NE(pos, std::string::npos) << key;
+  if (pos == std::string::npos) return text;
+  const auto start = pos + needle.size();
+  const auto end = text.find_first_not_of("0123456789", start);
+  const std::uint64_t value = std::stoull(text.substr(start, end - start));
+  return text.replace(start, end - start,
+                      std::to_string(value + (std::uint64_t{1} << 32)));
+}
+
 TEST(Artifact, StrictReaderRejectsCorruptDocuments) {
   const std::string good = serialize(scan_one());
 
   // Truncation: cut the document mid-way.
   expect_rejected(good.substr(0, good.size() / 2), "truncated JSON");
 
-  // Wrong format tag.
-  {
+  // Wrong format tag, including the retired v2 schema (engine.rng).
+  for (const char* tag : {"neatbound-violation-v2", "neatbound-violation-v9"}) {
     std::string bad = good;
-    const auto pos = bad.find("neatbound-violation-v2");
+    const auto pos = bad.find("neatbound-violation-v3");
     ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, 22, "neatbound-violation-v9");
-    expect_rejected(bad, "format tag");
+    bad.replace(pos, 22, tag);
+    expect_rejected(bad, tag);
+  }
+
+  // 32-bit fields past 2^32 are refused, never truncated.
+  for (const char* key : {"miners", "view_a", "view_b", "miner", "tip"}) {
+    expect_rejected(widened(good, key), std::string(key) + " past 2^32");
   }
 
   // Unknown top-level key.

@@ -79,6 +79,10 @@ TEST(Spec, RejectsUnknownKeysEverywhere) {
   EXPECT_THROW(
       (void)parse_scenario(R"({"name": "x", "engine": {"minres": 8}})"),
       std::runtime_error);
+  // The retired RNG switch is an unknown key like any other.
+  EXPECT_THROW(
+      (void)parse_scenario(R"({"name": "x", "engine": {"rng": "legacy"}})"),
+      std::runtime_error);
   EXPECT_THROW((void)parse_scenario(
                    R"({"name": "x", "report": {"sectionby": "nu"}})"),
                std::runtime_error);
@@ -106,6 +110,22 @@ TEST(Spec, RejectsStructuralMistakes) {
   // zero seeds
   EXPECT_THROW((void)parse_scenario(R"({"name": "x", "seeds": 0})"),
                std::runtime_error);
+  // 32-bit counts past 2^32, which a bare cast would truncate to valid
+  // values (16 miners, 1 seed, adaptive 2 / 5 / 40), and count axes
+  // whose values are not integers in range
+  for (const char* text :
+       {R"({"name": "x", "engine": {"miners": 4294967312}})",
+        R"({"name": "x", "seeds": 4294967297})",
+        R"({"name": "x", "adaptive": {"min_seeds": 4294967298}})",
+        R"({"name": "x", "adaptive": {"batch": 4294967301}})",
+        R"({"name": "x", "adaptive": {"max_seeds": 4294967336}})",
+        R"({"name": "x", "axes": [{"name": "miners",
+            "values": [4, 4294967312]}]})",
+        R"({"name": "x", "axes": [{"name": "miners", "values": [2.5]}]})",
+        R"({"name": "x", "axes": [{"name": "delta", "values": [-1]}]})",
+        R"({"name": "x", "axes": [{"name": "rounds", "values": [1e300]}]})"}) {
+    EXPECT_THROW((void)parse_scenario(text), std::runtime_error) << text;
+  }
   // unknown hardness mode
   EXPECT_THROW(
       (void)parse_scenario(R"({"name": "x", "hardness": {"mode": "??"}})"),

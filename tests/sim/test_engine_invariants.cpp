@@ -2,7 +2,7 @@
 // adversary exercises every AdversaryOps operation with arbitrary (but
 // legal) arguments across many seeds, and we assert the engine's global
 // invariants afterwards:
-//   * every block in the store is well-formed (PoW verifies, heights link),
+//   * every block in the store is well-formed (H.ver holds, heights link),
 //   * the Δ-delay contract held (no honest view is missing a block that was
 //     first received by any honest player more than Δ rounds ago),
 //   * counting identities (store size, per-class totals) hold,
@@ -14,7 +14,7 @@
 #include "protocol/validation.hpp"
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::sim {
 namespace {
@@ -24,7 +24,8 @@ namespace {
 /// that the engine must clamp), sometimes sits idle.
 class FuzzAdversary final : public Adversary {
  public:
-  explicit FuzzAdversary(std::uint64_t seed) : rng_(seed) {}
+  explicit FuzzAdversary(std::uint64_t seed)
+      : rng_({seed, 0}, 0, 0, crng::Purpose::kGeneric) {}
 
   std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
                              protocol::BlockIndex) override {
@@ -39,7 +40,7 @@ class FuzzAdversary final : public Adversary {
         // Extend a random previously mined block.
         const auto parent = mine_targets_[rng_.uniform_below(
             mine_targets_.size())];
-        if (const auto b = ops.try_mine_on(parent)) {
+        if (const auto b = ops.mine_on(parent)) {
           mine_targets_.push_back(*b);
           withheld_.push_back(*b);
         }
@@ -50,7 +51,7 @@ class FuzzAdversary final : public Adversary {
             rng_.uniform_below(4) == 0
                 ? protocol::kGenesisIndex
                 : tips[rng_.uniform_below(tips.size())];
-        if (const auto b = ops.try_mine_on(parent)) {
+        if (const auto b = ops.mine_on(parent)) {
           mine_targets_.push_back(*b);
           withheld_.push_back(*b);
         }
@@ -75,7 +76,7 @@ class FuzzAdversary final : public Adversary {
   const char* name() const override { return "fuzz"; }
 
  private:
-  Rng rng_;
+  crng::Stream rng_;
   std::vector<protocol::BlockIndex> mine_targets_;
   std::vector<protocol::BlockIndex> withheld_;
 };
@@ -84,63 +85,53 @@ class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineFuzz, InvariantsSurviveChaos) {
   const std::uint64_t seed = GetParam();
-  // Both RNG disciplines must survive the same chaos; only the per-block
-  // ≤-target certificate is mode-dependent (counter blocks carry none).
-  for (const RngMode mode : {RngMode::kCounter, RngMode::kLegacy}) {
-    SCOPED_TRACE(mode == RngMode::kCounter ? "counter" : "legacy");
-    EngineConfig config;
-    config.miner_count = 24;
-    config.adversary_fraction = 0.33;
-    config.p = 0.01;  // busy: plenty of blocks and races
-    config.delta = 4;
-    config.rounds = 3000;
-    config.seed = seed;
-    config.rng_mode = mode;
-    ExecutionEngine engine(config, std::make_unique<FuzzAdversary>(seed * 7));
-    const RunResult result = engine.run();
+  EngineConfig config;
+  config.miner_count = 24;
+  config.adversary_fraction = 0.33;
+  config.p = 0.01;  // busy: plenty of blocks and races
+  config.delta = 4;
+  config.rounds = 3000;
+  config.seed = seed;
+  ExecutionEngine engine(config, std::make_unique<FuzzAdversary>(seed * 7));
+  const RunResult result = engine.run();
 
-    const auto& store = engine.store();
-    // 1. Store-wide block well-formedness (linkage, heights, PoW, rounds).
-    std::uint64_t honest = 0, adversarial = 0;
-    for (protocol::BlockIndex i = 1;
-         i < static_cast<protocol::BlockIndex>(store.size()); ++i) {
-      const auto& b = store.block(i);
-      const auto& parent = store.block(b.parent);
-      ASSERT_EQ(b.height, parent.height + 1);
-      ASSERT_GE(b.round, parent.round);
-      ASSERT_TRUE(engine.oracle().verify(b.parent_hash, b.nonce,
-                                         b.payload_digest, b.hash));
-      if (mode == RngMode::kLegacy) {
-        ASSERT_TRUE(engine.target().satisfied_by(b.hash));
-      }
-      (b.miner_class == protocol::MinerClass::kHonest ? honest
-                                                      : adversarial)++;
-    }
-    // 2. Counting identities.
-    EXPECT_EQ(honest, result.honest_blocks_total);
-    EXPECT_EQ(adversarial, result.adversary_blocks_total);
-    EXPECT_EQ(store.size(), honest + adversarial + 1);
-    // 3. Every honest tip's chain validates end to end.
-    for (std::uint32_t m = 0; m < engine.honest_count(); ++m) {
-      const auto report = protocol::validate_chain(
-          store, engine.honest_tip(m), engine.oracle(), engine.target(),
-          engine.validation_policy());
-      ASSERT_TRUE(report.valid) << "miner " << m << ": " << report.failure;
-    }
-    // 4. Honest blocks propagate within Δ: since every honest block is
-    // broadcast at mining time with clamped delays, by the end of the run
-    // every honest block mined more than Δ rounds before the end is known
-    // to... (indirectly checked: each view's tip height can lag the best
-    // honest height by only a bounded amount in quiet periods).  Weak but
-    // meaningful form: all honest tips are within store bounds and heights
-    // are mutually within the max observed divergence.
-    const auto tips = engine.honest_tips();
-    const std::uint64_t best = store.height_of(engine.best_honest_tip());
-    for (const auto tip : tips) {
-      ASSERT_LT(tip, store.size());
-      EXPECT_LE(best - store.height_of(tip),
-                result.max_divergence + config.delta + 1);
-    }
+  const auto& store = engine.store();
+  // 1. Store-wide block well-formedness (linkage, heights, H.ver, rounds).
+  std::uint64_t honest = 0, adversarial = 0;
+  for (protocol::BlockIndex i = 1;
+       i < static_cast<protocol::BlockIndex>(store.size()); ++i) {
+    const auto& b = store.block(i);
+    const auto& parent = store.block(b.parent);
+    ASSERT_EQ(b.height, parent.height + 1);
+    ASSERT_GE(b.round, parent.round);
+    ASSERT_TRUE(engine.oracle().verify(b.parent_hash, b.nonce,
+                                       b.payload_digest, b.hash));
+    (b.miner_class == protocol::MinerClass::kHonest ? honest
+                                                    : adversarial)++;
+  }
+  // 2. Counting identities.
+  EXPECT_EQ(honest, result.honest_blocks_total);
+  EXPECT_EQ(adversarial, result.adversary_blocks_total);
+  EXPECT_EQ(store.size(), honest + adversarial + 1);
+  // 3. Every honest tip's chain validates end to end.
+  for (std::uint32_t m = 0; m < engine.honest_count(); ++m) {
+    const auto report = protocol::validate_chain(
+        store, engine.honest_tip(m), engine.oracle());
+    ASSERT_TRUE(report.valid) << "miner " << m << ": " << report.failure;
+  }
+  // 4. Honest blocks propagate within Δ: since every honest block is
+  // broadcast at mining time with clamped delays, by the end of the run
+  // every honest block mined more than Δ rounds before the end is known
+  // to... (indirectly checked: each view's tip height can lag the best
+  // honest height by only a bounded amount in quiet periods).  Weak but
+  // meaningful form: all honest tips are within store bounds and heights
+  // are mutually within the max observed divergence.
+  const auto tips = engine.honest_tips();
+  const std::uint64_t best = store.height_of(engine.best_honest_tip());
+  for (const auto tip : tips) {
+    ASSERT_LT(tip, store.size());
+    EXPECT_LE(best - store.height_of(tip),
+              result.max_divergence + config.delta + 1);
   }
 }
 

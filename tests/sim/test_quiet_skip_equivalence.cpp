@@ -43,7 +43,6 @@ EngineConfig base_config() {
   config.delta = 3;
   config.p = 0.04692883195696345;
   config.rounds = 300;
-  config.rng_mode = RngMode::kCounter;
   return config;
 }
 

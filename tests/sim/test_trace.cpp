@@ -157,6 +157,28 @@ TEST(TraceJsonl, ReaderRejectsSchemaDrift) {
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
       "\"best_height\":0,\"violation_depth\":0}\n");
   EXPECT_EQ(read_trace_jsonl(aggregate_style).size(), 1u);
+  // 32-bit counters past 2^32, which a bare cast would truncate back to
+  // a well-formed record.
+  reject(
+      "{\"round\":1,\"honest_mined\":4294967297,\"adversary_mined\":0,"
+      "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
+      "\"best_height\":0,\"violation_depth\":0}\n");
+  reject(
+      "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":4294967296,"
+      "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
+      "\"best_height\":0,\"violation_depth\":0}\n");
+  reject(
+      "{\"round\":1,\"honest_mined\":1,\"adversary_mined\":0,"
+      "\"mined_by\":[4294967296],\"delivered\":0,\"adoptions\":0,"
+      "\"best_height\":0,\"violation_depth\":0}\n");
+  reject(
+      "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":0,"
+      "\"mined_by\":[],\"delivered\":4294967296,\"adoptions\":0,"
+      "\"best_height\":0,\"violation_depth\":0}\n");
+  reject(
+      "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":0,"
+      "\"mined_by\":[],\"delivered\":0,\"adoptions\":4294967296,"
+      "\"best_height\":0,\"violation_depth\":0}\n");
   // Rounds strictly increasing.
   reject(good + "\n" + good + "\n");
   // Blank lines only at the end of the stream.

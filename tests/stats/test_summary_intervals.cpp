@@ -5,7 +5,7 @@
 #include "stats/intervals.hpp"
 #include "stats/summary.hpp"
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::stats {
 namespace {
@@ -33,7 +33,7 @@ TEST(RunningStats, EmptyAndSingle) {
 }
 
 TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(31);
+  crng::Stream rng({31, 0}, 0, 0, crng::Purpose::kGeneric);
   RunningStats all, a, b;
   for (int i = 0; i < 1000; ++i) {
     const double x = rng.uniform() * 10.0;
@@ -120,7 +120,7 @@ TEST(Wilson, ContractChecks) {
 
 TEST(Wilson, EmpiricalCoverage) {
   // 95% interval should cover the true p in ≈95% of repetitions.
-  Rng rng(77);
+  crng::Stream rng({77, 0}, 0, 0, crng::Purpose::kGeneric);
   const double p = 0.07;
   int covered = 0;
   const int reps = 2000;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <set>
 #include <vector>
 
 namespace neatbound::crng {
@@ -102,6 +103,22 @@ TEST(Crng, StreamsOnDifferentSubspacesDiffer) {
   }
   EXPECT_LE(equal_ab, 1);
   EXPECT_LE(equal_ac, 1);
+}
+
+// ---------------------------------------------------------------------------
+// mix64: the stateless key/salt mixer and RandomOracle round function.
+// ---------------------------------------------------------------------------
+
+TEST(Mix64, KnownVector) {
+  // The splitmix64 reference implementation's first output at seed 0 is
+  // the finalizer applied to the golden-ratio increment.
+  EXPECT_EQ(mix64(0x9e3779b97f4a7c15ULL), 0xe220a8397b1dcdafULL);
+}
+
+TEST(Mix64, BijectiveOnSamples) {
+  std::set<std::uint64_t> outputs;
+  for (std::uint64_t i = 0; i < 10000; ++i) outputs.insert(mix64(i));
+  EXPECT_EQ(outputs.size(), 10000u);
 }
 
 // ---------------------------------------------------------------------------
