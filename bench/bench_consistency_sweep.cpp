@@ -58,6 +58,9 @@ int main(int argc, char** argv) {
   };
   const auto cells = exp::run_sweep(
       grid, build, {.violation_t = violation_t, .threads = io.threads});
+  telemetry::TelemetryAccumulator total;
+  for (const exp::SweepCell& cell : cells) total.merge(cell.summary.telemetry);
+  report.set_telemetry_meta(total);
 
   const std::vector<std::string> headers = {
       "nu", "c", "c/bound", "mean violation depth", "max reorg",

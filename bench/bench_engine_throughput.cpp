@@ -66,10 +66,6 @@ int main(int argc, char** argv) {
   // BENCH_history.jsonl perf trajectory.
   report.set_meta("build_type", NEATBOUND_BUILD_TYPE);
   report.set_meta("sanitize", NEATBOUND_SANITIZE_FLAGS);
-  // Telemetry provenance: the perf trajectory only accepts telemetry-OFF
-  // throughput (the timers cost a few clock reads per round); ON runs are
-  // harvested separately for the per-phase breakdown (scripts/perf_baseline).
-  report.set_meta("telemetry", telemetry::enabled() ? "ON" : "OFF");
 
   const std::uint32_t miners_axis[] = {16, 64, 160};
   const std::uint64_t delta_axis[] = {1, 4};
@@ -130,26 +126,7 @@ int main(int argc, char** argv) {
   report.set_meta_number("rounds_per_sec", rounds_per_sec);
   report.set_meta_number("blocks_per_sec", blocks_per_sec);
   report.set_meta_number("total_engine_seconds", total_seconds);
-  if (telemetry::enabled()) {
-    // Per-phase breakdown for the perf dashboard.  Only stamped when the
-    // timers exist; the regression gate reads rounds_per_sec alone and
-    // ignores unknown meta keys, so this is additive.
-    report.set_meta_number("telemetry_runs",
-                           static_cast<double>(telemetry_total.runs));
-    for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-      report.set_meta_number(
-          std::string("tel_") +
-              telemetry::counter_name(static_cast<telemetry::Counter>(c)),
-          static_cast<double>(telemetry_total.counters[c]));
-    }
-    for (std::size_t ph = 0; ph < telemetry::kPhaseCount; ++ph) {
-      report.set_meta_number(
-          std::string("tel_phase_") +
-              telemetry::phase_name(static_cast<telemetry::Phase>(ph)) +
-              "_seconds",
-          static_cast<double>(telemetry_total.phase_nanos[ph]) * 1e-9);
-    }
-  }
+  report.set_telemetry_meta(telemetry_total);
   if (samecell_seeds > 0) {
     // The adaptive same-cell workload: one sparse cell of the adaptive
     // consistency sweep (scenarios/adaptive_consistency.json — miners

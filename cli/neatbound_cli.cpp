@@ -5,7 +5,7 @@
 //                  [--seeds N] [--base-seed N] [--violation-t N]
 //                  [--checkpoint P] [--resume] [--stop-after-waves N]
 //                  [--trace P] [--trace-rounds A:B] [--chrome-trace P]
-//                  [--progress] [--telemetry-meta]
+//                  [--progress]
 //                  [--oracle] [--oracle-dump P] [--oracle-max-runs N]
 //       loads a scenario file, builds the sweep grid and executes every
 //       (cell × seed) engine run on one work pool, reporting through the
@@ -24,12 +24,11 @@
 //       Observability (docs/observability.md): --trace P streams one
 //       dedicated run (first grid point, base seed) as per-round JSONL;
 //       --trace-rounds A:B restricts the window (inclusive, 1-based);
-//       --chrome-trace P writes that run's phase timeline for
-//       chrome://tracing / Perfetto (phase events need a build with
-//       -DNEATBOUND_TELEMETRY=ON); --progress prints per-wave adaptive
-//       progress to stderr; --telemetry-meta stamps the sweep's folded
-//       telemetry counters into the report meta.  None of these change
-//       summary values: the traced run is read-only and extra.
+//       --chrome-trace P times that run's phases and writes the
+//       timeline for chrome://tracing / Perfetto; --progress prints
+//       per-wave adaptive progress to stderr.  None of these change
+//       summary values: the traced run is read-only and extra.  The
+//       sweep's folded event counters are always in the report meta.
 //
 //       Falsification (docs/observability.md): --oracle re-runs the grid
 //       serially after the report with the invariant oracle armed
@@ -108,30 +107,6 @@ void print_entries(
   }
 }
 
-/// Stamps a sweep's folded telemetry totals as report meta numbers.
-/// Opt-in (--telemetry-meta): the keys are additive extras that perf
-/// tooling must ignore when unknown (scripts/check_perf_regression.py
-/// compares only its known metric keys).
-void stamp_telemetry_meta(exp::BenchReporter& report,
-                          const telemetry::TelemetryAccumulator& total) {
-  report.set_meta_number("telemetry_enabled",
-                         telemetry::enabled() ? 1.0 : 0.0);
-  report.set_meta_number("telemetry_runs", static_cast<double>(total.runs));
-  for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-    report.set_meta_number(
-        std::string("tel_") +
-            telemetry::counter_name(static_cast<telemetry::Counter>(c)),
-        static_cast<double>(total.counters[c]));
-  }
-  for (std::size_t ph = 0; ph < telemetry::kPhaseCount; ++ph) {
-    report.set_meta_number(
-        std::string("tel_phase_") +
-            telemetry::phase_name(static_cast<telemetry::Phase>(ph)) +
-            "_seconds",
-        static_cast<double>(total.phase_nanos[ph]) * 1e-9);
-  }
-}
-
 /// Count flags feed 32-bit fields: a wider value is an error, never a
 /// silent truncation.
 std::uint32_t flag_uint32(const std::string& name, std::uint64_t value) {
@@ -202,9 +177,6 @@ int run_command(int argc, char** argv) {
       "write the traced run's phase timeline for chrome://tracing");
   const bool progress = args.get_bool(
       "progress", false, "print per-wave scheduling progress to stderr");
-  const bool telemetry_meta = args.get_bool(
-      "telemetry-meta", false,
-      "stamp folded telemetry counters into the report meta");
   bool oracle_armed = args.get_bool(
       "oracle", false,
       "scan the grid serially with the invariant oracle armed, report the "
@@ -323,7 +295,12 @@ int run_command(int argc, char** argv) {
       writer.emplace(*trace_os, trace_bounds);
       sink = &*writer;
     }
-    (void)scenario::run_scenario_trace(spec, registry, *sink);
+    {
+      // Only this run is timed: timing every sweep round costs up to a
+      // quarter of the throughput (docs/performance.md).
+      const telemetry::ScopedPhaseTiming timing(!chrome_path.empty());
+      (void)scenario::run_scenario_trace(spec, registry, *sink);
+    }
     if (writer) {
       std::cout << "# trace: " << writer->records_written()
                 << " round(s) -> " << trace_path
@@ -340,12 +317,7 @@ int run_command(int argc, char** argv) {
       // phase registry holds exactly its timeline.
       telemetry::write_chrome_trace(os, telemetry::phase_events(),
                                     telemetry::snapshot());
-      std::cout << "# chrome-trace: -> " << chrome_path;
-      if (!telemetry::enabled()) {
-        std::cout << " (telemetry compiled out — no phase events; rebuild "
-                     "with -DNEATBOUND_TELEMETRY=ON)";
-      }
-      std::cout << "\n";
+      std::cout << "# chrome-trace: -> " << chrome_path << "\n";
     }
   };
 
@@ -387,13 +359,11 @@ int run_command(int argc, char** argv) {
   if (!adaptive_path) {
     const std::vector<exp::SweepCell> cells =
         scenario::run_scenario(spec, registry, run_options);
-    if (telemetry_meta) {
-      telemetry::TelemetryAccumulator total;
-      for (const exp::SweepCell& cell : cells) {
-        total.merge(cell.summary.telemetry);
-      }
-      stamp_telemetry_meta(report, total);
+    telemetry::TelemetryAccumulator total;
+    for (const exp::SweepCell& cell : cells) {
+      total.merge(cell.summary.telemetry);
     }
+    report.set_telemetry_meta(total);
     scenario::render_report(spec, cells, report);
     report.finish();
     write_traces();
@@ -406,13 +376,11 @@ int run_command(int argc, char** argv) {
   report.set_meta_number("engine_runs",
                          static_cast<double>(result.engine_runs));
   report.set_meta_number("waves", static_cast<double>(result.waves));
-  if (telemetry_meta) {
-    telemetry::TelemetryAccumulator total;
-    for (const exp::AdaptiveCell& cell : result.cells) {
-      total.merge(cell.cell.summary.telemetry);
-    }
-    stamp_telemetry_meta(report, total);
+  telemetry::TelemetryAccumulator total;
+  for (const exp::AdaptiveCell& cell : result.cells) {
+    total.merge(cell.cell.summary.telemetry);
   }
+  report.set_telemetry_meta(total);
   if (!result.complete) {
     // Interrupted by --stop-after-waves: the checkpoint (if any) holds
     // the partial state; no report rows — the resumed run renders them.

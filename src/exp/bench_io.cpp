@@ -67,6 +67,19 @@ void BenchReporter::set_meta_number(const std::string& key, double value) {
   if (json_ != nullptr) json_->set_meta_number(key, value);
 }
 
+// neatbound-analyze: allow(contract-coverage) — thin delegation: one
+// set_meta_number per folded counter, no state of its own.
+void BenchReporter::set_telemetry_meta(
+    const telemetry::TelemetryAccumulator& total) {
+  set_meta_number("telemetry_runs", static_cast<double>(total.runs));
+  for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
+    set_meta_number(
+        std::string("tel_") +
+            telemetry::counter_name(static_cast<telemetry::Counter>(c)),
+        static_cast<double>(total.counters[c]));
+  }
+}
+
 // neatbound-analyze: allow(contract-coverage) — thin delegation: stamps
 // two metadata numbers and forwards to SinkSet::finish; the sinks check
 // their own write postconditions.

@@ -20,6 +20,7 @@
 
 #include "exp/sinks.hpp"
 #include "support/cli.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::exp {
 
@@ -51,6 +52,11 @@ class BenchReporter final : public ResultSink {
   /// Extra JSON metadata (no-ops without --json).
   void set_meta(const std::string& key, const std::string& value);
   void set_meta_number(const std::string& key, double value);
+  /// A sweep's folded counters: `telemetry_runs` plus one `tel_<counter>`
+  /// number per counter.  Counters are deterministic, so these keys are
+  /// identical across thread counts and resumes; wall-clock phase times
+  /// never enter the summary.
+  void set_telemetry_meta(const telemetry::TelemetryAccumulator& total);
 
  private:
   SinkSet sinks_;

@@ -139,20 +139,14 @@ void save_sweep_checkpoint(const std::string& path,
         write_stats(os, cell.summary.*field.member);
         first = false;
       }
-      os << "}";
-      if (telemetry::enabled()) {
-        // Counters only: phase wall times are nondeterministic and must
-        // not enter the resume state.  Telemetry-OFF builds skip the key
-        // entirely, so their checkpoints stay byte-identical to builds
-        // that predate the telemetry layer.
-        os << ",\n     \"telemetry\": {\"runs\": "
-           << cell.summary.telemetry.runs << ", \"counters\": [";
-        for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-          os << (c == 0 ? "" : ", ") << cell.summary.telemetry.counters[c];
-        }
-        os << "]}";
+      // Counters only: phase wall times are nondeterministic and must
+      // not enter the resume state.
+      os << "},\n     \"telemetry\": {\"runs\": "
+         << cell.summary.telemetry.runs << ", \"counters\": [";
+      for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
+        os << (c == 0 ? "" : ", ") << cell.summary.telemetry.counters[c];
       }
-      os << "}";
+      os << "]}}";
     }
     os << "\n  ]\n}\n";
     if (!os.flush()) {
@@ -196,20 +190,17 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path,
     for (const SummaryField& field : kSummaryFields) {
       cell.summary.*field.member = read_stats(summary.at(field.name), path);
     }
-    // Optional key: absent in telemetry-OFF checkpoints (accumulator
-    // stays all-zero) and in files written before the telemetry layer.
-    if (const support::JsonValue* tel = entry.find("telemetry")) {
-      cell.summary.telemetry.runs = tel->at("runs").as_uint();
-      const auto& counters = tel->at("counters").as_array();
-      if (counters.size() != telemetry::kCounterCount) {
-        throw std::runtime_error(
-            path + ": telemetry counters array has " +
-            std::to_string(counters.size()) + " entries, want " +
-            std::to_string(telemetry::kCounterCount));
-      }
-      for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-        cell.summary.telemetry.counters[c] = counters[c].as_uint();
-      }
+    const support::JsonValue& tel = entry.at("telemetry");
+    cell.summary.telemetry.runs = tel.at("runs").as_uint();
+    const auto& counters = tel.at("counters").as_array();
+    if (counters.size() != telemetry::kCounterCount) {
+      throw std::runtime_error(
+          path + ": telemetry counters array has " +
+          std::to_string(counters.size()) + " entries, want " +
+          std::to_string(telemetry::kCounterCount));
+    }
+    for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
+      cell.summary.telemetry.counters[c] = counters[c].as_uint();
     }
     checkpoint.cells.push_back(cell);
   }

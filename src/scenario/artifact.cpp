@@ -399,6 +399,23 @@ ViolationArtifact parse_artifact(const JsonValue& document) {
                      std::to_string(want) + ", got " +
                      std::to_string(artifact.slice[i].round));
     }
+    if (i > 0) {
+      try {
+        sim::check_record_order(artifact.slice[i - 1], artifact.slice[i]);
+      } catch (const std::exception& e) {
+        artifact_error("trace[" + std::to_string(i) + "]: " + e.what());
+      }
+    }
+  }
+  // The tracker's running maximum at the first violating round is that
+  // round's depth, so the slice must end on the measured value.
+  if (artifact.violation.kind == sim::InvariantKind::kCommonPrefix &&
+      !artifact.slice.empty() &&
+      artifact.slice.back().violation_depth != artifact.violation.measured) {
+    artifact_error("trace: last record has violation_depth " +
+                   std::to_string(artifact.slice.back().violation_depth) +
+                   ", violation measured " +
+                   std::to_string(artifact.violation.measured));
   }
   return artifact;
 }

@@ -70,10 +70,9 @@ struct EngineConfig {
 /// can fail fast before spawning runs.
 void validate_engine_config(const EngineConfig& config);
 
-/// Event counts of the most recent round, maintained unconditionally
-/// (plain increments — cheap enough to keep out of the telemetry gate)
-/// so the round tracer (sim/trace.hpp) can read them without touching
-/// simulation state.
+/// Event counts of the most recent round, kept so the round tracer
+/// (sim/trace.hpp) can read them without touching simulation state
+/// (the telemetry counters, by contrast, span the whole run).
 struct RoundActivity {
   std::uint32_t honest_mined = 0;
   std::uint32_t adversary_mined = 0;
@@ -98,8 +97,8 @@ struct RunResult {
   std::uint64_t violation_depth = 0;
   ChainMetrics chain;
   std::uint64_t store_size = 0;  ///< all blocks ever mined (incl. genesis)
-  /// Counter values + per-phase wall times of this run; all zeros in
-  /// telemetry-OFF builds.  Never read by simulation code.
+  /// Counter values + per-phase wall times of this run (phase times are
+  /// zero unless the run was timed).  Never read by simulation code.
   telemetry::TelemetrySnapshot telemetry;
 };
 

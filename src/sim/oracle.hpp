@@ -26,8 +26,8 @@
 // bit-identical to an unarmed run of the same seed
 // (tests/sim/test_oracle.cpp pins this, like PR 8 did for tracing).
 // One diagnostic exception: the oracle queries ancestry through the
-// same instrumented BlockStore, so in telemetry-ON builds its own
-// lookups are visible in the ancestry-queries counter — every counter
+// same instrumented BlockStore, so its own lookups are visible in the
+// ancestry-queries counter — every counter
 // that measures simulation work stays exact.
 //
 // The oracle owns no file I/O (the trace-io rule bans it in sim/):

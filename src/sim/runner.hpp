@@ -37,9 +37,9 @@ struct ExperimentSummary {
   /// Fraction of runs whose violation depth exceeded a caller-set T
   /// (see ExperimentConfig-independent helper below); stored as 0/1 values.
   stats::RunningStats violation_exceeds_t;
-  /// Telemetry counters/phase times summed over the folded runs (all
-  /// zeros in telemetry-OFF builds).  Folded in seed order like every
-  /// other field; surfaced only through opt-in report meta.
+  /// Telemetry counters summed over the folded runs.  Folded
+  /// in seed order like every other field; the counters surface as
+  /// report meta (exp::BenchReporter::set_telemetry_meta).
   telemetry::TelemetryAccumulator telemetry;
 };
 

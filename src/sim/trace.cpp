@@ -134,6 +134,9 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
   }
   RoundRecord record;
   record.round = value.at("round").as_uint();
+  if (record.round == 0) {
+    throw std::runtime_error("round is 1-based, got 0");
+  }
   record.honest_mined = value.at("honest_mined").as_uint32();
   record.adversary_mined = value.at("adversary_mined").as_uint32();
   for (const support::JsonValue& id : value.at("mined_by").as_array()) {
@@ -149,7 +152,25 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
       record.mined_by.size() != record.honest_mined) {
     throw std::runtime_error("mined_by length disagrees with honest_mined");
   }
+  // A view only switches tips on a delivery or on mining its own block.
+  if (std::uint64_t{record.adoptions} >
+      std::uint64_t{record.delivered} + record.honest_mined) {
+    throw std::runtime_error("adoptions exceed delivered + honest_mined");
+  }
   return record;
+}
+
+void check_record_order(const RoundRecord& previous,
+                        const RoundRecord& next) {
+  if (next.round <= previous.round) {
+    throw std::runtime_error("rounds must be strictly increasing");
+  }
+  if (next.best_height < previous.best_height) {
+    throw std::runtime_error("best_height decreased");
+  }
+  if (next.violation_depth < previous.violation_depth) {
+    throw std::runtime_error("violation_depth decreased");
+  }
 }
 
 std::vector<RoundRecord> read_trace_jsonl(std::istream& is) {
@@ -166,16 +187,13 @@ std::vector<RoundRecord> read_trace_jsonl(std::istream& is) {
     if (saw_blank) {
       trace_error(line_number, "record after a blank line");
     }
-    RoundRecord record;
     try {
-      record = round_record_from_json(support::parse_json(line));
+      RoundRecord record = round_record_from_json(support::parse_json(line));
+      if (!records.empty()) check_record_order(records.back(), record);
+      records.push_back(std::move(record));
     } catch (const std::exception& e) {
       trace_error(line_number, e.what());
     }
-    if (!records.empty() && record.round <= records.back().round) {
-      trace_error(line_number, "rounds must be strictly increasing");
-    }
-    records.push_back(std::move(record));
   }
   return records;
 }

@@ -95,10 +95,8 @@ class BoundedTraceWriter final : public RoundTraceSink {
   bool truncated_ = false;
 };
 
-/// Strict JSONL reader: every line must be an object with exactly the
-/// RoundRecord keys (no extras, no omissions), integer-valued fields,
-/// strictly increasing rounds, and mined_by either of length
-/// honest_mined (engine traces) or empty (aggregate-model traces).
+/// Strict JSONL reader: every line must pass round_record_from_json,
+/// and each record must follow its predecessor per check_record_order.
 /// Throws std::runtime_error naming the offending line.  Blank lines are
 /// permitted only at the end of the stream.
 [[nodiscard]] std::vector<RoundRecord> read_trace_jsonl(std::istream& is);
@@ -109,12 +107,19 @@ class BoundedTraceWriter final : public RoundTraceSink {
 
 /// The inverse of to_jsonl_line at single-record granularity: strict
 /// parse of one already-decoded JSON value (exactly the RoundRecord
-/// keys, integer fields, mined_by length honest_mined or empty).  Throws
+/// keys, integer fields, round >= 1, mined_by length honest_mined or
+/// empty, adoptions <= delivered + honest_mined).  Throws
 /// std::runtime_error without line context — read_trace_jsonl and the
 /// violation-artifact reader (scenario/artifact.hpp) wrap it to name the
 /// offending line or slice entry.
 [[nodiscard]] RoundRecord round_record_from_json(
     const support::JsonValue& value);
+
+/// The cross-record rules of one trace: rounds strictly increase, and
+/// best_height and violation_depth (running maxima) never decrease.
+/// Throws std::runtime_error without line context, like
+/// round_record_from_json.
+void check_record_order(const RoundRecord& previous, const RoundRecord& next);
 
 /// Assembles one RoundRecord from the engine's per-round activity
 /// accessors — the single definition of how engine state maps onto the

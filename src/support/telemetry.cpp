@@ -39,18 +39,12 @@ void TelemetryAccumulator::add(const TelemetrySnapshot& snapshot) noexcept {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     counters[i] += snapshot.counters[i];
   }
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    phase_nanos[i] += snapshot.phase_nanos[i];
-  }
   ++runs;
 }
 
 void TelemetryAccumulator::merge(const TelemetryAccumulator& other) noexcept {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     counters[i] += other.counters[i];
-  }
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    phase_nanos[i] += other.phase_nanos[i];
   }
   runs += other.runs;
 }

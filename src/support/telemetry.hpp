@@ -1,23 +1,22 @@
-// Zero-overhead engine telemetry: allocation-free counters and phase
-// timers for the round-structured hot path.
+// Engine telemetry: allocation-free counters and phase timers for the
+// round-structured hot path.
 //
-// NEATBOUND_COUNT / NEATBOUND_PHASE_SCOPE follow the NEATBOUND_INVARIANT
-// activation pattern (support/invariant.hpp): the CMake cache variable
-// NEATBOUND_TELEMETRY (AUTO | ON | OFF) sets NEATBOUND_TELEMETRY_ENABLED
-// tree-wide, and when it is 0 — the default in *every* configuration,
-// Debug included — the macros expand to `do { } while (false)`: no code,
-// no data, no clock reads.  The perf trajectory (BENCH_history.jsonl)
-// tracks the OFF configuration; the ON overhead contract (≤10% on
-// bench_engine_throughput) is documented in docs/observability.md.
+// Counters are always on: NEATBOUND_COUNT / NEATBOUND_COUNT_ADD are one
+// thread_local add each, cheap enough for every build (the measurement is
+// in docs/performance.md).  Phase timers are off unless the calling
+// thread asks for a timeline (ScopedPhaseTiming, which
+// `neatbound_cli run --chrome-trace` wraps around its dedicated traced
+// run): an untimed NEATBOUND_PHASE_SCOPE reads one thread_local flag and
+// never touches the clock.
 //
 // Design constraints, in priority order:
 //   1. Telemetry values NEVER feed back into simulation state.  Nothing
 //      here is readable from the engine's decision paths; fixed-seed
-//      trajectories are bit-identical with telemetry on or off.
+//      trajectories are bit-identical timed or untimed.
 //   2. Allocation-free on the hot path.  All state lives in fixed-size
 //      thread_local arrays ("pre-sized registries"); counter bumps are
-//      single array increments, phase scopes are two steady_clock reads
-//      plus an array store.  This keeps instrumented NEATBOUND_HOT
+//      single array increments, timed phase scopes are two steady_clock
+//      reads plus an array store.  This keeps instrumented NEATBOUND_HOT
 //      functions clean under the hot-alloc analyzer rule.
 //   3. Deterministic folding.  A run's TelemetrySnapshot is captured on
 //      the thread that ran it (registers are thread_local, reset per
@@ -25,7 +24,8 @@
 //      accumulate_run path the RunningStats summaries use, so counter
 //      aggregates are identical for serial and parallel sweeps.
 //      Phase times are wall-clock and therefore never deterministic;
-//      they are reported but excluded from checkpoints.
+//      they stay per run (the Chrome trace) and never enter summaries
+//      or checkpoints.
 //
 // steady_clock appears ONLY in this header/its .cpp: the determinism
 // lint (scripts/check_determinism.py, rule raw-steady-clock) enforces
@@ -34,18 +34,11 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-
-#if !defined(NEATBOUND_TELEMETRY_ENABLED)
-#define NEATBOUND_TELEMETRY_ENABLED 0
-#endif
-
-#if NEATBOUND_TELEMETRY_ENABLED
-#include <chrono>
-#endif
 
 namespace neatbound::telemetry {
 
@@ -74,8 +67,8 @@ inline constexpr std::size_t kCounterCount =
 /// Engine round phases, as scoped in ExecutionEngine::run and its
 /// callees.  Scopes nest (kSchedule runs inside kMine; orphan activation
 /// and tip adoption are counter-tracked sub-steps of kDeliver — timing
-/// them per event would break the overhead contract), so phase times are
-/// inclusive wall time of each scope, not a partition of the round.
+/// them per event would be too costly), so phase times are inclusive
+/// wall time of each scope, not a partition of the round.
 enum class Phase : std::uint8_t {
   kDeliver = 0,  ///< applying due deliveries (includes activate/adopt)
   kMine,         ///< honest mining draws + block creation
@@ -90,9 +83,8 @@ inline constexpr std::size_t kPhaseCount =
 [[nodiscard]] const char* counter_name(Counter counter) noexcept;
 [[nodiscard]] const char* phase_name(Phase phase) noexcept;
 
-/// One run's telemetry: counter values plus inclusive per-phase wall time.
-/// Exists (as all zeros) in telemetry-OFF builds so RunResult and the
-/// fold layer need no conditional compilation.
+/// One run's telemetry: counter values plus inclusive per-phase wall time
+/// (all-zero phase times unless the run was timed).
 struct TelemetrySnapshot {
   std::array<std::uint64_t, kCounterCount> counters{};
   std::array<std::uint64_t, kPhaseCount> phase_nanos{};
@@ -111,20 +103,14 @@ struct PhaseEvent {
 /// the timeline is bounded and the hot path never allocates.
 inline constexpr std::size_t kMaxPhaseEvents = 4096;
 
-/// True when the macros are live in this build — lets tests skip (or
-/// assert) the counting cases per configuration.
-inline constexpr bool enabled() noexcept {
-  return NEATBOUND_TELEMETRY_ENABLED != 0;
-}
-
-/// Deterministic seed-ordered fold of per-run snapshots: plain sums, so
-/// add/merge are associative and commutative — (a ⊕ b) ⊕ c = a ⊕ (b ⊕ c)
-/// — and any grouping of the same runs produces identical totals.  This
-/// is the RunningStats-style merge the sink/report layer surfaces as
-/// opt-in meta columns.
+/// Deterministic seed-ordered fold of per-run counters (phase times stay
+/// per run: only the traced run is ever timed).  Plain sums, so add/merge
+/// are associative and commutative — (a ⊕ b) ⊕ c = a ⊕ (b ⊕ c) — and any
+/// grouping of the same runs produces identical totals.  This is the
+/// RunningStats-style merge the sink/report layer surfaces as meta
+/// columns.
 struct TelemetryAccumulator {
   std::array<std::uint64_t, kCounterCount> counters{};
-  std::array<std::uint64_t, kPhaseCount> phase_nanos{};
   std::uint64_t runs = 0;
 
   void add(const TelemetrySnapshot& snapshot) noexcept;
@@ -135,12 +121,10 @@ struct TelemetryAccumulator {
 /// ("traceEvents" array of complete "X" events, microsecond timestamps
 /// rebased to the first scope) that opens directly in chrome://tracing
 /// and Perfetto.  The counter values ride along as the args of one
-/// instant event, and the per-phase totals as another.  In a
-/// telemetry-OFF build the document is valid but empty of events.
+/// instant event, and the per-phase totals as another.  With no events
+/// (an untimed run) the document is valid but holds no "X" events.
 void write_chrome_trace(std::ostream& os, std::span<const PhaseEvent> events,
                         const TelemetrySnapshot& snapshot);
-
-#if NEATBOUND_TELEMETRY_ENABLED
 
 namespace detail {
 
@@ -152,6 +136,7 @@ struct Registers {
   std::array<std::uint64_t, kPhaseCount> phase_nanos{};
   std::array<PhaseEvent, kMaxPhaseEvents> events{};
   std::size_t event_count = 0;
+  bool timing = false;  ///< phase scopes read the clock (not reset())
 };
 
 inline Registers& registers() noexcept {
@@ -165,18 +150,22 @@ inline void bump(Counter counter, std::uint64_t by = 1) noexcept {
   detail::registers().counters[static_cast<std::size_t>(counter)] += by;
 }
 
-/// RAII phase timer: two steady_clock reads per scope plus one bounded
-/// registry store.  steady_clock (not system_clock) so the duration is
-/// immune to wall-clock steps; the determinism lint allows it only here.
+/// RAII phase timer.  Untimed (the default) it costs one thread_local
+/// flag read; timed, two steady_clock reads plus one bounded registry
+/// store.  steady_clock (not system_clock) so the duration is immune to
+/// wall-clock steps; the determinism lint allows it only here.
 class PhaseScope {
  public:
   explicit PhaseScope(Phase phase) noexcept
-      : phase_(phase), start_(std::chrono::steady_clock::now()) {}
+      : phase_(phase), timed_(detail::registers().timing) {
+    if (timed_) start_ = std::chrono::steady_clock::now();
+  }
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
   ~PhaseScope() noexcept {
+    if (!timed_) return;
     const auto end = std::chrono::steady_clock::now();
     const auto duration = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
@@ -194,11 +183,31 @@ class PhaseScope {
 
  private:
   Phase phase_;
+  bool timed_;
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Clears this thread's registry (counters, timers, event log).  The
-/// engine calls it at run() entry so a snapshot covers exactly one run.
+/// Sets phase timing for the calling thread to `on` for the guard's
+/// lifetime (restoring the previous setting after); timed runs record
+/// phase times and a Chrome-trace timeline.
+class ScopedPhaseTiming {
+ public:
+  explicit ScopedPhaseTiming(bool on) noexcept
+      : previous_(detail::registers().timing) {
+    detail::registers().timing = on;
+  }
+  ~ScopedPhaseTiming() { detail::registers().timing = previous_; }
+
+  ScopedPhaseTiming(const ScopedPhaseTiming&) = delete;
+  ScopedPhaseTiming& operator=(const ScopedPhaseTiming&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// Clears this thread's counters, timers and event log (the timing
+/// switch is kept).  The engine calls it at run() entry so a snapshot
+/// covers exactly one run.
 inline void reset() noexcept {
   detail::Registers& regs = detail::registers();
   regs.counters = {};
@@ -233,35 +242,5 @@ inline void reset() noexcept {
                                  __LINE__) {             \
     ::neatbound::telemetry::Phase::phase                 \
   }
-
-#else  // !NEATBOUND_TELEMETRY_ENABLED
-
-/// OFF-build stand-in: an empty type, so sizeof pins the zero-state in
-/// tests.  Never instantiated by the macros (they expand to nothing).
-class PhaseScope {};
-
-inline void reset() noexcept {}
-
-[[nodiscard]] inline TelemetrySnapshot snapshot() noexcept { return {}; }
-
-[[nodiscard]] inline std::span<const PhaseEvent> phase_events() noexcept {
-  return {};
-}
-
-// True no-ops: the counter/phase name is not evaluated, mirroring
-// NEATBOUND_INVARIANT's OFF expansion.  Arguments must therefore be
-// side-effect free — enforced by clang-tidy's bugprone-assert-side-effect
-// (both macros are on its AssertMacros list in .clang-tidy).
-#define NEATBOUND_COUNT(counter) \
-  do {                           \
-  } while (false)
-#define NEATBOUND_COUNT_ADD(counter, by) \
-  do {                                   \
-  } while (false)
-#define NEATBOUND_PHASE_SCOPE(phase) \
-  do {                               \
-  } while (false)
-
-#endif  // NEATBOUND_TELEMETRY_ENABLED
 
 }  // namespace neatbound::telemetry

@@ -136,11 +136,25 @@ TEST(Checkpoint, FingerprintMismatchAndMalformedFilesThrow) {
   EXPECT_THROW((void)load_sweep_checkpoint(file.path(), 43),
                std::runtime_error);
 
+  const auto read_text = [&file] {
+    std::ifstream in(file.path());
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  // A cell without its "telemetry" counters.
+  {
+    std::string text = read_text();
+    const auto begin = text.find(",\n     \"telemetry\"");
+    ASSERT_NE(begin, std::string::npos);
+    text.erase(begin, text.find("]}", begin) + 2 - begin);
+    std::ofstream(file.path(), std::ios::trunc) << text;
+    EXPECT_THROW((void)load_sweep_checkpoint(file.path(), 42),
+                 std::runtime_error);
+    save_sweep_checkpoint(file.path(), out);
+  }
   // seeds_done past 2^32, which a bare cast would truncate back to 0.
   {
-    std::ifstream in(file.path());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string text = read_text();
     const std::string field = "\"seeds_done\": 0";
     const auto pos = text.find(field);
     ASSERT_NE(pos, std::string::npos);
@@ -212,6 +226,10 @@ void expect_identical_cells(const AdaptiveSweepResult& a,
                       b.cells[i].cell.summary.honest_blocks);
     expect_state_bits(a.cells[i].cell.summary.violation_exceeds_t,
                       b.cells[i].cell.summary.violation_exceeds_t);
+    EXPECT_EQ(a.cells[i].cell.summary.telemetry.counters,
+              b.cells[i].cell.summary.telemetry.counters);
+    EXPECT_EQ(a.cells[i].cell.summary.telemetry.runs,
+              b.cells[i].cell.summary.telemetry.runs);
   }
 }
 
@@ -243,6 +261,11 @@ TEST(Checkpoint, InterruptedThenResumedSweepBitIdenticalToUninterrupted) {
   EXPECT_EQ(resumed.waves, 3u);  // 1 restored + 2 run here
   EXPECT_EQ(resumed.engine_runs, uninterrupted.engine_runs);
   expect_identical_cells(resumed, uninterrupted);
+  // The folded counters really carry the work (and so resume through
+  // the checkpoint's "telemetry" key).
+  EXPECT_GT(resumed.cells[0].cell.summary.telemetry.counters[
+                static_cast<std::size_t>(telemetry::Counter::kDeliveries)],
+            0u);
 }
 
 /// Resuming a finished checkpoint schedules nothing and reproduces the

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
@@ -214,6 +215,37 @@ TEST(Artifact, StrictReaderRejectsCorruptDocuments) {
     ASSERT_GT(bad.slice.size(), 1u);
     bad.slice.erase(bad.slice.begin());
     expect_rejected(serialize(bad), "short slice");
+  }
+
+  // The round-trace rules on the slice, and a common-prefix slice that
+  // does not end on the measured depth.
+  using Tamper = void (*)(ViolationArtifact&);
+  const std::pair<const char*, Tamper> slice_tampers[] = {
+      {"round 0", [](ViolationArtifact& a) { a.slice.front().round = 0; }},
+      {"best_height decreases",
+       [](ViolationArtifact& a) {
+         a.slice.front().best_height = a.slice[1].best_height + 1;
+       }},
+      {"violation_depth decreases",
+       [](ViolationArtifact& a) {
+         a.slice.front().violation_depth = a.slice[1].violation_depth + 1;
+       }},
+      {"unexplained adoption",
+       [](ViolationArtifact& a) {
+         sim::RoundRecord& last = a.slice.back();
+         last.adoptions = last.delivered + last.honest_mined + 1;
+       }},
+      {"slice depth != measured",
+       [](ViolationArtifact& a) {
+         a.slice.back().violation_depth = a.violation.measured + 1;
+       }},
+  };
+  for (const auto& [what, tamper] : slice_tampers) {
+    ViolationArtifact bad = scan_one();
+    ASSERT_GT(bad.slice.size(), 1u);
+    ASSERT_EQ(bad.violation.kind, sim::InvariantKind::kCommonPrefix);
+    tamper(bad);
+    expect_rejected(serialize(bad), what);
   }
 
   // Views not covering the honest miners.

@@ -178,11 +178,11 @@ TEST(Oracle, ArmedRunIsBitIdenticalToUnarmed) {
             unarmed.chain.adversary_blocks_in_chain);
   EXPECT_EQ(armed.chain.quality, unarmed.chain.quality);
   EXPECT_EQ(armed.store_size, unarmed.store_size);
-  // The oracle reads through the same instrumented store, so in
-  // telemetry-ON builds its own binary-lifting lookups show up in the
-  // ancestry-queries diagnostic counter, as do the armed run's stepped
-  // quiet rounds, which the unarmed run skips; every other counter that
-  // measures *simulation* work must still match exactly.
+  // The oracle reads through the same instrumented store, so its own
+  // binary-lifting lookups show up in the ancestry-queries diagnostic
+  // counter, as do the armed run's stepped quiet rounds, which the
+  // unarmed run skips; every other counter that measures *simulation*
+  // work must still match exactly.
   const auto ancestry =
       static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
   const auto quiet =

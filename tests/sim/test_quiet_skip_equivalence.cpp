@@ -74,7 +74,7 @@ const ExecutionEngine::RoundObserver kStepEveryRound =
     [](const ExecutionEngine&, std::uint64_t) {};
 
 // Field-by-field equality over everything a RunResult reports except the
-// telemetry snapshot (compared separately where the build records it).
+// telemetry snapshot (compared separately where it must match).
 void expect_result_equal(const RunResult& got, const RunResult& want) {
   EXPECT_EQ(got.honest_counts, want.honest_counts);
   EXPECT_EQ(got.honest_blocks_total, want.honest_blocks_total);
@@ -207,14 +207,11 @@ TEST(QuietSkipEligibility, AdversaryWithoutQuietContractNeverSkips) {
             sparse_config().rounds);
 }
 
-// Telemetry-ON builds: the skip shows up in its own counter and nowhere
-// else.  The ancestry-query counter is the one diagnostic exception: a
-// stepped round whose tips disagree recomputes the pairwise common
-// prefixes, which the skip folds without re-querying.
+// The skip shows up in its own counter and nowhere else.  The
+// ancestry-query counter is the one diagnostic exception: a stepped round
+// whose tips disagree recomputes the pairwise common prefixes, which the
+// skip folds without re-querying.
 TEST(QuietSkipTelemetry, OnlyTheSkipCounterMoves) {
-  if constexpr (!telemetry::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   const EngineConfig config = sparse_config();
   ExecutionEngine skipping(
       config, make_adversary("strategy", "private-withhold", config));
@@ -238,6 +235,30 @@ TEST(QuietSkipTelemetry, OnlyTheSkipCounterMoves) {
   }
   EXPECT_LE(skipped.telemetry.counters[ancestry],
             stepped.telemetry.counters[ancestry]);
+}
+
+// Phase timing only reads the clock: a timed run reports the untimed
+// run's RunResult and counters exactly, and only it records phases.
+TEST(QuietSkipTelemetry, TimedRunMatchesUntimedRun) {
+  const EngineConfig config = sparse_config();
+  ExecutionEngine untimed_engine(
+      config, make_adversary("strategy", "private-withhold", config));
+  ExecutionEngine timed_engine(
+      config, make_adversary("strategy", "private-withhold", config));
+  const RunResult untimed = untimed_engine.run();
+  RunResult timed;
+  {
+    const telemetry::ScopedPhaseTiming timing(true);
+    timed = timed_engine.run();
+  }
+  expect_result_equal(timed, untimed);
+  EXPECT_EQ(timed.telemetry.counters, untimed.telemetry.counters);
+  EXPECT_GT(timed.telemetry.phase_nanos[static_cast<std::size_t>(
+                telemetry::Phase::kMine)],
+            0u);
+  for (const std::uint64_t nanos : untimed.telemetry.phase_nanos) {
+    EXPECT_EQ(nanos, 0u);
+  }
 }
 
 // Counter-RNG order independence: a draw's value depends only on its

@@ -105,6 +105,8 @@ TEST(TraceJsonl, WriterReaderRoundTrip) {
   records.push_back(sample_record(1));
   RoundRecord quiet;  // a round where nothing happened
   quiet.round = 2;
+  quiet.best_height = records.front().best_height;  // running maxima
+  quiet.violation_depth = records.front().violation_depth;
   records.push_back(quiet);
   records.push_back(sample_record(9));
 
@@ -179,8 +181,20 @@ TEST(TraceJsonl, ReaderRejectsSchemaDrift) {
       "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":0,"
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":4294967296,"
       "\"best_height\":0,\"violation_depth\":0}\n");
-  // Rounds strictly increasing.
+  // Rounds 1-based and strictly increasing.
+  reject(to_jsonl_line(sample_record(0)) + "\n");
   reject(good + "\n" + good + "\n");
+  // best_height and violation_depth are running maxima.
+  RoundRecord lower = sample_record(2);
+  lower.best_height = sample_record(1).best_height - 1;
+  reject(good + "\n" + to_jsonl_line(lower) + "\n");
+  lower = sample_record(2);
+  lower.violation_depth = sample_record(1).violation_depth - 1;
+  reject(good + "\n" + to_jsonl_line(lower) + "\n");
+  // A tip switch needs a delivery or a freshly mined block.
+  RoundRecord unexplained = sample_record(1);
+  unexplained.adoptions = unexplained.delivered + unexplained.honest_mined + 1;
+  reject(to_jsonl_line(unexplained) + "\n");
   // Blank lines only at the end of the stream.
   reject(good + "\n\n" + good + "\n");
 

@@ -1,8 +1,8 @@
-// Telemetry contract tests (docs/observability.md): the macros compile in
-// every configuration and respect the build gate (true no-ops when the
-// gate is off), the accumulator fold is associative and seed-order
-// independent, the name tables cover their enums, and the Chrome-trace
-// exporter emits a parseable document in both configurations.
+// Telemetry contract tests (docs/observability.md): counters always count
+// while phase scopes record only under ScopedPhaseTiming, the accumulator
+// fold is associative and seed-order independent, the name tables cover
+// their enums, and the Chrome-trace exporter emits a parseable document
+// with or without a timeline.
 #include "support/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -18,27 +18,33 @@
 namespace neatbound::telemetry {
 namespace {
 
-TEST(Telemetry, MacrosRespectBuildGate) {
+TEST(Telemetry, PhaseTimingIsOffUnlessRequested) {
   reset();
   NEATBOUND_COUNT(kDeliveries);
   NEATBOUND_COUNT_ADD(kDeliveries, 3);
   {
     NEATBOUND_PHASE_SCOPE(kDeliver);
   }
-  const TelemetrySnapshot snap = snapshot();
-  const auto deliveries = static_cast<std::size_t>(Counter::kDeliveries);
-  if constexpr (enabled()) {
-    EXPECT_EQ(snap.counters[deliveries], 4u);
-    ASSERT_EQ(phase_events().size(), 1u);
-    EXPECT_EQ(phase_events()[0].phase, Phase::kDeliver);
-  } else {
-    for (const std::uint64_t value : snap.counters) EXPECT_EQ(value, 0u);
-    for (const std::uint64_t value : snap.phase_nanos) EXPECT_EQ(value, 0u);
-    EXPECT_TRUE(phase_events().empty());
-    // The OFF PhaseScope is an empty stand-in — the macros expand to
-    // nothing, so there is no state to carry.
-    EXPECT_EQ(sizeof(PhaseScope), 1u);
+  // Untimed: counters count, phase scopes record nothing.
+  TelemetrySnapshot snap = snapshot();
+  EXPECT_EQ(snap.counters[static_cast<std::size_t>(Counter::kDeliveries)],
+            4u);
+  for (const std::uint64_t value : snap.phase_nanos) EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(phase_events().empty());
+
+  // Timed: the scope lands in the timeline, and the guard restores the
+  // untimed default on exit.
+  {
+    const ScopedPhaseTiming timing(true);
+    NEATBOUND_PHASE_SCOPE(kMine);
   }
+  {
+    NEATBOUND_PHASE_SCOPE(kMetrics);
+  }
+  ASSERT_EQ(phase_events().size(), 1u);
+  EXPECT_EQ(phase_events()[0].phase, Phase::kMine);
+  snap = snapshot();
+  EXPECT_EQ(snap.phase_nanos[static_cast<std::size_t>(Phase::kMetrics)], 0u);
   reset();
 }
 
@@ -69,15 +75,11 @@ TelemetrySnapshot numbered_snapshot(std::uint64_t base) {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     snap.counters[i] = base * 100 + i;
   }
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    snap.phase_nanos[i] = base * 1000 + i;
-  }
   return snap;
 }
 
 bool equal(const TelemetryAccumulator& a, const TelemetryAccumulator& b) {
-  return a.counters == b.counters && a.phase_nanos == b.phase_nanos &&
-         a.runs == b.runs;
+  return a.counters == b.counters && a.runs == b.runs;
 }
 
 TEST(TelemetryAccumulator, AddSumsSlotwiseAndCountsRuns) {
@@ -87,9 +89,6 @@ TEST(TelemetryAccumulator, AddSumsSlotwiseAndCountsRuns) {
   EXPECT_EQ(acc.runs, 2u);
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     EXPECT_EQ(acc.counters[i], 300 + 2 * i);
-  }
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    EXPECT_EQ(acc.phase_nanos[i], 3000 + 2 * i);
   }
 }
 
@@ -169,8 +168,7 @@ TEST(Telemetry, ChromeTraceTimestampsAreFixedPointMicros) {
 }
 
 TEST(Telemetry, ChromeTraceValidWithNoEvents) {
-  // An OFF build has no timeline; the document must still parse (the
-  // CLI writes it with a note either way).
+  // An untimed run has no timeline; the document must still parse.
   std::ostringstream os;
   write_chrome_trace(os, {}, TelemetrySnapshot{});
   const support::JsonValue doc = support::parse_json(os.str());
