@@ -1,8 +1,7 @@
 // Execution-engine walkthrough: runs the protocol of Section III at laptop
 // scale with a withholding adversary, then dissects the result — final
-// chain validation against the random oracle, ext() message extraction,
-// per-round block-count histogram, and the convergence-opportunity count
-// compared with Eq. (26).
+// chain validation against the random oracle, the per-round block-count
+// histogram, and the convergence-opportunity count compared with Eq. (26).
 //
 //   ./simulation_demo --miners=30 --nu=0.2 --delta=3 --c=4 --rounds=20000
 #include <cmath>
@@ -100,9 +99,5 @@ int main(int argc, char** argv) {
   for (const auto count : result.honest_counts) hist.add(count);
   std::cout << "Per-round honest block count distribution:\n"
             << hist.render(40) << '\n';
-  std::cout << "ext(): the winning chain carries "
-            << engine.store().extract_messages(engine.best_honest_tip()).size()
-            << " environment messages (payloads are digests in simulation "
-               "runs).\n";
   return 0;
 }

@@ -44,16 +44,6 @@ void DeliveryCalendar::schedule(std::uint64_t due_round,
   NEATBOUND_COUNT(kCalendarScheduled);
 }
 
-// neatbound-analyze: allow(contract-coverage) — thin cold wrapper: the
-// preconditions and ring invariants live in drain_due/schedule, which it
-// delegates to; it adds no state of its own to check.
-std::vector<Delivery> DeliveryCalendar::collect_due(std::uint64_t round) {
-  std::vector<Delivery> due;
-  due.reserve(pending_);
-  drain_due(round, [&due](const Delivery& d) { due.push_back(d); });
-  return due;
-}
-
 // neatbound-analyze: allow(hot-alloc) — accepted allocation boundary:
 // re-bucketing the ring is rare by design (power-of-two growth capped at
 // kMaxSpan), and schedule() only enters it when the horizon is exceeded.

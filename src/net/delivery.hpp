@@ -35,9 +35,9 @@ struct Delivery {
 /// per-round drain a contiguous sweep, where any ordered container would
 /// pay comparisons and pointer chasing on the T×n hot path.
 ///
-/// Ordering contract: collect_due/drain_due emit strictly ascending due
-/// rounds, FIFO (schedule order) within a round.  Determinism therefore
-/// depends only on the schedule() call sequence.  (The previous
+/// Ordering contract: drain_due emits strictly ascending due rounds, FIFO
+/// (schedule order) within a round.  Determinism therefore depends only
+/// on the schedule() call sequence.  (The previous
 /// binary-heap implementation left within-round order unspecified-but-
 /// deterministic; the calendar pins it to schedule order.)
 ///
@@ -62,14 +62,11 @@ class DeliveryCalendar {
                               std::uint32_t recipient,
                               protocol::BlockIndex block);
 
-  /// Pops everything due at or before `round` for all recipients; the
-  /// result is grouped as (recipient, block) pairs in due order (see the
-  /// ordering contract above).
-  [[nodiscard]] std::vector<Delivery> collect_due(std::uint64_t round);
-
-  /// Zero-allocation drain: invokes `fn(delivery)` for everything due at
-  /// or before `round`, in exactly collect_due's order.  The engine's
-  /// per-round hot path; bucket storage is retained for reuse.
+  /// Pops everything due at or before `round` for all recipients, invoking
+  /// `fn(delivery)` once per (recipient, block) pair in ascending due
+  /// round, schedule order within a round (the ordering contract above).
+  /// Allocates nothing: bucket storage is retained for reuse.  The
+  /// engine's per-round hot path.
   template <typename Fn>
   NEATBOUND_HOT void drain_due(std::uint64_t round, Fn&& fn) {
     // bucket_at masks with size-1: a non-power-of-two ring would map

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "protocol/hash.hpp"
 
@@ -20,9 +19,10 @@ enum class MinerClass : std::uint8_t {
 };
 
 /// An abstract block record (Section III): parent link, the proof of work
-/// (nonce + hash), the round it was created, its miner, and the message
-/// (transactions) the environment handed the miner, stored as a digest
-/// plus optional plaintext for ext().
+/// (nonce + hash), the round it was created and its miner.  The block's
+/// content enters only as `payload_digest`, an opaque draw that makes
+/// every oracle query distinct; consistency is measured on chains, so no
+/// plaintext is kept.
 struct Block {
   HashValue hash = 0;            ///< H(parent_hash, nonce, payload_digest)
   HashValue parent_hash = 0;
@@ -33,7 +33,6 @@ struct Block {
   std::uint64_t payload_digest = 0;
   std::uint32_t miner = 0;       ///< miner id (meaningful for honest blocks)
   MinerClass miner_class = MinerClass::kHonest;
-  std::string message;           ///< environment-provided content (may be empty)
 };
 
 }  // namespace neatbound::protocol

@@ -17,7 +17,6 @@ BlockStore::BlockStore() {
   payload_digest_.push_back(0);
   miner_.push_back(0);
   miner_class_.push_back(MinerClass::kGenesis);
-  message_.emplace_back();
   by_hash_.emplace(0, kGenesisIndex);
 }
 
@@ -33,7 +32,6 @@ Block BlockStore::block(BlockIndex index) const {
   b.payload_digest = payload_digest_[index];
   b.miner = miner_[index];
   b.miner_class = miner_class_[index];
-  b.message = message_[index];
   return b;
 }
 
@@ -63,7 +61,6 @@ BlockIndex BlockStore::add(Block block) {
   payload_digest_.push_back(block.payload_digest);
   miner_.push_back(block.miner);
   miner_class_.push_back(block.miner_class);
-  message_.push_back(std::move(block.message));
 
   // Extend the skip table: row k holds the 2^(k+1)-th ancestor, computed
   // as the 2^k-th ancestor of the 2^k-th ancestor.  Rows the new block is
@@ -99,7 +96,7 @@ BlockIndex BlockStore::add(Block block) {
           payload_digest_.size() == hash_.size() &&
           miner_.size() == hash_.size() &&
           miner_class_.size() == hash_.size() &&
-          message_.size() == hash_.size() && by_hash_.size() == hash_.size(),
+          by_hash_.size() == hash_.size(),
       "SoA columns out of lockstep after add()");
   NEATBOUND_INVARIANT(
       std::all_of(skip_.begin(), skip_.end(),
@@ -187,14 +184,6 @@ std::vector<BlockIndex> BlockStore::chain_to(BlockIndex tip) const {
   }
   std::reverse(chain.begin(), chain.end());
   return chain;
-}
-
-std::vector<std::string> BlockStore::extract_messages(BlockIndex tip) const {
-  std::vector<std::string> messages;
-  for (const BlockIndex index : chain_to(tip)) {
-    if (!message_[index].empty()) messages.push_back(message_[index]);
-  }
-  return messages;
 }
 
 }  // namespace neatbound::protocol

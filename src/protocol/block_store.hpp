@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -78,10 +77,6 @@ class BlockStore {
     check_index(index);
     return miner_class_[index];
   }
-  [[nodiscard]] const std::string& message_of(BlockIndex index) const {
-    check_index(index);
-    return message_[index];
-  }
 
   /// Appends a block whose parent must already exist; fills in height and
   /// parent index, and indexes the hash.  Returns the new block's index.
@@ -123,11 +118,6 @@ class BlockStore {
   /// The chain from genesis to `tip`, genesis first.
   [[nodiscard]] std::vector<BlockIndex> chain_to(BlockIndex tip) const;
 
-  /// ext(κ, C): the ordered sequence of (non-empty) messages along the
-  /// chain to `tip`, genesis first (Section III's output algorithm).
-  [[nodiscard]] std::vector<std::string> extract_messages(
-      BlockIndex tip) const;
-
  private:
   void check_index(BlockIndex index) const {
     NEATBOUND_EXPECTS(index < hash_.size(), "block index out of range");
@@ -148,7 +138,6 @@ class BlockStore {
   std::vector<std::uint64_t> payload_digest_;
   std::vector<std::uint32_t> miner_;
   std::vector<MinerClass> miner_class_;
-  std::vector<std::string> message_;
   /// skip_[k][i] = 2^(k+1)-th ancestor of i, genesis-padded when the
   /// block is too shallow.  Row k is created lazily when the first block
   /// of height ≥ 2^(k+1) is added (at which point every earlier block is

@@ -13,7 +13,7 @@ namespace neatbound::protocol {
 /// (parent, nonce, payload) via the oracle, so hash linkage and H.ver
 /// hold (docs/architecture.md, "RNG keying" — the paper's analysis uses
 /// the per-query success probability p and collision-free ids, never a
-/// ≤-target certificate).  Miner, class, round and message are filled by
+/// ≤-target certificate).  Miner, class and round are filled by
 /// the caller.
 [[nodiscard]] Block assemble_block(const RandomOracle& oracle,
                                    HashValue parent_hash,

@@ -131,18 +131,12 @@ class ExecutionEngine::Ops final : public AdversaryOps {
 
 ExecutionEngine::ExecutionEngine(EngineConfig config,
                                  std::unique_ptr<Adversary> adversary)
-    : ExecutionEngine(config, std::move(adversary), nullptr) {}
-
-ExecutionEngine::ExecutionEngine(EngineConfig config,
-                                 std::unique_ptr<Adversary> adversary,
-                                 std::unique_ptr<Environment> environment)
     : config_(config),
       honest_count_(honest_miner_count(config)),
       adversary_queries_(corrupted_count(config)),
       oracle_(mix64(config.seed ^ 0x5bd1e995u)),
       calendar_(config.miner_count),
-      adversary_(std::move(adversary)),
-      environment_(std::move(environment)) {
+      adversary_(std::move(adversary)) {
   validate_engine_config(config);
   NEATBOUND_EXPECTS(adversary_ != nullptr, "an adversary is required");
   key_ = engine_rng_key(config);
@@ -152,10 +146,9 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   }
   // Quiet-round skipping requires that the adversary's act() is
   // observably a no-op on quiet rounds (the contract in
-  // sim/adversary.hpp) and that no environment feeds block payloads.
+  // sim/adversary.hpp).
   quiet_eligible_ =
-      environment_ == nullptr &&
-      (adversary_queries_ == 0 || adversary_->quiet_act_is_noop());
+      adversary_queries_ == 0 || adversary_->quiet_act_is_noop();
   views_.resize(honest_count_);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
   // At most honest_count_ honest blocks per round, so the per-round miner
@@ -259,9 +252,6 @@ void ExecutionEngine::register_honest_block(std::uint64_t round,
   block.round = round;
   block.miner = miner;
   block.miner_class = protocol::MinerClass::kHonest;
-  if (environment_ != nullptr) {
-    block.message = environment_->message_for(round, miner);
-  }
   const protocol::BlockIndex index = store_.add(std::move(block));
   ++round_activity_.honest_mined;
   // neatbound-analyze: allow(hot-alloc) — capacity pre-reserved to

@@ -28,7 +28,6 @@
 #include "protocol/hash.hpp"
 #include "sim/adversary.hpp"
 #include "sim/draws.hpp"
-#include "sim/environment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/miner_view.hpp"
 #include "support/crng.hpp"
@@ -105,10 +104,6 @@ struct RunResult {
 class ExecutionEngine {
  public:
   ExecutionEngine(EngineConfig config, std::unique_ptr<Adversary> adversary);
-  /// With an environment, honest blocks embed Z's messages and the final
-  /// ledgers (ext of each honest tip) become meaningful.
-  ExecutionEngine(EngineConfig config, std::unique_ptr<Adversary> adversary,
-                  std::unique_ptr<Environment> environment);
   ~ExecutionEngine();
 
   ExecutionEngine(const ExecutionEngine&) = delete;
@@ -176,14 +171,13 @@ class ExecutionEngine {
   /// mining success, and an adversary whose act() is a no-op on such
   /// rounds — stopping at the first round that must be stepped, and
   /// returns the first round NOT committed (== `round` when round itself
-  /// is busy or the fast path is unavailable: an attached environment, or
-  /// an adversary that did not opt into the quiet-act contract).  A
-  /// committed round is observably identical to a stepped one (zero
-  /// honest count, unchanged-round metrics fold).  The whole
-  /// run of quiet rounds costs O(1): the three event sources name their
-  /// next busy round directly (gap-cursor positions are flat
-  /// (round, slot) addresses; the calendar exposes its earliest pending
-  /// round), so nothing is examined per skipped round.
+  /// is busy or the fast path is unavailable: an adversary that did not
+  /// opt into the quiet-act contract).  A committed round is observably
+  /// identical to a stepped one (zero honest count, unchanged-round
+  /// metrics fold).  The whole run of quiet rounds costs O(1): the three
+  /// event sources name their next busy round directly (gap-cursor
+  /// positions are flat (round, slot) addresses; the calendar exposes its
+  /// earliest pending round), so nothing is examined per skipped round.
   [[nodiscard]] NEATBOUND_HOT std::uint64_t skip_quiet_rounds(
       std::uint64_t round, std::uint64_t last);
   /// Assembles the RunResult after the final round.
@@ -220,14 +214,13 @@ class ExecutionEngine {
   net::DeliveryCalendar calendar_;
   std::vector<MinerView> views_;
   std::unique_ptr<Adversary> adversary_;
-  std::unique_ptr<Environment> environment_;
   /// The run key plus cursors over the honest and adversary Bernoulli
   /// success fields.
   crng::Key key_;
   GapCursor honest_gaps_;
   GapCursor adversary_gaps_;
-  /// Precomputed eligibility for skip_quiet_rounds: no environment, and
-  /// an adversary honouring the quiet-act contract.
+  /// Precomputed eligibility for skip_quiet_rounds: an adversary
+  /// honouring the quiet-act contract.
   bool quiet_eligible_ = false;
   ConsistencyTracker consistency_;
   std::vector<std::uint32_t> honest_counts_;

@@ -113,37 +113,4 @@ DagMetrics measure_dag(const protocol::BlockStore& store,
   return metrics;
 }
 
-LedgerAgreement measure_ledger_agreement(
-    const protocol::BlockStore& store,
-    std::span<const protocol::BlockIndex> tips) {
-  LedgerAgreement agreement;
-  if (tips.empty()) return agreement;
-
-  // Deduplicate tips, then extract each distinct ledger once.
-  std::vector<protocol::BlockIndex> unique(tips.begin(), tips.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-
-  std::vector<std::vector<std::string>> ledgers;
-  ledgers.reserve(unique.size());
-  for (const protocol::BlockIndex tip : unique) {
-    ledgers.push_back(store.extract_messages(tip));
-  }
-  std::size_t common = ledgers[0].size();
-  for (const auto& ledger : ledgers) {
-    agreement.max_length = std::max(agreement.max_length, ledger.size());
-  }
-  for (std::size_t i = 1; i < ledgers.size(); ++i) {
-    std::size_t shared = 0;
-    const std::size_t limit = std::min(ledgers[0].size(), ledgers[i].size());
-    while (shared < limit && ledgers[0][shared] == ledgers[i][shared]) {
-      ++shared;
-    }
-    common = std::min(common, shared);
-  }
-  agreement.common_prefix = common;
-  agreement.suffix_disagreement = agreement.max_length - common;
-  return agreement;
-}
-
 }  // namespace neatbound::sim

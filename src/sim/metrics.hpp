@@ -100,19 +100,4 @@ struct DagMetrics {
 [[nodiscard]] DagMetrics measure_dag(const protocol::BlockStore& store,
                                      protocol::BlockIndex best_tip);
 
-/// Agreement between the ledgers ext(κ, C) of a set of honest tips: the
-/// user-facing form of consistency.  `suffix_disagreement` is the largest
-/// number of trailing ledger entries any miner would need to drop for its
-/// ledger to be a prefix of every other miner's — the ledger analogue of
-/// the T in Definition 1.
-struct LedgerAgreement {
-  std::size_t common_prefix = 0;       ///< entries all ledgers share
-  std::size_t max_length = 0;          ///< longest honest ledger
-  std::size_t suffix_disagreement = 0; ///< max_length − common_prefix
-};
-
-[[nodiscard]] LedgerAgreement measure_ledger_agreement(
-    const protocol::BlockStore& store,
-    std::span<const protocol::BlockIndex> tips);
-
 }  // namespace neatbound::sim

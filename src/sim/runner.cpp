@@ -1,9 +1,5 @@
 #include "sim/runner.hpp"
 
-#include <vector>
-
-#include "support/parallel.hpp"
-
 namespace neatbound::sim {
 
 void accumulate_run(ExperimentSummary& summary, const RunResult& result,
@@ -55,38 +51,6 @@ ExperimentSummary run_experiment(const ExperimentConfig& config,
                                  std::uint64_t violation_t) {
   return run_experiment_with(config, violation_t,
                              default_adversary_factory(config.adversary));
-}
-
-ExperimentSummary run_experiment_parallel_with(const ExperimentConfig& config,
-                                               std::uint64_t violation_t,
-                                               const AdversaryFactory& factory,
-                                               unsigned threads) {
-  threads = resolve_thread_count(threads);
-  threads = std::min<unsigned>(threads, config.seeds);
-  if (threads <= 1) return run_experiment_with(config, violation_t, factory);
-
-  std::vector<RunResult> results(config.seeds);
-  parallel_for_indexed(config.seeds, threads, [&](std::size_t k) {
-    EngineConfig engine_config = config.engine;
-    engine_config.seed = config.base_seed + k;
-    ExecutionEngine engine(engine_config, factory(engine_config));
-    results[k] = engine.run();
-  });
-
-  // Sequential, seed-ordered aggregation: identical to the serial path.
-  ExperimentSummary summary;
-  for (const RunResult& result : results) {
-    accumulate_run(summary, result, violation_t);
-  }
-  return summary;
-}
-
-ExperimentSummary run_experiment_parallel(const ExperimentConfig& config,
-                                          std::uint64_t violation_t,
-                                          unsigned threads) {
-  return run_experiment_parallel_with(
-      config, violation_t, default_adversary_factory(config.adversary),
-      threads);
 }
 
 }  // namespace neatbound::sim

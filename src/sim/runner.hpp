@@ -68,25 +68,10 @@ void accumulate_run(ExperimentSummary& summary, const RunResult& result,
                                                std::uint64_t violation_t);
 
 /// Hook for custom adversaries: same aggregation, caller-provided factory.
+/// Parallel sweeps go through exp::run_sweep_with, which folds runs with
+/// accumulate_run in the same seed order.
 [[nodiscard]] ExperimentSummary run_experiment_with(
     const ExperimentConfig& config, std::uint64_t violation_t,
     const AdversaryFactory& factory);
-
-/// Multi-threaded variant: seeds are distributed over `threads` workers
-/// (0 = hardware concurrency).  Per-seed results are collected into a
-/// seed-indexed vector and aggregated sequentially, so the summary is
-/// bit-identical to the serial runner regardless of scheduling.
-/// If an engine run throws in a worker, the first exception is rethrown
-/// here after all workers have joined.
-[[nodiscard]] ExperimentSummary run_experiment_parallel(
-    const ExperimentConfig& config, std::uint64_t violation_t,
-    unsigned threads = 0);
-
-/// Parallel variant with a caller-provided adversary factory.  The factory
-/// must be callable concurrently (it is invoked once per seed, each
-/// invocation producing an adversary owned by one engine).
-[[nodiscard]] ExperimentSummary run_experiment_parallel_with(
-    const ExperimentConfig& config, std::uint64_t violation_t,
-    const AdversaryFactory& factory, unsigned threads = 0);
 
 }  // namespace neatbound::sim

@@ -47,8 +47,15 @@ std::string CliArgs::get_string(const std::string& name,
 
 double CliArgs::parse_double(const std::string& name,
                              const std::string& text) {
+  // std::stod parses a prefix, so "0.25,0.3" would silently become 0.25;
+  // any unparsed tail is rejected like parse_uint does.
   try {
-    return std::stod(text);
+    std::size_t parsed = 0;
+    const double v = std::stod(text, &parsed);
+    if (parsed != text.size()) {
+      throw std::runtime_error("trailing characters");
+    }
+    return v;
   } catch (const std::exception&) {
     throw std::runtime_error("CliArgs: flag --" + name +
                              " expects a number, got '" + text + "'");
@@ -66,21 +73,6 @@ double CliArgs::get_double(const std::string& name, double default_value,
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   return parse_double(name, it->second);
-}
-
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t default_value,
-                              const std::string& help) {
-  register_flag(name, "int", std::to_string(default_value), help);
-  consumed_.insert(name);
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::runtime_error("CliArgs: flag --" + name +
-                             " expects an integer, got '" + it->second + "'");
-  }
 }
 
 std::uint64_t CliArgs::parse_uint(const std::string& name,

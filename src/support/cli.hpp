@@ -34,9 +34,6 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& name,
                                   double default_value,
                                   const std::string& help = "");
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t default_value,
-                                     const std::string& help = "");
   [[nodiscard]] std::uint64_t get_uint(const std::string& name,
                                        std::uint64_t default_value,
                                        const std::string& help = "");

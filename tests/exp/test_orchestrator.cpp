@@ -4,6 +4,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "exp/grid.hpp"
 #include "exp/orchestrator.hpp"
@@ -76,6 +77,9 @@ TEST(Orchestrator, GridParallelBitIdenticalToSerialForEveryAdversaryKind) {
   }
 }
 
+// Any worker count — hardware concurrency (0), one, fewer workers than
+// the 9 jobs, or more — returns the cells in grid order with the serial
+// runner's summaries.
 TEST(Orchestrator, CellsComeBackInGridOrder) {
   SweepGrid grid;
   grid.axis("nu", {0.1, 0.2, 0.3});
@@ -83,13 +87,20 @@ TEST(Orchestrator, CellsComeBackInGridOrder) {
     return cell_config(point.value("nu"), 0.02,
                        sim::AdversaryKind::kMaxDelay);
   };
-  const auto cells =
-      run_sweep(grid, build, {.violation_t = 5, .threads = 3});
-  ASSERT_EQ(cells.size(), 3u);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].point.index(), i);
-    EXPECT_DOUBLE_EQ(cells[i].point.value("nu"), 0.1 + 0.1 * static_cast<double>(i));
-    EXPECT_EQ(cells[i].summary.honest_blocks.count(), cells[i].config.seeds);
+  for (const unsigned threads : {0u, 1u, 3u, 16u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto cells =
+        run_sweep(grid, build, {.violation_t = 5, .threads = threads});
+    ASSERT_EQ(cells.size(), 3u);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(cells[i].point.index(), i);
+      EXPECT_DOUBLE_EQ(cells[i].point.value("nu"),
+                       0.1 + 0.1 * static_cast<double>(i));
+      EXPECT_EQ(cells[i].summary.honest_blocks.count(),
+                cells[i].config.seeds);
+      expect_identical(sim::run_experiment(cells[i].config, 5),
+                       cells[i].summary);
+    }
   }
 }
 
@@ -121,14 +132,17 @@ TEST(Orchestrator, WorkerExceptionPropagatesToCaller) {
     return cell_config(point.value("nu"), 0.01,
                        sim::AdversaryKind::kMaxDelay);
   };
-  EXPECT_THROW(
-      (void)run_sweep_with(
-          grid, build, {.violation_t = 5, .threads = 4},
-          [](const sim::ExperimentConfig&, const sim::EngineConfig&)
-              -> std::unique_ptr<sim::Adversary> {
-            throw std::runtime_error("factory boom");
-          }),
-      std::runtime_error);
+  try {
+    (void)run_sweep_with(
+        grid, build, {.violation_t = 5, .threads = 4},
+        [](const sim::ExperimentConfig&, const sim::EngineConfig&)
+            -> std::unique_ptr<sim::Adversary> {
+          throw std::runtime_error("factory boom");
+        });
+    FAIL() << "expected run_sweep_with to throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "factory boom");
+  }
 }
 
 /// Parallel-reduction property: merging chunked accumulators matches one

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/contracts.hpp"
 
 namespace neatbound::net {
 namespace {
+
+// Everything drain_due emits for `round`, in emission order.
+std::vector<Delivery> drain(DeliveryCalendar& calendar, std::uint64_t round) {
+  std::vector<Delivery> due;
+  calendar.drain_due(round, [&due](const Delivery& d) { due.push_back(d); });
+  return due;
+}
 
 TEST(DeliveryCalendar, DeliversAtDueRound) {
   DeliveryCalendar calendar(4);
@@ -14,12 +24,12 @@ TEST(DeliveryCalendar, DeliversAtDueRound) {
   calendar.schedule(7, 2, 12);
   EXPECT_EQ(calendar.pending(), 3u);
 
-  auto due3 = calendar.collect_due(3);
+  auto due3 = drain(calendar, 3);
   ASSERT_EQ(due3.size(), 1u);
   EXPECT_EQ(due3[0].recipient, 1u);
   EXPECT_EQ(due3[0].block, 11u);
 
-  auto due6 = calendar.collect_due(6);
+  auto due6 = drain(calendar, 6);
   ASSERT_EQ(due6.size(), 1u);
   EXPECT_EQ(due6[0].block, 10u);
   EXPECT_EQ(calendar.pending(), 1u);
@@ -30,7 +40,7 @@ TEST(DeliveryCalendar, CollectsMultipleInDueOrder) {
   calendar.schedule(2, 0, 1);
   calendar.schedule(1, 1, 2);
   calendar.schedule(2, 1, 3);
-  const auto due = calendar.collect_due(2);
+  const auto due = drain(calendar, 2);
   ASSERT_EQ(due.size(), 3u);
   EXPECT_EQ(due[0].due_round, 1u);
 }
@@ -44,7 +54,7 @@ TEST(DeliveryCalendar, FifoWithinARound) {
   calendar.schedule(3, 0, 31);
   calendar.schedule(2, 3, 21);
   calendar.schedule(3, 1, 32);
-  const auto due = calendar.collect_due(3);
+  const auto due = drain(calendar, 3);
   ASSERT_EQ(due.size(), 5u);
   const std::uint64_t expected_rounds[] = {2, 2, 3, 3, 3};
   const protocol::BlockIndex expected_blocks[] = {20, 21, 30, 31, 32};
@@ -62,7 +72,7 @@ TEST(DeliveryCalendar, GrowsPastTheInitialHorizon) {
   EXPECT_GT(calendar.horizon(), start_horizon);
   EXPECT_EQ(calendar.pending(), 2u);
   // Both survive the re-bucketing, in due order.
-  const auto due = calendar.collect_due(start_horizon + 500);
+  const auto due = drain(calendar, start_horizon + 500);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].block, 1u);
   EXPECT_EQ(due[1].block, 2u);
@@ -73,16 +83,19 @@ TEST(DeliveryCalendar, LateScheduleClampsToNextCollect) {
   // Scheduling at or before an already-collected round may not lose the
   // message: it arrives at the next collect (late, like the old heap).
   DeliveryCalendar calendar(2);
-  (void)calendar.collect_due(10);
+  (void)drain(calendar, 10);
   calendar.schedule(3, 0, 7);  // round 3 already collected
   EXPECT_EQ(calendar.pending(), 1u);
-  EXPECT_TRUE(calendar.collect_due(10).empty());  // nothing newly due ≤ 10
-  const auto due = calendar.collect_due(11);
+  EXPECT_TRUE(drain(calendar, 10).empty());  // nothing newly due ≤ 10
+  const auto due = drain(calendar, 11);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].block, 7u);
 }
 
-TEST(DeliveryCalendar, DrainDueMatchesCollectDue) {
+TEST(DeliveryCalendar, DrainDueMatchesStableSortByDueRound) {
+  // The ordering contract, checked against a reference model: draining
+  // rounds 0, 1, ... emits the schedule() sequence stably sorted by due
+  // round.
   crng::Stream rng({5, 0}, 0, 0, crng::Purpose::kGeneric);
   std::vector<Delivery> inserts;
   for (int i = 0; i < 200; ++i) {
@@ -91,26 +104,29 @@ TEST(DeliveryCalendar, DrainDueMatchesCollectDue) {
                  static_cast<std::uint32_t>(rng.uniform_below(4)),
                  static_cast<protocol::BlockIndex>(rng.uniform_below(50))});
   }
-  DeliveryCalendar collected(4);
-  DeliveryCalendar drained(4);
+  DeliveryCalendar calendar(4);
   for (const Delivery& d : inserts) {
-    collected.schedule(d.due_round, d.recipient, d.block);
-    drained.schedule(d.due_round, d.recipient, d.block);
+    calendar.schedule(d.due_round, d.recipient, d.block);
   }
+  std::vector<Delivery> drained;
   for (std::uint64_t round = 0; round <= 12; ++round) {
-    const auto via_collect = collected.collect_due(round);
-    std::vector<Delivery> via_drain;
-    drained.drain_due(round,
-                      [&via_drain](const Delivery& d) { via_drain.push_back(d); });
-    ASSERT_EQ(via_collect.size(), via_drain.size()) << "round " << round;
-    for (std::size_t i = 0; i < via_collect.size(); ++i) {
-      EXPECT_EQ(via_collect[i].due_round, via_drain[i].due_round);
-      EXPECT_EQ(via_collect[i].recipient, via_drain[i].recipient);
-      EXPECT_EQ(via_collect[i].block, via_drain[i].block);
+    for (const Delivery& d : drain(calendar, round)) {
+      EXPECT_EQ(d.due_round, round);
+      drained.push_back(d);
     }
   }
-  EXPECT_EQ(collected.pending(), 0u);
-  EXPECT_EQ(drained.pending(), 0u);
+  std::vector<Delivery> expected = inserts;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Delivery& a, const Delivery& b) {
+                     return a.due_round < b.due_round;
+                   });
+  ASSERT_EQ(drained.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(drained[i].due_round, expected[i].due_round) << i;
+    EXPECT_EQ(drained[i].recipient, expected[i].recipient) << i;
+    EXPECT_EQ(drained[i].block, expected[i].block) << i;
+  }
+  EXPECT_EQ(calendar.pending(), 0u);
 }
 
 TEST(DeliveryCalendar, RejectsBadRecipient) {
@@ -129,7 +145,7 @@ TEST(DeliveryCalendar, RejectsFarFutureSchedule) {
   EXPECT_THROW(calendar.schedule(~std::uint64_t{0}, 0, 3),
                ContractViolation);
   // The horizon is relative to the drain point, not absolute.
-  (void)calendar.collect_due(DeliveryCalendar::kMaxSpan);
+  (void)drain(calendar, DeliveryCalendar::kMaxSpan);
   calendar.schedule(2 * DeliveryCalendar::kMaxSpan, 1, 4);
   EXPECT_EQ(calendar.pending(), 1u);
 }

@@ -1,5 +1,5 @@
 // Unit tests for the structured network models (bursty windows, eclipse
-// targeting) and the determinism contract of DeliveryCalendar::collect_due.
+// targeting) and the determinism contract of DeliveryCalendar::drain_due.
 #include "net/models.hpp"
 
 #include <gtest/gtest.h>
@@ -67,11 +67,18 @@ TEST(EclipseDelivery, Validation) {
   EXPECT_THROW((void)schedule.delay(0, 0, 7, 0), ContractViolation);
 }
 
-// --- DeliveryCalendar::collect_due determinism --------------------------------
+// --- DeliveryCalendar::drain_due determinism ----------------------------------
+
+// Everything drain_due emits for `round`, in emission order.
+std::vector<Delivery> drain(DeliveryCalendar& queue, std::uint64_t round) {
+  std::vector<Delivery> due;
+  queue.drain_due(round, [&due](const Delivery& d) { due.push_back(d); });
+  return due;
+}
 
 TEST(DeliveryCalendarDeterminism, IdenticalScheduleIdenticalPopSequence) {
   // The same schedule() call sequence must always produce the same
-  // collect_due output — engine runs are replayed bit-for-bit from a seed,
+  // drain_due output — engine runs are replayed bit-for-bit from a seed,
   // so any nondeterminism here would break every reproducibility test
   // upstream.  Includes heavy due-round ties (the interesting case: order
   // within a tie is the schedule order, which is a deterministic
@@ -92,7 +99,8 @@ TEST(DeliveryCalendarDeterminism, IdenticalScheduleIdenticalPopSequence) {
     }
     std::vector<Delivery> popped;
     for (std::uint64_t round = 0; round <= 20; ++round) {
-      for (const Delivery& d : queue.collect_due(round)) popped.push_back(d);
+      queue.drain_due(round,
+                      [&popped](const Delivery& d) { popped.push_back(d); });
     }
     return popped;
   };
@@ -119,7 +127,7 @@ TEST(DeliveryCalendarDeterminism, DueOrderIsNonDecreasingAndComplete) {
     ++scheduled;
   }
   // One big collection: everything due, in non-decreasing due_round order.
-  const auto due = queue.collect_due(50);
+  const auto due = drain(queue, 50);
   ASSERT_EQ(due.size(), scheduled);
   for (std::size_t i = 1; i < due.size(); ++i) {
     EXPECT_LE(due[i - 1].due_round, due[i].due_round) << i;
@@ -132,10 +140,10 @@ TEST(DeliveryCalendarDeterminism, NothingDeliveredEarly) {
   queue.schedule(10, 0, 1);
   queue.schedule(11, 1, 2);
   for (std::uint64_t round = 0; round < 10; ++round) {
-    EXPECT_TRUE(queue.collect_due(round).empty()) << "round " << round;
+    EXPECT_TRUE(drain(queue, round).empty()) << "round " << round;
   }
-  EXPECT_EQ(queue.collect_due(10).size(), 1u);
-  EXPECT_EQ(queue.collect_due(11).size(), 1u);
+  EXPECT_EQ(drain(queue, 10).size(), 1u);
+  EXPECT_EQ(drain(queue, 11).size(), 1u);
 }
 
 }  // namespace

@@ -13,15 +13,13 @@ namespace {
 /// Appends a block with a synthetic (but unique) hash under `parent`.
 BlockIndex append(BlockStore& store, BlockIndex parent, HashValue hash,
                   std::uint64_t round = 1,
-                  MinerClass who = MinerClass::kHonest,
-                  std::string message = "") {
+                  MinerClass who = MinerClass::kHonest) {
   Block b;
   b.hash = hash;
   b.parent_hash = store.block(parent).hash;
   b.round = round;
   b.miner_class = who;
-  b.message = std::move(message);
-  return store.add(std::move(b));
+  return store.add(b);
 }
 
 TEST(BlockStore, StartsWithGenesis) {
@@ -110,19 +108,6 @@ TEST(BlockStore, ChainToGenesisFirst) {
   EXPECT_EQ(chain[0], kGenesisIndex);
   EXPECT_EQ(chain[1], a);
   EXPECT_EQ(chain[2], b);
-}
-
-TEST(BlockStore, ExtractMessagesInChainOrder) {
-  BlockStore store;
-  const BlockIndex a = append(store, kGenesisIndex, 1, 1,
-                              MinerClass::kHonest, "tx-batch-1");
-  const BlockIndex b = append(store, a, 2, 2, MinerClass::kHonest, "");
-  const BlockIndex c =
-      append(store, b, 3, 3, MinerClass::kHonest, "tx-batch-2");
-  const auto messages = store.extract_messages(c);
-  ASSERT_EQ(messages.size(), 2u);  // empty payloads skipped
-  EXPECT_EQ(messages[0], "tx-batch-1");
-  EXPECT_EQ(messages[1], "tx-batch-2");
 }
 
 TEST(BlockStore, IndexOfUnknownHashThrows) {

@@ -3,9 +3,10 @@
 // unobserved run() commits provably-quiet rounds in O(1); attaching any
 // observer — here a no-op one — makes run() step every round.  Both must
 // produce *exactly* the same RunResult for every adversary strategy over
-// every network model.  Engines the fast path must not touch (an attached
-// environment, an adversary that did not opt into the quiet-act contract)
-// are checked to step every round.
+// every network model, and every registry adversary must opt into the
+// quiet-act contract (otherwise both runs would step every round and the
+// identity would hold vacuously).  An adversary that did not opt in is
+// checked to step every round.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include "bounds/zhao.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
-#include "sim/environment.hpp"
 #include "support/crng.hpp"
 #include "support/telemetry.hpp"
 
@@ -152,8 +152,11 @@ TEST_P(QuietSkipEquivalence, SkippingRunMatchesSteppingRunBitForBit) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     EngineConfig config = base_config();
     config.seed = seed;
-    ExecutionEngine skipping(
-        config, make_adversary(cell.network, cell.strategy, config));
+    std::unique_ptr<Adversary> adversary =
+        make_adversary(cell.network, cell.strategy, config);
+    // Without the opt-in the "skipping" run would step every round too.
+    ASSERT_TRUE(adversary->quiet_act_is_noop());
+    ExecutionEngine skipping(config, std::move(adversary));
     ExecutionEngine stepping(
         config, make_adversary(cell.network, cell.strategy, config));
     const RunResult skipped = skipping.run();
@@ -174,37 +177,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// act() calls of one unobserved run of the sparse cell.
-std::uint64_t unobserved_acts(bool quiet_noop, bool with_environment) {
+std::uint64_t unobserved_acts(bool quiet_noop) {
   const EngineConfig config = sparse_config();
   auto adversary = std::make_unique<CountingAdversary>(
       make_adversary("strategy", "private-withhold", config), quiet_noop);
   const std::shared_ptr<std::uint64_t> acts = adversary->acts();
-  std::unique_ptr<Environment> environment;
-  if (with_environment) {
-    environment = std::make_unique<SequentialTransactionEnvironment>();
-  }
-  ExecutionEngine engine(config, std::move(adversary),
-                         std::move(environment));
+  ExecutionEngine engine(config, std::move(adversary));
   (void)engine.run();
   return *acts;
 }
 
 // The probe itself: on the sparse cell an eligible run skips most rounds.
 TEST(QuietSkipEligibility, EligibleRunSkipsRounds) {
-  EXPECT_LT(unobserved_acts(/*quiet_noop=*/true, /*with_environment=*/false),
-            sparse_config().rounds);
-}
-
-// An environment feeds block payloads, so no round is provably quiet.
-TEST(QuietSkipEligibility, EnvironmentAttachedNeverSkips) {
-  EXPECT_EQ(unobserved_acts(/*quiet_noop=*/true, /*with_environment=*/true),
-            sparse_config().rounds);
+  EXPECT_LT(unobserved_acts(/*quiet_noop=*/true), sparse_config().rounds);
 }
 
 // Without the quiet-act opt-in, act() must run in every round.
 TEST(QuietSkipEligibility, AdversaryWithoutQuietContractNeverSkips) {
-  EXPECT_EQ(unobserved_acts(/*quiet_noop=*/false, /*with_environment=*/false),
-            sparse_config().rounds);
+  EXPECT_EQ(unobserved_acts(/*quiet_noop=*/false), sparse_config().rounds);
 }
 
 // The skip shows up in its own counter and nowhere else.  The

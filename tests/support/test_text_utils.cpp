@@ -82,7 +82,7 @@ TEST(CliArgs, ParsesEqualsAndSpaceForms) {
 TEST(CliArgs, DefaultsApply) {
   const char* argv[] = {"prog"};
   CliArgs args(1, argv);
-  EXPECT_EQ(args.get_int("missing", -7), -7);
+  EXPECT_EQ(args.get_uint("missing", 7), 7u);
   EXPECT_EQ(args.get_string("name", "dflt"), "dflt");
   EXPECT_FALSE(args.has("missing"));
 }
@@ -90,14 +90,34 @@ TEST(CliArgs, DefaultsApply) {
 TEST(CliArgs, RejectsUnknownFlag) {
   const char* argv[] = {"prog", "--typo=1"};
   CliArgs args(2, argv);
-  (void)args.get_int("rounds", 0);
+  (void)args.get_uint("rounds", 0);
   EXPECT_THROW(args.reject_unconsumed(), std::runtime_error);
 }
 
 TEST(CliArgs, RejectsMalformedNumber) {
-  const char* argv[] = {"prog", "--x=abc"};
-  CliArgs args(2, argv);
-  EXPECT_THROW((void)args.get_double("x", 0.0), std::runtime_error);
+  // A parsed prefix is not enough: "0.25,0.3" must not run as 0.25.
+  for (const char* text : {"abc", "0.3x", "0.25,0.3"}) {
+    const std::string flag = std::string("--x=") + text;
+    const char* argv[] = {"prog", flag.c_str()};
+    CliArgs args(2, argv);
+    try {
+      (void)args.get_double("x", 0.0);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("expects a number"),
+                std::string::npos)
+          << e.what();
+    }
+    CliArgs opt_args(2, argv);
+    EXPECT_THROW((void)opt_args.get_opt_double("x"), std::runtime_error)
+        << text;
+  }
+  // The exponent forms the example smoke tests pass still parse.
+  const char* argv[] = {"prog", "--n=1e5", "--delta=1e13", "--eps=1e-6"};
+  CliArgs args(4, argv);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 0.0), 1e5);
+  EXPECT_DOUBLE_EQ(args.get_double("delta", 0.0), 1e13);
+  EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 1e-6);
 }
 
 TEST(CliArgs, RejectsNegativeUint) {
