@@ -18,6 +18,7 @@
 #include "support/crng.hpp"
 #include "support/hot.hpp"
 #include "support/invariant.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::net {
 
@@ -28,6 +29,15 @@ struct Delivery {
   protocol::BlockIndex block = 0;
 };
 
+/// A block in flight to the contiguous recipients [lo, hi), all due in
+/// the same round: one calendar entry.
+struct DeliveryRun {
+  std::uint64_t due_round = 0;
+  protocol::BlockIndex block = 0;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+};
+
 /// Round-indexed delivery calendar for all recipients: a flat ring buffer
 /// of per-round buckets.  Δ is small and bounded, so every in-flight
 /// message lives within a narrow window of future rounds — a
@@ -35,11 +45,19 @@ struct Delivery {
 /// per-round drain a contiguous sweep, where any ordered container would
 /// pay comparisons and pointer chasing on the T×n hot path.
 ///
-/// Ordering contract: drain_due emits strictly ascending due rounds, FIFO
-/// (schedule order) within a round.  Determinism therefore depends only
-/// on the schedule() call sequence.  (The previous
-/// binary-heap implementation left within-round order unspecified-but-
-/// deterministic; the calendar pins it to schedule order.)
+/// Entries are runs: schedule(due, recipient, block) extends the due
+/// bucket's last entry when that entry carries the same block and ends
+/// exactly at `recipient`, so a broadcast scheduled in ascending
+/// recipient order with one delay is a single entry (two when the sender
+/// is skipped).  A descending or gapped recipient starts a new entry.
+///
+/// Ordering contract, stated on runs: drain_runs emits strictly ascending
+/// due rounds, FIFO (schedule order of each run's first recipient) within
+/// a round.  Expanding every run in ascending recipient order (what
+/// drain_due does) therefore reproduces the schedule() call sequence
+/// stably sorted by due round — each recipient sees exactly the delivery
+/// sequence an entry-per-(block, recipient) calendar would give it.
+/// Determinism depends only on the schedule() call sequence.
 ///
 /// The window grows on demand: scheduling past the current horizon
 /// re-buckets into a larger power-of-two ring, up to kMaxSpan rounds
@@ -58,17 +76,57 @@ class DeliveryCalendar {
 
   /// Schedules `block` to reach `recipient` at `due_round`, which must
   /// lie less than kMaxSpan rounds past the earliest uncollected round.
+  /// Inline: a broadcast calls this once per recipient, and almost every
+  /// call just extends the run it appended the call before.
   NEATBOUND_HOT void schedule(std::uint64_t due_round,
                               std::uint32_t recipient,
-                              protocol::BlockIndex block);
+                              protocol::BlockIndex block) {
+    schedule(due_round, recipient, recipient + 1, block);
+  }
 
-  /// Pops everything due at or before `round` for all recipients, invoking
-  /// `fn(delivery)` once per (recipient, block) pair in ascending due
-  /// round, schedule order within a round (the ordering contract above).
-  /// Allocates nothing: bucket storage is retained for reuse.  The
-  /// engine's per-round hot path.
+  /// Schedules `block` to reach every recipient in [lo, hi) at
+  /// `due_round`: exactly schedule(due_round, r, block) for r = lo, ...,
+  /// hi − 1 in turn, in O(1).
+  NEATBOUND_HOT void schedule(std::uint64_t due_round, std::uint32_t lo,
+                              std::uint32_t hi, protocol::BlockIndex block) {
+    NEATBOUND_EXPECTS(lo < hi && hi <= recipient_count_,
+                      "recipient out of range");
+    // A message scheduled at or before an already-collected round is
+    // late, not lost: it lands in the next collectable bucket.
+    const std::uint64_t round =
+        due_round > base_round_ ? due_round : base_round_;
+    NEATBOUND_EXPECTS(round - base_round_ < kMaxSpan,
+                      "due round too far past the delivery horizon");
+    if (round - base_round_ >= buckets_.size()) {
+      grow(round - base_round_ + 1);
+    }
+    // Ring capacity: the bucket count must stay a power of two (bucket_at
+    // masks with size-1) and span the scheduled round — anything else and
+    // this append lands in a bucket belonging to a different round.
+    NEATBOUND_INVARIANT(std::has_single_bit(buckets_.size()),
+                        "calendar ring size must be a power of two");
+    NEATBOUND_INVARIANT(round - base_round_ < buckets_.size(),
+                        "scheduled round outside the grown ring span");
+    auto& bucket = bucket_at(round);
+    if (!bucket.empty() && bucket.back().block == block &&
+        bucket.back().hi == lo) {
+      bucket.back().hi = hi;
+      return;
+    }
+    // neatbound-analyze: allow(hot-alloc) — O(1) amortized append into a
+    // ring bucket whose capacity is retained across rounds (cleared, never
+    // shrunk), so steady-state scheduling allocates nothing.
+    bucket.push_back(Entry{block, lo, hi});
+    ++pending_;
+    NEATBOUND_COUNT(kCalendarScheduled);
+  }
+
+  /// Pops every run due at or before `round`, invoking `fn(run)` once per
+  /// run in ascending due round, schedule order within a round (the
+  /// ordering contract above).  Allocates nothing: bucket storage is
+  /// retained for reuse.  The engine's per-round hot path.
   template <typename Fn>
-  NEATBOUND_HOT void drain_due(std::uint64_t round, Fn&& fn) {
+  NEATBOUND_HOT void drain_runs(std::uint64_t round, Fn&& fn) {
     // bucket_at masks with size-1: a non-power-of-two ring would map
     // rounds onto the wrong buckets and deliveries would silently swap
     // rounds.
@@ -80,13 +138,17 @@ class DeliveryCalendar {
     }
     while (base_round_ <= round) {
       // Re-fetch the bucket every step: schedule() during the callback
-      // may append to this very bucket (same-round delivery) or grow the
-      // ring (reallocating buckets_); index-based access stays valid
-      // through both.
+      // may append to this very bucket (same-round delivery), extend the
+      // run being emitted, or grow the ring (reallocating buckets_);
+      // index-based access stays valid through all three.
       for (std::size_t i = 0; i < bucket_at(base_round_).size(); ++i) {
-        const Pending p = bucket_at(base_round_)[i];
+        std::uint32_t lo = bucket_at(base_round_)[i].lo;
+        while (lo < bucket_at(base_round_)[i].hi) {
+          const Entry e = bucket_at(base_round_)[i];
+          fn(DeliveryRun{base_round_, e.block, lo, e.hi});
+          lo = e.hi;
+        }
         --pending_;
-        fn(Delivery{base_round_, p.recipient, p.block});
       }
       bucket_at(base_round_).clear();
       ++base_round_;
@@ -97,14 +159,28 @@ class DeliveryCalendar {
     }
   }
 
+  /// drain_runs expanded per recipient: `fn(delivery)` once per
+  /// (recipient, block) pair, each run in ascending recipient order.
+  // neatbound-analyze: allow(contract-coverage) — a pure expansion of
+  // drain_runs, which checks the ring invariant itself.
+  template <typename Fn>
+  void drain_due(std::uint64_t round, Fn&& fn) {
+    drain_runs(round, [&fn](const DeliveryRun& run) {
+      for (std::uint32_t r = run.lo; r < run.hi; ++r) {
+        fn(Delivery{run.due_round, r, run.block});
+      }
+    });
+  }
+
+  /// Runs (calendar entries) scheduled and not yet drained.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// True iff anything is due at or before `round`.  Advances past empty
-  /// buckets exactly as drain_due would, so interleaving has_due with
-  /// drain_due keeps the ring state identical to calling drain_due alone
-  /// — the engine's quiet-round check relies on that equivalence.
+  /// buckets exactly as drain_runs would, so interleaving has_due with
+  /// drain_runs keeps the ring state identical to calling drain_runs
+  /// alone — the engine's quiet-round check relies on that equivalence.
   // neatbound-analyze: allow(hot-hygiene) — mutating by design: the whole
-  // point is to advance base_round_ exactly as drain_due would.
+  // point is to advance base_round_ exactly as drain_runs would.
   [[nodiscard]] NEATBOUND_HOT bool has_due(std::uint64_t round) noexcept {
     NEATBOUND_INVARIANT(std::has_single_bit(buckets_.size()),
                         "calendar ring size must be a power of two");
@@ -142,12 +218,14 @@ class DeliveryCalendar {
   }
 
  private:
-  struct Pending {
-    std::uint32_t recipient = 0;
+  /// A run without its due round (the bucket holds that).
+  struct Entry {
     protocol::BlockIndex block = 0;
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
   };
 
-  [[nodiscard]] std::vector<Pending>& bucket_at(std::uint64_t round) {
+  [[nodiscard]] std::vector<Entry>& bucket_at(std::uint64_t round) {
     return buckets_[round & (buckets_.size() - 1)];
   }
   /// Re-buckets into a ring spanning at least `span` rounds.
@@ -155,9 +233,9 @@ class DeliveryCalendar {
 
   std::uint32_t recipient_count_;
   std::uint64_t base_round_ = 0;  ///< earliest round not yet collected
-  std::size_t pending_ = 0;
+  std::size_t pending_ = 0;       ///< entries (runs) not yet drained
   /// Power-of-two bucket count; bucket for round r is r mod size.
-  std::vector<std::vector<Pending>> buckets_;
+  std::vector<std::vector<Entry>> buckets_;
 };
 
 /// Chooses per-(message, recipient) delays, within [1, Δ].

@@ -43,14 +43,14 @@ BlockIndex BlockStore::add(Block block) {
   const auto parent_it = by_hash_.find(block.parent_hash);
   NEATBOUND_EXPECTS(parent_it != by_hash_.end(),
                     "parent block must exist before its child");
-  NEATBOUND_EXPECTS(by_hash_.find(block.hash) == by_hash_.end(),
-                    "duplicate block hash (oracle collision)");
   const BlockIndex parent = parent_it->second;
   const std::uint32_t height = height_[parent] + 1;
   NEATBOUND_EXPECTS(block.round >= round_[parent],
                     "child round must not precede parent round");
   const auto index = static_cast<BlockIndex>(hash_.size());
-  by_hash_.emplace(block.hash, index);
+  // One hash lookup both rejects a duplicate and indexes the new block.
+  const bool fresh = by_hash_.try_emplace(block.hash, index).second;
+  NEATBOUND_EXPECTS(fresh, "duplicate block hash (oracle collision)");
 
   hash_.push_back(block.hash);
   parent_hash_.push_back(block.parent_hash);

@@ -46,6 +46,13 @@ class AdversaryOps {
   /// budget is exhausted.
   virtual std::optional<protocol::BlockIndex> mine_on(
       protocol::BlockIndex parent) = 0;
+  /// Spends `k` ≤ remaining_queries() queries extending a private chain
+  /// from `parent`: each success is mined on the previous one.  Returns
+  /// the new blocks in mining order (empty when every query failed),
+  /// valid until the next mine_run call.  Identical to k mine_on calls
+  /// that each extend the latest success, at the same query addresses.
+  virtual std::span<const protocol::BlockIndex> mine_run(
+      protocol::BlockIndex parent, std::uint64_t k) = 0;
 
   // --- publication ---
   /// Sends `block` to one honest recipient with the given delay ∈ [1, Δ].

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "chains/convergence.hpp"
 #include "protocol/mining.hpp"
@@ -85,10 +86,63 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     const std::uint64_t query = budget_ - remaining_;  // index within round
     --remaining_;
     // Success is decided by the addressable Bernoulli field at flat
-    // position (round−1)·budget + query; block draws are keyed by
-    // (round, query) so they are independent of every other success.
-    const std::uint64_t pos = (round_ - 1) * budget_ + query;
-    if (!engine_.adversary_gaps_.contains_take(pos)) return std::nullopt;
+    // position (round−1)·budget + query.
+    if (!engine_.adversary_gaps_.contains_take(base() + query)) {
+      return std::nullopt;
+    }
+    return mint(query, parent);
+  }
+
+  std::span<const protocol::BlockIndex> mine_run(
+      protocol::BlockIndex parent, std::uint64_t k) override {
+    NEATBOUND_EXPECTS(k <= remaining_, "adversary query budget exhausted");
+    const std::uint64_t first = budget_ - remaining_;
+    remaining_ -= k;
+    // One walk of the success field over the k positions, instead of k
+    // membership tests: the cursor names each success directly.
+    GapCursor& gaps = engine_.adversary_gaps_;
+    gaps.advance_to(base() + first);
+    auto& mined = engine_.mined_run_;
+    mined.clear();
+    while (gaps.peek() < base() + first + k) {
+      parent = mint(gaps.take() - base(), parent);
+      // neatbound-analyze: allow(hot-alloc) — reused scratch: capacity
+      // settles at the largest per-round success count.
+      mined.push_back(parent);
+    }
+    return mined;
+  }
+
+  void publish_to(std::uint32_t recipient, protocol::BlockIndex block,
+                  std::uint64_t delay) override {
+    NEATBOUND_EXPECTS(recipient < engine_.honest_count_,
+                      "recipient out of range");
+    NEATBOUND_EXPECTS(block < engine_.store_.size(),
+                      "published block does not exist");
+    const std::uint64_t d = engine_.clamp_delay(delay);
+    engine_.calendar_.schedule(round_ + d, recipient, block);
+    engine_.schedule_echo(round_ + d, block);
+  }
+
+  void publish_to_all(protocol::BlockIndex block,
+                      std::uint64_t delay) override {
+    NEATBOUND_EXPECTS(block < engine_.store_.size(),
+                      "published block does not exist");
+    const std::uint64_t d = engine_.clamp_delay(delay);
+    engine_.calendar_.schedule(round_ + d, 0, engine_.honest_count_, block);
+    engine_.schedule_echo(round_ + d, block);
+  }
+
+ private:
+  /// First flat success-field position of this round.
+  [[nodiscard]] std::uint64_t base() const noexcept {
+    return (round_ - 1) * budget_;
+  }
+
+  /// Stores the adversary block of successful query `query` on `parent`.
+  /// Block draws are keyed by (round, query), so they are independent of
+  /// every other success.
+  protocol::BlockIndex mint(std::uint64_t query, protocol::BlockIndex parent) {
     const crng::Block draws = crng::philox4x64(
         {round_, query, purpose_of(crng::Purpose::kAdversaryBlock), 0},
         engine_.key_);
@@ -102,24 +156,6 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     ++engine_.round_activity_.adversary_mined;
     NEATBOUND_COUNT(kAdversaryBlocksMined);
     return engine_.store_.add(std::move(block));
-  }
-
-  void publish_to(std::uint32_t recipient, protocol::BlockIndex block,
-                  std::uint64_t delay) override {
-    NEATBOUND_EXPECTS(recipient < engine_.honest_count_,
-                      "recipient out of range");
-    const std::uint64_t d = engine_.clamp_delay(delay);
-    engine_.calendar_.schedule(round_ + d, recipient, block);
-    engine_.schedule_echo(round_ + d, block);
-  }
-
-  void publish_to_all(protocol::BlockIndex block,
-                      std::uint64_t delay) override {
-    const std::uint64_t d = engine_.clamp_delay(delay);
-    for (std::uint32_t r = 0; r < engine_.honest_count_; ++r) {
-      engine_.calendar_.schedule(round_ + d, r, block);
-    }
-    engine_.schedule_echo(round_ + d, block);
   }
 
  private:
@@ -149,7 +185,17 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   // sim/adversary.hpp).
   quiet_eligible_ =
       adversary_queries_ == 0 || adversary_->quiet_act_is_noop();
-  views_.resize(honest_count_);
+  // Every view starts as genesis-only: one class holding them all.  The
+  // slot vector never outgrows honest_count_ (each live class has a
+  // member), so reserving it keeps ViewClass references stable.
+  classes_.reserve(honest_count_);
+  classes_.emplace_back();
+  classes_[0].members.resize(honest_count_);
+  for (std::uint32_t v = 0; v < honest_count_; ++v) {
+    classes_[0].members[v] = v;
+  }
+  live_.push_back(0);
+  class_of_.assign(honest_count_, 0);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
@@ -160,21 +206,22 @@ ExecutionEngine::~ExecutionEngine() = default;
 
 protocol::BlockIndex ExecutionEngine::honest_tip(std::uint32_t miner) const {
   NEATBOUND_EXPECTS(miner < honest_count_, "miner id out of range");
-  return views_[miner].tip();
+  return classes_[class_of_[miner]].view.tip();
 }
 
 protocol::BlockIndex ExecutionEngine::best_honest_tip() const {
   return best_tip_;
 }
 
-void ExecutionEngine::note_adoption(std::uint32_t miner) {
-  const protocol::BlockIndex tip = views_[miner].tip();
-  tips_scratch_[miner] = tip;
-  const std::uint64_t height = views_[miner].tip_height();
-  if (height > best_height_ ||
-      (height == best_height_ && miner < best_view_)) {
+void ExecutionEngine::note_adoption(std::uint32_t c) {
+  const ViewClass& vc = classes_[c];
+  const protocol::BlockIndex tip = vc.view.tip();
+  for (const std::uint32_t m : vc.members) tips_scratch_[m] = tip;
+  const std::uint64_t height = vc.view.tip_height();
+  const std::uint32_t lead = vc.members.front();
+  if (height > best_height_ || (height == best_height_ && lead < best_view_)) {
     best_height_ = height;
-    best_view_ = miner;
+    best_view_ = lead;
     best_tip_ = tip;
   }
   // The incremental best-tip triple is what the adversary and the metrics
@@ -190,6 +237,38 @@ void ExecutionEngine::note_adoption(std::uint32_t miner) {
                       "best-tip cache fell behind a fresh adoption");
 }
 
+void ExecutionEngine::record_delivery(std::uint32_t c,
+                                      const AdoptionEvent& event,
+                                      std::uint32_t count) {
+  if (event.duplicate) {
+    NEATBOUND_COUNT_ADD(kDuplicateDeliveries, count);
+    return;
+  }
+  classes_[c].changed = true;
+  NEATBOUND_COUNT_ADD(kOrphansBuffered,
+                      std::uint64_t{event.orphans_buffered} * count);
+  NEATBOUND_COUNT_ADD(kOrphansActivated,
+                      std::uint64_t{event.orphans_activated} * count);
+  if (!event.adopted) return;
+  round_activity_.adoptions += count;
+  NEATBOUND_COUNT_ADD(kAdoptions, count);
+  note_adoption(c);
+  if (event.reorg_depth == 0) return;
+  NEATBOUND_COUNT_ADD(kReorgs, count);
+  consistency_.observe_reorg(event.reorg_depth);
+  // The first view, in (delivery, ascending recipient) order, to reach
+  // the round's deepest reorg: classes of one run compare first members.
+  const std::uint32_t lead = classes_[c].members.front();
+  if (event.reorg_depth > round_activity_.max_reorg_depth ||
+      (event.reorg_depth == round_activity_.max_reorg_depth &&
+       delivery_serial_ == max_reorg_serial_ &&
+       lead < round_activity_.max_reorg_view)) {
+    round_activity_.max_reorg_depth = event.reorg_depth;
+    round_activity_.max_reorg_view = lead;
+    max_reorg_serial_ = delivery_serial_;
+  }
+}
+
 std::uint64_t ExecutionEngine::clamp_delay(std::uint64_t d) const noexcept {
   return std::clamp<std::uint64_t>(d, 1, config_.delta);
 }
@@ -201,30 +280,137 @@ void ExecutionEngine::schedule_echo(std::uint64_t first_receipt_round,
   if (echoed_.size() <= block) echoed_.resize(block + 1, false);
   if (echoed_[block]) return;
   echoed_[block] = true;
-  for (std::uint32_t r = 0; r < honest_count_; ++r) {
-    calendar_.schedule(first_receipt_round + config_.delta, r, block);
-  }
+  calendar_.schedule(first_receipt_round + config_.delta, 0, honest_count_,
+                     block);
 }
 
 void ExecutionEngine::deliver_due(std::uint64_t round) {
-  calendar_.drain_due(round, [this](const net::Delivery& d) {
-    ++round_activity_.delivered;
-    NEATBOUND_COUNT(kDeliveries);
-    const AdoptionEvent event = views_[d.recipient].deliver(d.block, store_);
-    if (event.adopted) {
-      ++round_activity_.adoptions;
-      NEATBOUND_COUNT(kAdoptions);
-      if (event.reorg_depth > 0) NEATBOUND_COUNT(kReorgs);
-      note_adoption(d.recipient);
-      if (event.reorg_depth > 0) {
-        consistency_.observe_reorg(event.reorg_depth);
-        if (event.reorg_depth > round_activity_.max_reorg_depth) {
-          round_activity_.max_reorg_depth = event.reorg_depth;
-          round_activity_.max_reorg_view = d.recipient;
-        }
+  calendar_.drain_runs(round, [this](const net::DeliveryRun& run) {
+    if (!group_.empty() &&
+        (run.block != group_block_ || run.lo < group_.back().hi)) {
+      deliver_group();
+    }
+    group_block_ = run.block;
+    // neatbound-analyze: allow(hot-alloc) — reused scratch: capacity
+    // settles at the longest group.
+    group_.push_back({run.lo, run.hi});
+  });
+  if (!group_.empty()) deliver_group();
+  merge_classes();
+}
+
+void ExecutionEngine::deliver_group() {
+  ++delivery_serial_;
+  const protocol::BlockIndex block = group_block_;
+  // Classes split off below are appended to live_ and already served.
+  const std::size_t live = live_.size();
+  for (std::size_t i = 0; i < live; ++i) {
+    std::uint32_t c = live_[i];
+    const auto& members = classes_[c].members;
+    std::size_t count = members.size();
+    if (group_.size() != 1 || members.front() < group_[0].lo ||
+        members.back() >= group_[0].hi) {
+      count = 0;
+      auto from = members.begin();
+      for (const RecipientRange& r : group_) {
+        from = std::lower_bound(from, members.end(), r.lo);
+        const auto to = std::lower_bound(from, members.end(), r.hi);
+        count += static_cast<std::size_t>(to - from);
+        from = to;
+      }
+      if (count == 0) continue;
+      // Only a delivery that changes the view needs its own copy; a
+      // duplicate is a no-op for the whole class.
+      if (count < members.size() && classes_[c].view.accepts(block, store_)) {
+        c = split_class(c, group_);
       }
     }
-  });
+    const auto n = static_cast<std::uint32_t>(count);
+    round_activity_.delivered += n;
+    NEATBOUND_COUNT_ADD(kDeliveries, n);
+    record_delivery(c, classes_[c].view.deliver(block, store_), n);
+  }
+  group_.clear();
+}
+
+std::uint32_t ExecutionEngine::split_class(
+    std::uint32_t c, std::span<const RecipientRange> covered) {
+  std::uint32_t s = 0;
+  if (free_.empty()) {
+    s = static_cast<std::uint32_t>(classes_.size());
+    // neatbound-analyze: allow(hot-alloc) — within the capacity reserved
+    // in the constructor; a slot's storage is reused once freed.
+    classes_.emplace_back();
+  } else {
+    s = free_.back();
+    free_.pop_back();
+  }
+  ViewClass& from = classes_[c];
+  ViewClass& to = classes_[s];
+  // Copy-assignment reuses the freed slot's capacity.
+  to.view = from.view;
+  to.changed = from.changed;
+  to.members.clear();
+  merged_members_.clear();
+  // One merge-walk: members and ranges are both ascending.
+  std::size_t k = 0;
+  for (const std::uint32_t m : from.members) {
+    while (k < covered.size() && covered[k].hi <= m) ++k;
+    const bool inside = k < covered.size() && covered[k].lo <= m;
+    // neatbound-analyze: allow(hot-alloc) — member lists reuse slot and
+    // scratch capacity (≤ honest_count_).
+    (inside ? to.members : merged_members_).push_back(m);
+  }
+  from.members.swap(merged_members_);
+  for (const std::uint32_t m : to.members) class_of_[m] = s;
+  // neatbound-analyze: allow(hot-alloc) — capacity settles at the class
+  // maximum (≤ honest_count_).
+  live_.push_back(s);
+  return s;
+}
+
+void ExecutionEngine::merge_classes() {
+  if (live_.size() < 2) {
+    if (!live_.empty()) classes_[live_[0]].changed = false;
+    return;
+  }
+  merge_worklist_.clear();
+  for (const std::uint32_t c : live_) {
+    if (!classes_[c].changed) continue;
+    classes_[c].changed = false;
+    // neatbound-analyze: allow(hot-alloc) — reused scratch (≤ live classes).
+    merge_worklist_.push_back(c);
+  }
+  // Classes that did not change were pairwise distinct after the last
+  // pass and still are, so only a changed class can have a twin.
+  for (const std::uint32_t a : merge_worklist_) {
+    if (classes_[a].members.empty()) continue;  // already absorbed
+    for (std::size_t j = 0; j < live_.size(); ++j) {
+      const std::uint32_t b = live_[j];
+      if (b == a || classes_[a].view.tip() != classes_[b].view.tip() ||
+          !classes_[a].view.same_state(classes_[b].view)) {
+        continue;
+      }
+      // The larger class survives; the smaller one's members move over.
+      const bool keep_a = classes_[a].members.size() >= classes_[b].members.size();
+      const std::uint32_t keep = keep_a ? a : b;
+      const std::uint32_t gone = keep_a ? b : a;
+      auto& kept = classes_[keep].members;
+      auto& moved = classes_[gone].members;
+      merged_members_.clear();
+      // neatbound-analyze: allow(hot-alloc) — reused scratch, swapped
+      // with the survivor's list, so capacities circulate.
+      std::merge(kept.begin(), kept.end(), moved.begin(), moved.end(),
+                 std::back_inserter(merged_members_));
+      kept.swap(merged_members_);
+      for (const std::uint32_t m : moved) class_of_[m] = keep;
+      moved.clear();
+      live_.erase(std::find(live_.begin(), live_.end(), gone));
+      // neatbound-analyze: allow(hot-alloc) — capacity ≤ honest_count_.
+      free_.push_back(gone);
+      break;
+    }
+  }
 }
 
 void ExecutionEngine::broadcast_honest(std::uint64_t round,
@@ -232,11 +418,27 @@ void ExecutionEngine::broadcast_honest(std::uint64_t round,
                                        protocol::BlockIndex block) {
   // Scoped per mined block (rare: n·p per round), not per recipient.
   NEATBOUND_PHASE_SCOPE(kSchedule);
+  // Recipients with one delay in a row form one calendar run; scheduling
+  // each run once gives exactly the entries per-recipient calls would
+  // (the calendar coalesces those the same way) at a fraction of the cost.
+  std::uint32_t lo = 0;
+  std::uint64_t run_delay = 0;
   for (std::uint32_t r = 0; r < honest_count_; ++r) {
-    if (r == sender) continue;
+    if (r == sender) {
+      if (lo < r) calendar_.schedule(round + run_delay, lo, r, block);
+      lo = r + 1;
+      continue;
+    }
     const std::uint64_t d =
         clamp_delay(adversary_->honest_delay(round, sender, r, block));
-    calendar_.schedule(round + d, r, block);
+    if (d != run_delay && lo < r) {
+      calendar_.schedule(round + run_delay, lo, r, block);
+      lo = r;
+    }
+    run_delay = d;
+  }
+  if (lo < honest_count_) {
+    calendar_.schedule(round + run_delay, lo, honest_count_, block);
   }
   // The sender itself received the block at `round`; gossip echo from that
   // first receipt (a no-op here since every recipient is already
@@ -258,21 +460,16 @@ void ExecutionEngine::register_honest_block(std::uint64_t round,
   // honest_count_ in the constructor; this append never reallocates.
   round_miners_.push_back(miner);
   NEATBOUND_COUNT(kHonestBlocksMined);
-  // The miner adopts its own block immediately (it extends its tip).
-  const AdoptionEvent event = views_[miner].deliver(index, store_);
-  if (event.adopted) {
-    ++round_activity_.adoptions;
-    NEATBOUND_COUNT(kAdoptions);
-    if (event.reorg_depth > 0) NEATBOUND_COUNT(kReorgs);
-    note_adoption(miner);
-    if (event.reorg_depth > 0) {
-      consistency_.observe_reorg(event.reorg_depth);
-      if (event.reorg_depth > round_activity_.max_reorg_depth) {
-        round_activity_.max_reorg_depth = event.reorg_depth;
-        round_activity_.max_reorg_view = miner;
-      }
-    }
+  // The miner adopts its own block immediately (it extends its tip), which
+  // sets its view apart from the rest of its class.
+  std::uint32_t c = class_of_[miner];
+  const auto& members = classes_[c].members;
+  if (members.size() > 1) {
+    const RecipientRange self{miner, miner + 1};
+    c = split_class(c, {&self, 1});
   }
+  ++delivery_serial_;
+  record_delivery(c, classes_[c].view.deliver(index, store_), 1);
   adversary_->on_honest_block(round, index);
   broadcast_honest(round, miner, index);
 }
@@ -328,7 +525,13 @@ void ExecutionEngine::step_round(std::uint64_t round,
   }
   {
     NEATBOUND_PHASE_SCOPE(kMetrics);
-    consistency_.observe_round(tips_scratch_, store_);
+    class_tips_.clear();
+    for (const std::uint32_t c : live_) {
+      // neatbound-analyze: allow(hot-alloc) — reused scratch (≤ live
+      // classes).
+      class_tips_.push_back(classes_[c].view.tip());
+    }
+    consistency_.observe_round(class_tips_, store_);
   }
   if (observer) observer(*this, round);
 }

@@ -16,6 +16,23 @@
 // r₀ + Δ.  This models honest re-broadcast, whose messages the adversary
 // can again delay by at most Δ — without it, "delay ≤ Δ" would be
 // meaningless for adversary-mined blocks sent to a single victim.
+//
+// View classes: honest views with the same known set, tip and orphan
+// buffer share one MinerView and a member list.  Every honest block
+// reaches every honest player within Δ, so views differ only by blocks
+// still in flight, and n views collapse to a handful of classes.  The
+// calendar holds runs — (block, recipients [lo, hi)) — and a run that
+// covers a whole class is one deliver() call; a run that covers part of
+// a class the block would change splits it, copying the view for the
+// covered side; an honest miner's own block splits that miner off.
+// After each round's deliveries, a changed class merges with any class
+// in the same state (MinerView::same_state).  Per-view meaning is kept
+// exactly: honest_tips() holds every view's tip, the best-tip tie rule
+// names the lowest-indexed view, max_reorg_view names the first view in
+// (run, ascending recipient) order, and the per-view counters add the
+// class size.  Only calendar_scheduled (runs, not messages) and
+// ancestry_queries (one longest-chain compare per class) read lower than
+// an engine with one MinerView per player would report.
 #pragma once
 
 #include <cstdint>
@@ -154,6 +171,10 @@ class ExecutionEngine {
   [[nodiscard]] std::uint64_t best_height() const noexcept {
     return best_height_;
   }
+  /// Number of distinct honest view classes right now (diagnostic).
+  [[nodiscard]] std::size_t view_class_count() const noexcept {
+    return live_.size();
+  }
   /// Running max consistency-violation depth observed so far.
   [[nodiscard]] std::uint64_t violation_depth() const noexcept {
     return consistency_.violation_depth();
@@ -183,7 +204,38 @@ class ExecutionEngine {
   /// Assembles the RunResult after the final round.
   [[nodiscard]] RunResult finish_run();
 
+  /// Honest views sharing one state (see file comment).
+  struct ViewClass {
+    MinerView view;
+    std::vector<std::uint32_t> members;  ///< ascending honest view ids
+    bool changed = false;  ///< changed since the last merge pass
+  };
+
+  /// Recipients [lo, hi).
+  struct RecipientRange {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
+
   NEATBOUND_HOT void deliver_due(std::uint64_t round);
+  /// Delivers group_block_ to the recipients in group_ — consecutive
+  /// calendar runs of one block over ascending, disjoint ranges, such as
+  /// the two halves of a broadcast around its sender — then clears the
+  /// group.  Each covered view receives the block once and at the same
+  /// point of its delivery sequence as run-by-run delivery would give it,
+  /// but a class covered by the union needs no split.
+  NEATBOUND_HOT void deliver_group();
+  /// Moves the members of class `c` inside `covered` (ascending, disjoint)
+  /// into a new class holding a copy of its view; returns the new class.
+  NEATBOUND_HOT std::uint32_t split_class(
+      std::uint32_t c, std::span<const RecipientRange> covered);
+  /// Merges every class changed this round into an equal-state class.
+  NEATBOUND_HOT void merge_classes();
+  /// Applies `event` — a delivery to class `c` standing for `count`
+  /// per-view deliveries — to the counters, tips and reorg tracking.
+  NEATBOUND_HOT void record_delivery(std::uint32_t c,
+                                     const AdoptionEvent& event,
+                                     std::uint32_t count);
   NEATBOUND_HOT void honest_mining_phase(std::uint64_t round);
   NEATBOUND_HOT void broadcast_honest(std::uint64_t round,
                                       std::uint32_t sender,
@@ -193,12 +245,13 @@ class ExecutionEngine {
                                    protocol::BlockIndex block);
   [[nodiscard]] NEATBOUND_HOT std::uint64_t clamp_delay(
       std::uint64_t d) const noexcept;
-  /// Records that view `miner` adopted a new tip: refreshes the dense tip
-  /// snapshot and the running best-tip maximum, so honest_tips() and
-  /// best_honest_tip() are O(1) reads instead of per-query view scans.
-  /// The tie rule (strictly greater height, or equal height from a
-  /// lower-indexed view) reproduces the old lowest-index-wins scan.
-  NEATBOUND_HOT void note_adoption(std::uint32_t miner);
+  /// Records that class `c` adopted a new tip: refreshes its members'
+  /// entries of the dense tip snapshot and the running best-tip maximum,
+  /// so honest_tips() and best_honest_tip() are O(1) reads instead of
+  /// per-query view scans.  The tie rule (strictly greater height, or
+  /// equal height from a lower-indexed view — the class's first member)
+  /// reproduces the old lowest-index-wins scan.
+  NEATBOUND_HOT void note_adoption(std::uint32_t c);
 
   /// Stamps metadata on a freshly mined honest block, stores it, updates
   /// views/metrics and broadcasts it.
@@ -212,7 +265,13 @@ class ExecutionEngine {
   protocol::RandomOracle oracle_;
   protocol::BlockStore store_;
   net::DeliveryCalendar calendar_;
-  std::vector<MinerView> views_;
+  /// Class slots (capacity honest_count_, so references stay valid);
+  /// live_ lists the slots in use, free_ the reusable ones, and
+  /// class_of_ maps each honest view to its slot.
+  std::vector<ViewClass> classes_;
+  std::vector<std::uint32_t> live_;
+  std::vector<std::uint32_t> free_;
+  std::vector<std::uint32_t> class_of_;
   std::unique_ptr<Adversary> adversary_;
   /// The run key plus cursors over the honest and adversary Bernoulli
   /// success fields.
@@ -228,6 +287,21 @@ class ExecutionEngine {
   /// Current tip of every honest view, maintained incrementally on each
   /// adoption (never rescanned).
   std::vector<protocol::BlockIndex> tips_scratch_;
+  /// One tip per live class: what the consistency tracker observes.
+  std::vector<protocol::BlockIndex> class_tips_;
+  /// The delivery group being collected from the calendar drain.
+  std::vector<RecipientRange> group_;
+  protocol::BlockIndex group_block_ = protocol::kGenesisIndex;
+  /// Reused scratch: rebuilt member lists and the merge pass's worklist.
+  std::vector<std::uint32_t> merged_members_;
+  std::vector<std::uint32_t> merge_worklist_;
+  /// Blocks of the adversary's latest mine_run.
+  std::vector<protocol::BlockIndex> mined_run_;
+  /// Serial of the delivery being applied (a run or a miner's own
+  /// block), and of the one that set round_activity_.max_reorg_depth:
+  /// classes of one run tie-break on their first member.
+  std::uint64_t delivery_serial_ = 0;
+  std::uint64_t max_reorg_serial_ = 0;
   // Running maximum over tips_scratch_ (see note_adoption).
   protocol::BlockIndex best_tip_ = protocol::kGenesisIndex;
   std::uint64_t best_height_ = 0;

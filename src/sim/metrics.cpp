@@ -13,25 +13,31 @@ void ConsistencyTracker::observe_round(
     const protocol::BlockStore& store) {
   // Deduplicate tips first: miners overwhelmingly share views, so the
   // pairwise pass below runs on a handful of distinct values.  The dedup
-  // is a single epoch-stamped pass (first-occurrence order), not a sort —
-  // the pairwise maximum below is order-independent.
+  // is a single epoch-stamped pass, not a sort — the pairwise maximum
+  // below is order-independent.  Tips already observed in the previous
+  // call go first: a pair of two such tips was measured then (the
+  // divergence of two blocks never changes), so only pairs with a fresh
+  // tip can raise the maximum.
   ++epoch_;
   scratch_.clear();
+  std::size_t kept = 0;  // scratch_[0, kept) were tips last call too
   for (const protocol::BlockIndex tip : tips) {
     // neatbound-analyze: allow(hot-alloc) — lazy stamp-array growth,
     // amortized O(1) per block ever mined (not per round).
     if (tip_epoch_.size() <= tip) tip_epoch_.resize(tip + 1, 0);
     if (tip_epoch_[tip] == epoch_) continue;
+    const bool seen_last_call = tip_epoch_[tip] == epoch_ - 1;
     tip_epoch_[tip] = epoch_;
     // neatbound-analyze: allow(hot-alloc) — reused scratch: cleared, not
     // freed, each round, so capacity settles at the distinct-tip maximum.
     scratch_.push_back(tip);
+    if (seen_last_call) std::swap(scratch_[kept++], scratch_.back());
   }
   last_round_disagreed_ = scratch_.size() >= 2;
   if (scratch_.size() < 2) return;
   ++disagreement_rounds_;
   for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    for (std::size_t j = i + 1; j < scratch_.size(); ++j) {
+    for (std::size_t j = std::max(i + 1, kept); j < scratch_.size(); ++j) {
       const std::uint64_t common =
           store.common_prefix_height(scratch_[i], scratch_[j]);
       const std::uint64_t deeper = std::max(store.height_of(scratch_[i]),

@@ -66,11 +66,13 @@ class ConsistencyTracker {
   /// Distinct tips of the round under observation (reused scratch).
   std::vector<protocol::BlockIndex> scratch_;
   /// Epoch-stamped dedup: tip_epoch_[b] == epoch_ iff block b was already
-  /// seen as a tip this round.  One flat array reused every round — no
-  /// per-round sort and no clearing (bumping the epoch invalidates all
-  /// stale stamps at once).
+  /// seen as a tip this round, and == epoch_ − 1 iff it was a tip in the
+  /// previous call.  One flat array reused every round — no per-round
+  /// sort and no clearing (bumping the epoch invalidates all stale stamps
+  /// at once).  Starting at 1 keeps the zero-filled stamps from reading as
+  /// "seen last call" on the first call.
   std::vector<std::uint64_t> tip_epoch_;
-  std::uint64_t epoch_ = 0;
+  std::uint64_t epoch_ = 1;
 };
 
 /// Growth and quality of the final best honest chain.

@@ -2,13 +2,43 @@
 
 #include <algorithm>
 
-#include "support/contracts.hpp"
+#include "support/crng.hpp"
 #include "support/invariant.hpp"
 
 namespace neatbound::sim {
 
+namespace {
+/// Orphans are ordered by the parent they wait for.
+struct ByParent {
+  template <typename Orphan>
+  bool operator()(const Orphan& o, protocol::BlockIndex parent) const {
+    return o.parent < parent;
+  }
+  template <typename Orphan>
+  bool operator()(protocol::BlockIndex parent, const Orphan& o) const {
+    return parent < o.parent;
+  }
+};
+}  // namespace
+
 MinerView::MinerView() : tip_(protocol::kGenesisIndex) {
-  known_.resize(1, true);  // genesis
+  known_.assign(1, std::uint64_t{1} << protocol::kGenesisIndex);
+  fingerprint_ = mix64(protocol::kGenesisIndex);
+}
+
+bool MinerView::accepts(protocol::BlockIndex block,
+                        const protocol::BlockStore& store) const {
+  if (knows(block)) return false;
+  if (orphans_.empty()) return true;
+  const auto [first, last] = std::equal_range(
+      orphans_.begin(), orphans_.end(), store.parent_of(block), ByParent{});
+  return std::none_of(first, last,
+                      [block](const Orphan& o) { return o.block == block; });
+}
+
+bool MinerView::same_state(const MinerView& other) const noexcept {
+  return tip_ == other.tip_ && orphans_.empty() && other.orphans_.empty() &&
+         fingerprint_ == other.fingerprint_ && known_ == other.known_;
 }
 
 void MinerView::deliver_fresh(protocol::BlockIndex block,
@@ -16,38 +46,27 @@ void MinerView::deliver_fresh(protocol::BlockIndex block,
                               AdoptionEvent& event) {
   const protocol::BlockIndex parent = store.parent_of(block);
   if (!knows(parent)) {
-    buffer_orphan(parent, block);
+    buffer_orphan(parent, block, event);
     return;
   }
   activate_ready(block, store, event);
 }
 
 void MinerView::buffer_orphan(protocol::BlockIndex parent,
-                              protocol::BlockIndex block) {
-  const std::size_t needed = std::max(parent, block) + std::size_t{1};
-  if (waiting_first_.size() < needed) {
-    // Lazy orphan-table growth: only out-of-order (adversarial) delivery
-    // reaches this, and the resizes amortize over block indices.
-    waiting_first_.resize(needed, kNoWaiting);  // neatbound-analyze: allow(hot-alloc)
-    waiting_next_.resize(needed, kNoWaiting);   // neatbound-analyze: allow(hot-alloc)
-    buffered_.resize(needed, false);            // neatbound-analyze: allow(hot-alloc)
+                              protocol::BlockIndex block,
+                              AdoptionEvent& event) {
+  const auto [first, last] =
+      std::equal_range(orphans_.begin(), orphans_.end(), parent, ByParent{});
+  // Re-threading an already-waiting orphan would wake it twice.
+  if (std::any_of(first, last,
+                  [block](const Orphan& o) { return o.block == block; })) {
+    return;
   }
-  // A still-buffered orphan can be delivered again (adversarial re-send or
-  // gossip echo while the parent is withheld); it is already threaded into
-  // its parent's list, and re-threading would sever the tail behind it.
-  if (buffered_[block]) return;
-  // Bitset ↔ intrusive-list lockstep (the PR 4 corruption class): a block
-  // the bitset calls un-buffered must not already carry a list link —
-  // overwriting waiting_next_ here is exactly how the sibling behind it
-  // got silently dropped.
-  NEATBOUND_INVARIANT(waiting_next_[block] == kNoWaiting,
-                      "un-buffered block already threaded into a waiting "
-                      "list — buffered_ out of lockstep");
-  buffered_[block] = true;
-  NEATBOUND_COUNT(kOrphansBuffered);
-  // Push-front; activation re-reverses, so children wake in arrival order.
-  waiting_next_[block] = waiting_first_[parent];
-  waiting_first_[parent] = block;
+  // Behind the parent's earlier children, so they wake in arrival order.
+  // neatbound-analyze: allow(hot-alloc) — only out-of-order (adversarial)
+  // delivery reaches this; capacity is retained once orphans drain.
+  orphans_.insert(last, Orphan{parent, block});
+  event.orphans_buffered = 1;
 }
 
 void MinerView::activate_ready(protocol::BlockIndex block,
@@ -61,33 +80,28 @@ void MinerView::activate_ready(protocol::BlockIndex block,
   while (!activation_stack_.empty()) {
     const protocol::BlockIndex current = activation_stack_.back();
     activation_stack_.pop_back();
+    const std::size_t word = current >> 6;
     // neatbound-analyze: allow(hot-alloc) — lazy bitset growth, amortized
-    if (known_.size() <= current) known_.resize(current + 1, false);
-    if (known_[current]) continue;
-    known_[current] = true;
+    if (known_.size() <= word) known_.resize(word + 1, 0);
+    const std::uint64_t bit = std::uint64_t{1} << (current & 63);
+    if ((known_[word] & bit) != 0) continue;
+    known_[word] |= bit;
+    fingerprint_ ^= mix64(current);
     consider_tip(current, store, event);
-    if (current < waiting_first_.size()) {
-      // The list is most-recent-first; pushing it onto the LIFO worklist
-      // reverses it, so children pop in arrival order.
-      protocol::BlockIndex child = waiting_first_[current];
-      waiting_first_[current] = kNoWaiting;
-      while (child != kNoWaiting) {
-        // Everything threaded into a waiting list must be marked buffered;
-        // an unmarked entry means some other path threaded it without
-        // going through buffer_orphan's duplicate guard.
-        NEATBOUND_INVARIANT(buffered_[child],
-                            "waiting-list entry not marked buffered_");
-        NEATBOUND_INVARIANT(!knows(child),
-                            "known block still threaded as a waiting orphan");
-        const protocol::BlockIndex next = waiting_next_[child];
-        waiting_next_[child] = kNoWaiting;
-        buffered_[child] = false;
-        NEATBOUND_COUNT(kOrphansActivated);
-        // neatbound-analyze: allow(hot-alloc) — reused worklist (above)
-        activation_stack_.push_back(child);
-        child = next;
-      }
+    if (orphans_.empty()) continue;
+    const auto [first, last] = std::equal_range(
+        orphans_.begin(), orphans_.end(), current, ByParent{});
+    // Pushed latest-first onto the LIFO worklist, so children pop in
+    // arrival order.
+    for (auto it = last; it != first;) {
+      --it;
+      NEATBOUND_INVARIANT(!knows(it->block),
+                          "known block still waiting as an orphan");
+      // neatbound-analyze: allow(hot-alloc) — reused worklist (above)
+      activation_stack_.push_back(it->block);
+      ++event.orphans_activated;
     }
+    orphans_.erase(first, last);
   }
 }
 
@@ -98,8 +112,12 @@ void MinerView::consider_tip(protocol::BlockIndex candidate,
   // tie-breaking (an equally long chain never displaces the current tip).
   const std::uint64_t candidate_height = store.height_of(candidate);
   if (candidate_height <= tip_height_) return;
-  const std::uint64_t common = store.common_prefix_height(candidate, tip_);
-  const std::uint64_t abandoned = tip_height_ - common;
+  // Extending the tip — the common case — abandons nothing and needs no
+  // ancestry query.
+  const std::uint64_t abandoned =
+      store.parent_of(candidate) == tip_
+          ? 0
+          : tip_height_ - store.common_prefix_height(candidate, tip_);
   event.adopted = true;
   event.reorg_depth = std::max(event.reorg_depth, abandoned);
   tip_ = candidate;

@@ -8,11 +8,16 @@
 // is complete (an honest player cannot validate, let alone mine on, a
 // block whose chain it cannot see).
 //
-// Storage is flat and index-keyed throughout: the known-set is a bitset
-// over block indices, and the orphan buffer is an intrusive linked list
-// threaded through two lazily-grown flat vectors (first waiting child per
-// parent, next sibling per child) — no per-view hash map, no per-delivery
-// node allocation.  Waiting children activate in arrival order.
+// The known set is a flat bitset over block indices, and the orphan
+// buffer is one vector of (parent, block) pairs sorted by parent and, per
+// parent, by arrival — sized by the orphans alive right now, not by the
+// highest block index ever buffered, so copying a view (the engine splits
+// shared views by copying) costs the bitset plus the live orphans.
+// Waiting children activate in arrival order.
+//
+// A view also keeps an XOR-of-hashes fingerprint of its known set, so two
+// views can be checked for identical state cheaply before the exact
+// bitset comparison (same_state).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,6 @@
 
 #include "protocol/block_store.hpp"
 #include "support/hot.hpp"
-#include "support/telemetry.hpp"
 
 namespace neatbound::sim {
 
@@ -28,6 +32,9 @@ namespace neatbound::sim {
 struct AdoptionEvent {
   bool adopted = false;       ///< tip changed
   std::uint64_t reorg_depth = 0;  ///< blocks abandoned from the old tip
+  bool duplicate = false;     ///< the block was already known (no change)
+  std::uint32_t orphans_buffered = 0;   ///< 1 iff parked awaiting its parent
+  std::uint32_t orphans_activated = 0;  ///< buffered blocks this woke
 };
 
 class MinerView {
@@ -44,8 +51,19 @@ class MinerView {
   }
 
   [[nodiscard]] bool knows(protocol::BlockIndex block) const noexcept {
-    return block < known_.size() && known_[block];
+    const std::size_t word = block >> 6;
+    return word < known_.size() && ((known_[word] >> (block & 63)) & 1) != 0;
   }
+
+  /// True iff delivering `block` would change this view: it is neither
+  /// known nor already waiting in the orphan buffer.
+  [[nodiscard]] bool accepts(protocol::BlockIndex block,
+                             const protocol::BlockStore& store) const;
+
+  /// True iff `other` would behave identically to this view on every
+  /// future delivery: same tip, same known set, and both orphan buffers
+  /// empty.  The fingerprint filters; the bitset comparison decides.
+  [[nodiscard]] bool same_state(const MinerView& other) const noexcept;
 
   /// Delivers `block`; activates it (and any waiting descendants) if its
   /// ancestry is known, applying the longest-chain rule.  Returns the
@@ -57,7 +75,7 @@ class MinerView {
                                       const protocol::BlockStore& store) {
     AdoptionEvent event;
     if (knows(block)) {  // duplicate delivery (echo), ignore
-      NEATBOUND_COUNT(kDuplicateDeliveries);
+      event.duplicate = true;
       return event;
     }
     deliver_fresh(block, store, event);
@@ -65,17 +83,22 @@ class MinerView {
   }
 
  private:
-  /// Intrusive-list sentinel: "no waiting child / no next sibling".
-  static constexpr protocol::BlockIndex kNoWaiting =
-      ~protocol::BlockIndex{0};
+  /// A buffered block and the unknown parent it waits for.
+  struct Orphan {
+    protocol::BlockIndex parent;
+    protocol::BlockIndex block;
+  };
 
   /// Out-of-line continuation of deliver() for not-yet-known blocks.
   NEATBOUND_HOT void deliver_fresh(protocol::BlockIndex block,
                                    const protocol::BlockStore& store,
                                    AdoptionEvent& event);
-  /// Threads `block` into its parent's waiting list (parent unknown yet).
+  /// Parks `block` behind its parent's earlier waiting children, unless it
+  /// is already waiting (an adversarial re-send or gossip echo while the
+  /// parent is withheld).
   NEATBOUND_HOT void buffer_orphan(protocol::BlockIndex parent,
-                                   protocol::BlockIndex block);
+                                   protocol::BlockIndex block,
+                                   AdoptionEvent& event);
   /// Marks `block` known, then repeatedly activates buffered orphans
   /// whose parents became known.
   NEATBOUND_HOT void activate_ready(protocol::BlockIndex block,
@@ -87,19 +110,13 @@ class MinerView {
 
   protocol::BlockIndex tip_;
   std::uint64_t tip_height_ = 0;  ///< height of tip_, kept in lockstep
-  std::vector<bool> known_;  ///< indexed by BlockIndex, grown lazily
-  /// Blocks currently threaded into a waiting list.  Guards against
-  /// duplicate delivery of a still-buffered orphan (its duplicate passes
-  /// the knows() check): re-threading would overwrite waiting_next_ and
-  /// sever the rest of the parent's list.  Grown only with the waiting
-  /// vectors, so honest-order delivery never touches it.
-  std::vector<bool> buffered_;
-  /// First waiting child per parent index; kNoWaiting when none.  Grown
-  /// only when an orphan actually arrives (honest-order delivery never
-  /// touches it).
-  std::vector<protocol::BlockIndex> waiting_first_;
-  /// Next waiting sibling per child index; parallel to waiting_first_.
-  std::vector<protocol::BlockIndex> waiting_next_;
+  /// Bit b of word b/64 is set iff block b is known; grown lazily to the
+  /// word of the highest known block, so equal sets have equal sizes.
+  std::vector<std::uint64_t> known_;
+  /// XOR over known blocks of a per-block hash (see same_state).
+  std::uint64_t fingerprint_ = 0;
+  /// Waiting orphans, sorted by parent; arrival order within a parent.
+  std::vector<Orphan> orphans_;
   /// Reused activation worklist — no allocation on the delivery hot path.
   std::vector<protocol::BlockIndex> activation_stack_;
 };

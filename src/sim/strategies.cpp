@@ -13,11 +13,8 @@ namespace neatbound::sim {
 void MaxDelayAdversary::act(AdversaryOps& ops) {
   // Mine with the full budget but never publish: A(t₀, t₀+T−1) is counted
   // while honest mining patterns stay untouched.
-  while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.mine_on(private_tip_)) {
-      private_tip_ = *mined;
-    }
-  }
+  const auto mined = ops.mine_run(private_tip_, ops.remaining_queries());
+  if (!mined.empty()) private_tip_ = mined.back();
 }
 
 // ---------------------------------------------------------------------------
@@ -57,13 +54,12 @@ void PrivateWithholdAdversary::act(AdversaryOps& ops) {
   }
 
   // Spend the whole budget extending the private fork.
-  while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.mine_on(private_tip_)) {
-      private_tip_ = *mined;
-      // neatbound-analyze: allow(hot-alloc) — one amortized append per
-      // adversary block mined, not per round.
-      withheld_.push_back(*mined);
-    }
+  const auto mined = ops.mine_run(private_tip_, ops.remaining_queries());
+  if (!mined.empty()) {
+    private_tip_ = mined.back();
+    // neatbound-analyze: allow(hot-alloc) — amortized appends, one per
+    // adversary block mined, not per round.
+    withheld_.insert(withheld_.end(), mined.begin(), mined.end());
   }
 
   // Release when the private fork overtakes the public chain AND the reorg
@@ -381,13 +377,12 @@ void DelaySaturatingWithholder::act(AdversaryOps& ops) {
     withheld_.clear();
   }
 
-  while (ops.remaining_queries() > 0) {
-    if (const auto mined = ops.mine_on(private_tip_)) {
-      private_tip_ = *mined;
-      // neatbound-analyze: allow(hot-alloc) — one amortized append per
-      // adversary block mined, not per round.
-      withheld_.push_back(*mined);
-    }
+  const auto mined = ops.mine_run(private_tip_, ops.remaining_queries());
+  if (!mined.empty()) {
+    private_tip_ = mined.back();
+    // neatbound-analyze: allow(hot-alloc) — amortized appends, one per
+    // adversary block mined, not per round.
+    withheld_.insert(withheld_.end(), mined.begin(), mined.end());
   }
 
   // Overtake with the minimal prefix: publish withheld blocks up to height

@@ -54,7 +54,7 @@ enum class Counter : std::uint8_t {
   kOrphansActivated,       ///< blocks woken from the orphan buffer
   kAdoptions,              ///< tip changes under the longest-chain rule
   kReorgs,                 ///< adoptions that abandoned >= 1 block
-  kCalendarScheduled,      ///< DeliveryCalendar::schedule calls
+  kCalendarScheduled,      ///< calendar entries (runs) created
   kCalendarGrows,          ///< calendar ring re-bucketings
   kAncestryQueries,        ///< BlockStore skip-table ancestry lookups
   kSkipRowsBuilt,          ///< binary-lifting rows added to the store

@@ -92,24 +92,25 @@ TEST(DeliveryCalendar, LateScheduleClampsToNextCollect) {
   EXPECT_EQ(due[0].block, 7u);
 }
 
-TEST(DeliveryCalendar, DrainDueMatchesStableSortByDueRound) {
-  // The ordering contract, checked against a reference model: draining
-  // rounds 0, 1, ... emits the schedule() sequence stably sorted by due
-  // round.
-  crng::Stream rng({5, 0}, 0, 0, crng::Purpose::kGeneric);
-  std::vector<Delivery> inserts;
-  for (int i = 0; i < 200; ++i) {
-    inserts.push_back(
-        Delivery{1 + rng.uniform_below(12),
-                 static_cast<std::uint32_t>(rng.uniform_below(4)),
-                 static_cast<protocol::BlockIndex>(rng.uniform_below(50))});
-  }
-  DeliveryCalendar calendar(4);
+// Everything drain_runs emits for `round`, in emission order.
+std::vector<DeliveryRun> drain_runs(DeliveryCalendar& calendar,
+                                    std::uint64_t round) {
+  std::vector<DeliveryRun> due;
+  calendar.drain_runs(round,
+                      [&due](const DeliveryRun& r) { due.push_back(r); });
+  return due;
+}
+
+/// The ordering contract, checked against a reference model: draining
+/// rounds 0, 1, ... emits the schedule() sequence stably sorted by due
+/// round, whatever the recipient pattern that builds the runs.
+void expect_stable_sort_order(const std::vector<Delivery>& inserts) {
+  DeliveryCalendar calendar(8);
   for (const Delivery& d : inserts) {
     calendar.schedule(d.due_round, d.recipient, d.block);
   }
   std::vector<Delivery> drained;
-  for (std::uint64_t round = 0; round <= 12; ++round) {
+  for (std::uint64_t round = 0; round <= 13; ++round) {
     for (const Delivery& d : drain(calendar, round)) {
       EXPECT_EQ(d.due_round, round);
       drained.push_back(d);
@@ -129,9 +130,103 @@ TEST(DeliveryCalendar, DrainDueMatchesStableSortByDueRound) {
   EXPECT_EQ(calendar.pending(), 0u);
 }
 
+TEST(DeliveryCalendar, DrainDueMatchesStableSortByDueRound) {
+  crng::Stream rng({5, 0}, 0, 0, crng::Purpose::kGeneric);
+  const auto draw = [&rng](std::uint64_t bound) {
+    return static_cast<std::uint32_t>(rng.uniform_below(bound));
+  };
+  std::vector<Delivery> random, contiguous, gapped, descending, interleaved;
+  for (int i = 0; i < 200; ++i) {
+    random.push_back(Delivery{1 + rng.uniform_below(12), draw(8), draw(50)});
+  }
+  // Broadcast-shaped: one block to ascending recipients, one due round
+  // per block, so each block coalesces into one run.
+  for (protocol::BlockIndex b = 0; b < 20; ++b) {
+    const std::uint64_t due = 1 + rng.uniform_below(12);
+    for (std::uint32_t r = 0; r < 8; ++r) contiguous.push_back({due, r, b});
+  }
+  // Ascending with holes (a sender skipped, or a random subset).
+  for (protocol::BlockIndex b = 0; b < 20; ++b) {
+    const std::uint64_t due = 1 + rng.uniform_below(12);
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      if (draw(3) != 0) gapped.push_back({due, r, b});
+    }
+  }
+  for (protocol::BlockIndex b = 0; b < 20; ++b) {
+    const std::uint64_t due = 1 + rng.uniform_below(12);
+    for (std::uint32_t r = 8; r-- > 0;) descending.push_back({due, r, b});
+  }
+  // Per-recipient delays: ascending recipients of one block spread over
+  // several buckets, so each bucket's runs interleave with the others'.
+  for (protocol::BlockIndex b = 0; b < 20; ++b) {
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      interleaved.push_back({1 + rng.uniform_below(3) + b % 10, r, b});
+    }
+  }
+  for (const auto* inserts :
+       {&random, &contiguous, &gapped, &descending, &interleaved}) {
+    expect_stable_sort_order(*inserts);
+  }
+}
+
+TEST(DeliveryCalendar, CoalescesAscendingRecipientsIntoRuns) {
+  DeliveryCalendar calendar(8);
+  // A broadcast from sender 3 with one delay: everyone but the sender is
+  // two runs.
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    if (r != 3) calendar.schedule(5, r, 7);
+  }
+  EXPECT_EQ(calendar.pending(), 2u);
+  // One publication to everyone is one run, in O(1) through the range
+  // overload as well.
+  for (std::uint32_t r = 0; r < 8; ++r) calendar.schedule(6, r, 8);
+  EXPECT_EQ(calendar.pending(), 3u);
+  calendar.schedule(7, 0, 8, 9);
+  EXPECT_EQ(calendar.pending(), 4u);
+  // A descending recipient starts a new run, and so does a gapped one.
+  calendar.schedule(8, 5, 10);
+  calendar.schedule(8, 4, 10);
+  calendar.schedule(8, 6, 10);
+  EXPECT_EQ(calendar.pending(), 7u);
+  // A different block never extends a run, even at the next recipient.
+  calendar.schedule(8, 7, 11);
+  EXPECT_EQ(calendar.pending(), 8u);
+
+  const auto r5 = drain_runs(calendar, 5);
+  ASSERT_EQ(r5.size(), 2u);
+  EXPECT_EQ(r5[0].lo, 0u);
+  EXPECT_EQ(r5[0].hi, 3u);
+  EXPECT_EQ(r5[1].lo, 4u);
+  EXPECT_EQ(r5[1].hi, 8u);
+  const auto r8 = drain_runs(calendar, 8);
+  ASSERT_EQ(r8.size(), 6u);
+  EXPECT_EQ(r8[2].lo, 5u);  // after the round-6 and round-7 runs
+  EXPECT_EQ(r8[2].hi, 6u);
+  EXPECT_EQ(r8[3].lo, 4u);
+  EXPECT_EQ(r8[4].lo, 6u);
+  EXPECT_EQ(r8[5].block, 11u);
+  EXPECT_EQ(calendar.pending(), 0u);
+}
+
+TEST(DeliveryCalendar, RunExtendedDuringItsDrainIsDelivered) {
+  // A callback may schedule into the bucket being drained; extending the
+  // run being emitted must still deliver the new recipients, in order.
+  DeliveryCalendar calendar(4);
+  calendar.schedule(1, 0, 5);
+  std::vector<std::uint32_t> seen;
+  calendar.drain_due(1, [&](const Delivery& d) {
+    seen.push_back(d.recipient);
+    if (d.recipient == 0) calendar.schedule(1, 1, 5);
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(calendar.pending(), 0u);
+}
+
 TEST(DeliveryCalendar, RejectsBadRecipient) {
   DeliveryCalendar calendar(2);
   EXPECT_THROW(calendar.schedule(1, 2, 0), ContractViolation);
+  EXPECT_THROW(calendar.schedule(1, 0, 3, 0), ContractViolation);
+  EXPECT_THROW(calendar.schedule(1, 1, 1, 0), ContractViolation);
   EXPECT_THROW(DeliveryCalendar(0), ContractViolation);
 }
 

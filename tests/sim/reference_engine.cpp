@@ -77,6 +77,8 @@ class Ops final : public AdversaryOps {
   [[nodiscard]] BlockIndex best_honest_tip() const override;
   [[nodiscard]] std::uint64_t remaining_queries() const override;
   std::optional<BlockIndex> mine_on(BlockIndex parent) override;
+  std::span<const BlockIndex> mine_run(BlockIndex parent,
+                                       std::uint64_t k) override;
   void publish_to(std::uint32_t recipient, BlockIndex block,
                   std::uint64_t delay) override;
   void publish_to_all(BlockIndex block, std::uint64_t delay) override;
@@ -84,6 +86,7 @@ class Ops final : public AdversaryOps {
  private:
   Model& model_;
   std::uint64_t round_;
+  std::vector<BlockIndex> run_;
 };
 
 class Model {
@@ -362,6 +365,18 @@ std::optional<BlockIndex> Ops::mine_on(BlockIndex parent) {
   return model_.add_block(parent, round_, query,
                           crng::Purpose::kAdversaryBlock, model_.honest_,
                           protocol::MinerClass::kAdversary);
+}
+
+std::span<const BlockIndex> Ops::mine_run(BlockIndex parent,
+                                          std::uint64_t k) {
+  run_.clear();
+  for (std::uint64_t i = 0; i < k; ++i) {
+    if (const auto mined = mine_on(parent)) {
+      parent = *mined;
+      run_.push_back(parent);
+    }
+  }
+  return run_;
 }
 
 void Ops::publish_to(std::uint32_t recipient, BlockIndex block,

@@ -7,6 +7,7 @@
 #include "protocol/validation.hpp"
 #include "sim/strategies.hpp"
 #include "support/contracts.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::sim {
 namespace {
@@ -176,6 +177,153 @@ TEST(Engine, AdversaryMinesAtExpectedRate) {
       static_cast<double>(config.rounds) * 14.0 * config.p;
   EXPECT_NEAR(static_cast<double>(result.honest_blocks_total),
               expected_honest, 5.0 * std::sqrt(expected_honest));
+}
+
+/// Mines a chain on its own tip and publishes every block to all honest
+/// players.  With `batched`, the first half of each round's budget goes
+/// through one mine_run call and the rest through mine_on; otherwise every
+/// query is a mine_on call.
+class ChainPublisher final : public Adversary {
+ public:
+  explicit ChainPublisher(bool batched) : batched_(batched) {}
+  std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
+                             protocol::BlockIndex) override {
+    return 1;
+  }
+  void act(AdversaryOps& ops) override {
+    if (ops.store().height_of(ops.best_honest_tip()) >
+        ops.store().height_of(tip_)) {
+      tip_ = ops.best_honest_tip();
+    }
+    if (batched_) {
+      for (const protocol::BlockIndex b :
+           ops.mine_run(tip_, ops.remaining_queries() / 2)) {
+        ops.publish_to_all(b, 1);
+        tip_ = b;
+      }
+    }
+    while (ops.remaining_queries() > 0) {
+      if (const auto mined = ops.mine_on(tip_)) {
+        ops.publish_to_all(*mined, 1);
+        tip_ = *mined;
+      }
+    }
+  }
+  [[nodiscard]] const char* name() const override { return "chain-publisher"; }
+
+ private:
+  bool batched_;
+  protocol::BlockIndex tip_ = protocol::kGenesisIndex;
+};
+
+EngineConfig adversarial_config() {
+  EngineConfig config = small_config();
+  config.adversary_fraction = 0.4;  // 8 queries per round
+  config.p = 0.02;
+  config.rounds = 1500;
+  return config;
+}
+
+TEST(Engine, MineRunMatchesMineOnQueries) {
+  ExecutionEngine one_by_one(adversarial_config(),
+                             std::make_unique<ChainPublisher>(false));
+  ExecutionEngine batched(adversarial_config(),
+                          std::make_unique<ChainPublisher>(true));
+  const RunResult a = one_by_one.run();
+  const RunResult b = batched.run();
+  ASSERT_GT(a.adversary_blocks_total, 20u);
+  EXPECT_EQ(a.adversary_blocks_total, b.adversary_blocks_total);
+  EXPECT_EQ(a.honest_counts, b.honest_counts);
+  EXPECT_EQ(a.violation_depth, b.violation_depth);
+  ASSERT_EQ(one_by_one.store().size(), batched.store().size());
+  for (protocol::BlockIndex i = 0; i < one_by_one.store().size(); ++i) {
+    EXPECT_EQ(one_by_one.store().hash_of(i), batched.store().hash_of(i)) << i;
+  }
+}
+
+std::uint64_t scheduled_runs(const RunResult& result) {
+  return result.telemetry.counters[static_cast<std::size_t>(
+      telemetry::Counter::kCalendarScheduled)];
+}
+
+TEST(Engine, CalendarHoldsOneRunPerBroadcastHalf) {
+  // With one delay for every recipient, an honest broadcast is the run
+  // below its sender plus the run above it (one run for an edge sender).
+  ExecutionEngine engine(small_config(), std::make_unique<NullAdversary>());
+  const RunResult result = engine.run();
+  const std::uint32_t last = engine.honest_count() - 1;
+  std::uint64_t expected = 0;
+  for (protocol::BlockIndex b = 1; b < engine.store().size(); ++b) {
+    const std::uint32_t sender = engine.store().miner_of(b);
+    expected += sender == 0 || sender == last ? 1 : 2;
+  }
+  ASSERT_GT(expected, 50u);
+  EXPECT_EQ(scheduled_runs(result), expected);
+}
+
+TEST(Engine, CalendarHoldsOneRunPerPublicationToAll) {
+  // Each adversary block is one publish_to_all run plus one echo run.
+  ExecutionEngine engine(adversarial_config(),
+                         std::make_unique<ChainPublisher>(false));
+  const RunResult result = engine.run();
+  const std::uint32_t last = engine.honest_count() - 1;
+  std::uint64_t expected = 0;
+  for (protocol::BlockIndex b = 1; b < engine.store().size(); ++b) {
+    if (engine.store().miner_class_of(b) ==
+        protocol::MinerClass::kAdversary) {
+      expected += 2;
+      continue;
+    }
+    const std::uint32_t sender = engine.store().miner_of(b);
+    expected += sender == 0 || sender == last ? 1 : 2;
+  }
+  ASSERT_GT(result.adversary_blocks_total, 20u);
+  EXPECT_EQ(scheduled_runs(result), expected);
+}
+
+/// Publishes a block index that does not exist on its first turn: one
+/// past the store (which used to be accepted silently and never
+/// delivered) or the largest index (whose echo bookkeeping wrapped to an
+/// out-of-bounds write), through either publication call.
+class BadPublisher final : public Adversary {
+ public:
+  BadPublisher(bool past_end, bool to_all)
+      : past_end_(past_end), to_all_(to_all) {}
+  std::uint64_t honest_delay(std::uint64_t, std::uint32_t, std::uint32_t,
+                             protocol::BlockIndex) override {
+    return 1;
+  }
+  void act(AdversaryOps& ops) override {
+    const auto block =
+        past_end_ ? static_cast<protocol::BlockIndex>(ops.store().size())
+                  : ~protocol::BlockIndex{0};
+    if (to_all_) {
+      ops.publish_to_all(block, 1);
+    } else {
+      ops.publish_to(0, block, 1);
+    }
+  }
+  [[nodiscard]] const char* name() const override { return "bad-publisher"; }
+
+ private:
+  bool past_end_;
+  bool to_all_;
+};
+
+TEST(Engine, PublishToRejectsUnknownBlock) {
+  for (const bool past_end : {true, false}) {
+    ExecutionEngine engine(adversarial_config(),
+                           std::make_unique<BadPublisher>(past_end, false));
+    EXPECT_THROW((void)engine.run(), ContractViolation) << past_end;
+  }
+}
+
+TEST(Engine, PublishToAllRejectsUnknownBlock) {
+  for (const bool past_end : {true, false}) {
+    ExecutionEngine engine(adversarial_config(),
+                           std::make_unique<BadPublisher>(past_end, true));
+    EXPECT_THROW((void)engine.run(), ContractViolation) << past_end;
+  }
 }
 
 }  // namespace

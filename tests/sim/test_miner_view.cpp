@@ -155,6 +155,62 @@ TEST(MinerView, DuplicateBufferedOrphanAtListTailIsNoOp) {
   EXPECT_TRUE(view.knows(d));
 }
 
+// A burst of out-of-order deliveries parks a long chain in the orphan
+// buffer; its root then drains the whole buffer in one activation.  The
+// drained view must be indistinguishable from one that saw the chain in
+// order — same tip, same known set, empty orphan buffer (same_state
+// requires that) — and keep buffering normally afterwards.
+TEST(MinerView, BurstOfOrphansDrainsCompletely) {
+  BlockStore store;
+  std::vector<BlockIndex> chain;
+  BlockIndex parent = kGenesisIndex;
+  for (protocol::HashValue h = 1; h <= 500; ++h) {
+    parent = append(store, parent, h);
+    chain.push_back(parent);
+  }
+  MinerView burst;
+  for (std::size_t i = chain.size(); i-- > 1;) {
+    const AdoptionEvent e = burst.deliver(chain[i], store);
+    EXPECT_EQ(e.orphans_buffered, 1u);
+    EXPECT_FALSE(burst.accepts(chain[i], store));  // already waiting
+  }
+  const AdoptionEvent e = burst.deliver(chain[0], store);
+  EXPECT_TRUE(e.adopted);
+  EXPECT_EQ(e.orphans_activated, chain.size() - 1);
+  EXPECT_EQ(burst.tip(), chain.back());
+
+  MinerView ordered;
+  for (const BlockIndex b : chain) ordered.deliver(b, store);
+  EXPECT_TRUE(burst.same_state(ordered));
+  EXPECT_TRUE(ordered.same_state(burst));
+
+  const BlockIndex c = append(store, chain.back(), 1000);
+  const BlockIndex d = append(store, c, 1001);
+  burst.deliver(d, store);
+  EXPECT_FALSE(burst.same_state(ordered));  // an orphan is waiting
+  burst.deliver(c, store);
+  ordered.deliver(c, store);
+  ordered.deliver(d, store);
+  EXPECT_TRUE(burst.same_state(ordered));
+}
+
+TEST(MinerView, SameStateNeedsEqualKnownSets) {
+  BlockStore store;
+  const BlockIndex a = append(store, kGenesisIndex, 1);
+  const BlockIndex b = append(store, kGenesisIndex, 2);  // same height
+  MinerView first;
+  MinerView second;
+  EXPECT_TRUE(first.same_state(second));
+  first.deliver(a, store);
+  second.deliver(a, store);
+  second.deliver(b, store);  // tie: tip stays a, but b is known
+  EXPECT_EQ(first.tip(), second.tip());
+  EXPECT_FALSE(first.same_state(second));
+  first.deliver(b, store);
+  EXPECT_TRUE(first.same_state(second));
+  EXPECT_TRUE(first.deliver(b, store).duplicate);
+}
+
 TEST(MinerView, ShorterChainNeverAdopted) {
   BlockStore store;
   MinerView view;

@@ -35,6 +35,7 @@ struct EngineRun {
   RunResult observed;    ///< stepped every round (observer attached)
   RunResult unobserved;  ///< quiet rounds skipped
   std::vector<reference::RoundRecord> rounds;
+  std::vector<std::size_t> classes;  ///< view classes after each round
 };
 
 std::unique_ptr<Adversary> registry_adversary(const char* network,
@@ -54,6 +55,7 @@ EngineRun run_engine(const EngineConfig& config, MakeAdversary make) {
           {e.round_activity(),
            std::vector<protocol::BlockIndex>(e.honest_tips().begin(),
                                              e.honest_tips().end())});
+      out.classes.push_back(e.view_class_count());
     });
   }
   ExecutionEngine engine(config, make());
@@ -220,16 +222,17 @@ TEST(ReferenceEquivalence, EclipsePublicationSplitsAndEchoMerges) {
   const reference::ReferenceRun model =
       reference::run_reference(config, std::make_unique<EclipsePublisher>());
   expect_equivalent(engine, model, "eclipse-first " + describe(config));
-  // The victim must actually run ahead of the others and be caught up by
-  // the echo: some round shows the victim alone on a different tip, and
-  // a later one shows every view agreeing again.
+  // The victim must actually run ahead of the others — its publication
+  // splits the victim off the one shared view — and the echo must catch
+  // the rest up, merging the classes back into one.
   const std::uint32_t victim = honest_miner_count(config) / 2;
   std::optional<std::size_t> split;
   for (std::size_t r = 0; r < model.rounds.size() && !split; ++r) {
     const auto& tips = model.rounds[r].tips;
     const auto others = std::count(tips.begin(), tips.end(), tips[0]);
     if (tips[victim] != tips[0] &&
-        static_cast<std::size_t>(others) + 1 == tips.size()) {
+        static_cast<std::size_t>(others) + 1 == tips.size() &&
+        engine.classes[r] == 2 && (r == 0 || engine.classes[r - 1] == 1)) {
       split = r;
     }
   }
@@ -237,7 +240,8 @@ TEST(ReferenceEquivalence, EclipsePublicationSplitsAndEchoMerges) {
   bool merged = false;
   for (std::size_t r = *split + 1; r < model.rounds.size() && !merged; ++r) {
     const auto& tips = model.rounds[r].tips;
-    merged = std::all_of(tips.begin(), tips.end(),
+    merged = engine.classes[r] == 1 &&
+             std::all_of(tips.begin(), tips.end(),
                          [&](protocol::BlockIndex t) { return t == tips[0]; });
   }
   EXPECT_TRUE(merged);
