@@ -196,6 +196,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   }
   live_.push_back(0);
   class_of_.assign(honest_count_, 0);
+  covered_.assign(honest_count_, 0);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
@@ -257,7 +258,7 @@ void ExecutionEngine::record_delivery(std::uint32_t c,
   NEATBOUND_COUNT_ADD(kReorgs, count);
   consistency_.observe_reorg(event.reorg_depth);
   // The first view, in (delivery, ascending recipient) order, to reach
-  // the round's deepest reorg: classes of one run compare first members.
+  // the round's deepest reorg: classes of one group compare first members.
   const std::uint32_t lead = classes_[c].members.front();
   if (event.reorg_depth > round_activity_.max_reorg_depth ||
       (event.reorg_depth == round_activity_.max_reorg_depth &&
@@ -302,33 +303,37 @@ void ExecutionEngine::deliver_due(std::uint64_t round) {
 void ExecutionEngine::deliver_group() {
   ++delivery_serial_;
   const protocol::BlockIndex block = group_block_;
+  // Count covered members per class; neighbouring views mostly share a
+  // class, so the count is kept in a register until the class changes.
+  for (const RecipientRange& r : group_) {
+    std::uint32_t c = class_of_[r.lo];
+    std::uint32_t run = 0;
+    for (std::uint32_t m = r.lo; m < r.hi; ++m) {
+      if (class_of_[m] != c) {
+        covered_[c] += run;
+        c = class_of_[m];
+        run = 0;
+      }
+      ++run;
+    }
+    covered_[c] += run;
+  }
   // Classes split off below are appended to live_ and already served.
   const std::size_t live = live_.size();
   for (std::size_t i = 0; i < live; ++i) {
     std::uint32_t c = live_[i];
-    const auto& members = classes_[c].members;
-    std::size_t count = members.size();
-    if (group_.size() != 1 || members.front() < group_[0].lo ||
-        members.back() >= group_[0].hi) {
-      count = 0;
-      auto from = members.begin();
-      for (const RecipientRange& r : group_) {
-        from = std::lower_bound(from, members.end(), r.lo);
-        const auto to = std::lower_bound(from, members.end(), r.hi);
-        count += static_cast<std::size_t>(to - from);
-        from = to;
-      }
-      if (count == 0) continue;
-      // Only a delivery that changes the view needs its own copy; a
-      // duplicate is a no-op for the whole class.
-      if (count < members.size() && classes_[c].view.accepts(block, store_)) {
-        c = split_class(c, group_);
-      }
+    const std::uint32_t count = covered_[c];
+    if (count == 0) continue;
+    covered_[c] = 0;
+    // Only a delivery that changes the view needs its own copy; a
+    // duplicate is a no-op for the whole class.
+    if (count < classes_[c].members.size() &&
+        classes_[c].view.accepts(block, store_)) {
+      c = split_class(c, group_);
     }
-    const auto n = static_cast<std::uint32_t>(count);
-    round_activity_.delivered += n;
-    NEATBOUND_COUNT_ADD(kDeliveries, n);
-    record_delivery(c, classes_[c].view.deliver(block, store_), n);
+    round_activity_.delivered += count;
+    NEATBOUND_COUNT_ADD(kDeliveries, count);
+    record_delivery(c, classes_[c].view.deliver(block, store_), count);
   }
   group_.clear();
 }
@@ -382,8 +387,9 @@ void ExecutionEngine::merge_classes() {
     merge_worklist_.push_back(c);
   }
   // Classes that did not change were pairwise distinct after the last
-  // pass and still are, so only a changed class can have a twin.
-  for (const std::uint32_t a : merge_worklist_) {
+  // pass and still are, so only a changed class can have a twin.  After
+  // a merge the survivor keeps looking: it may equal another class too.
+  for (std::uint32_t a : merge_worklist_) {
     if (classes_[a].members.empty()) continue;  // already absorbed
     for (std::size_t j = 0; j < live_.size(); ++j) {
       const std::uint32_t b = live_[j];
@@ -391,26 +397,31 @@ void ExecutionEngine::merge_classes() {
           !classes_[a].view.same_state(classes_[b].view)) {
         continue;
       }
-      // The larger class survives; the smaller one's members move over.
-      const bool keep_a = classes_[a].members.size() >= classes_[b].members.size();
-      const std::uint32_t keep = keep_a ? a : b;
-      const std::uint32_t gone = keep_a ? b : a;
-      auto& kept = classes_[keep].members;
-      auto& moved = classes_[gone].members;
-      merged_members_.clear();
-      // neatbound-analyze: allow(hot-alloc) — reused scratch, swapped
-      // with the survivor's list, so capacities circulate.
-      std::merge(kept.begin(), kept.end(), moved.begin(), moved.end(),
-                 std::back_inserter(merged_members_));
-      kept.swap(merged_members_);
-      for (const std::uint32_t m : moved) class_of_[m] = keep;
-      moved.clear();
-      live_.erase(std::find(live_.begin(), live_.end(), gone));
-      // neatbound-analyze: allow(hot-alloc) — capacity ≤ honest_count_.
-      free_.push_back(gone);
-      break;
+      a = merge_pair(a, b);
+      j = static_cast<std::size_t>(-1);  // live_ shrank: rescan
     }
   }
+}
+
+std::uint32_t ExecutionEngine::merge_pair(std::uint32_t a, std::uint32_t b) {
+  // The larger class survives; the smaller one's members move over.
+  const bool keep_a = classes_[a].members.size() >= classes_[b].members.size();
+  const std::uint32_t keep = keep_a ? a : b;
+  const std::uint32_t gone = keep_a ? b : a;
+  auto& kept = classes_[keep].members;
+  auto& moved = classes_[gone].members;
+  merged_members_.clear();
+  // neatbound-analyze: allow(hot-alloc) — reused scratch, swapped with the
+  // survivor's list, so capacities circulate.
+  std::merge(kept.begin(), kept.end(), moved.begin(), moved.end(),
+             std::back_inserter(merged_members_));
+  kept.swap(merged_members_);
+  for (const std::uint32_t m : moved) class_of_[m] = keep;
+  moved.clear();
+  live_.erase(std::find(live_.begin(), live_.end(), gone));
+  // neatbound-analyze: allow(hot-alloc) — capacity ≤ honest_count_.
+  free_.push_back(gone);
+  return keep;
 }
 
 void ExecutionEngine::broadcast_honest(std::uint64_t round,

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/delivery.hpp"
@@ -231,6 +232,8 @@ class ExecutionEngine {
       std::uint32_t c, std::span<const RecipientRange> covered);
   /// Merges every class changed this round into an equal-state class.
   NEATBOUND_HOT void merge_classes();
+  /// Merges two equal-state classes; returns the surviving slot.
+  NEATBOUND_HOT std::uint32_t merge_pair(std::uint32_t a, std::uint32_t b);
   /// Applies `event` — a delivery to class `c` standing for `count`
   /// per-view deliveries — to the counters, tips and reorg tracking.
   NEATBOUND_HOT void record_delivery(std::uint32_t c,
@@ -272,6 +275,8 @@ class ExecutionEngine {
   std::vector<std::uint32_t> live_;
   std::vector<std::uint32_t> free_;
   std::vector<std::uint32_t> class_of_;
+  /// Per slot: members the delivery group covers (zero between groups).
+  std::vector<std::uint32_t> covered_;
   std::unique_ptr<Adversary> adversary_;
   /// The run key plus cursors over the honest and adversary Bernoulli
   /// success fields.
@@ -297,9 +302,9 @@ class ExecutionEngine {
   std::vector<std::uint32_t> merge_worklist_;
   /// Blocks of the adversary's latest mine_run.
   std::vector<protocol::BlockIndex> mined_run_;
-  /// Serial of the delivery being applied (a run or a miner's own
-  /// block), and of the one that set round_activity_.max_reorg_depth:
-  /// classes of one run tie-break on their first member.
+  /// Serial of the delivery being applied (a delivery group or a miner's
+  /// own block), and of the one that set round_activity_.max_reorg_depth:
+  /// classes of one group tie-break on their first member.
   std::uint64_t delivery_serial_ = 0;
   std::uint64_t max_reorg_serial_ = 0;
   // Running maximum over tips_scratch_ (see note_adoption).

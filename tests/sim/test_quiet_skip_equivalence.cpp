@@ -198,9 +198,9 @@ TEST(QuietSkipEligibility, AdversaryWithoutQuietContractNeverSkips) {
 }
 
 // The skip shows up in its own counter and nowhere else.  The
-// ancestry-query counter is the one diagnostic exception: a stepped round
-// whose tips disagree recomputes the pairwise common prefixes, which the
-// skip folds without re-querying.
+// ancestry-query counter is the one diagnostic exception: the adversary's
+// act() on a stepped quiet round may read the store's ancestry, and the
+// skip never calls it.
 TEST(QuietSkipTelemetry, OnlyTheSkipCounterMoves) {
   const EngineConfig config = sparse_config();
   ExecutionEngine skipping(

@@ -243,8 +243,8 @@ TEST(RoundTracer, TracedRunIsBitIdenticalToUntraced) {
   EXPECT_EQ(traced.store_size, untraced.store_size);
   // Event counters are part of the trajectory; phase wall times are not.
   // The exceptions: the traced run steps the quiet rounds the untraced
-  // run skips, and a stepped round whose tips disagree re-queries their
-  // common ancestry.
+  // run skips, and the adversary's act() on a stepped quiet round may
+  // query the store's ancestry.
   const auto ancestry =
       static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
   const auto quiet =
