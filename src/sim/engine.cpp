@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <iterator>
+#include <numeric>
 
 #include "chains/convergence.hpp"
 #include "protocol/mining.hpp"
@@ -158,7 +159,6 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     return engine_.store_.add(std::move(block));
   }
 
- private:
   ExecutionEngine& engine_;
   std::uint64_t round_;
   std::uint64_t remaining_;
@@ -191,9 +191,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   classes_.reserve(honest_count_);
   classes_.emplace_back();
   classes_[0].members.resize(honest_count_);
-  for (std::uint32_t v = 0; v < honest_count_; ++v) {
-    classes_[0].members[v] = v;
-  }
+  std::iota(classes_[0].members.begin(), classes_[0].members.end(), 0U);
   live_.push_back(0);
   class_of_.assign(honest_count_, 0);
   covered_.assign(honest_count_, 0);
