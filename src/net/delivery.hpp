@@ -76,8 +76,8 @@ class DeliveryCalendar {
 
   /// Schedules `block` to reach `recipient` at `due_round`, which must
   /// lie less than kMaxSpan rounds past the earliest uncollected round.
-  /// Inline: a broadcast calls this once per recipient, and almost every
-  /// call just extends the run it appended the call before.
+  /// Inline: a publication loop calls this once per recipient, and
+  /// almost every call just extends the run appended the call before.
   NEATBOUND_HOT void schedule(std::uint64_t due_round,
                               std::uint32_t recipient,
                               protocol::BlockIndex block) {

@@ -352,7 +352,7 @@ std::uint32_t ExecutionEngine::split_class(
   ViewClass& to = classes_[s];
   // Copy-assignment reuses the freed slot's capacity.
   to.view = from.view;
-  to.changed = from.changed;
+  to.changed = true;  // a new class: a merge candidate by definition
   to.members.clear();
   merged_members_.clear();
   // One merge-walk: members and ranges are both ascending.
@@ -373,10 +373,6 @@ std::uint32_t ExecutionEngine::split_class(
 }
 
 void ExecutionEngine::merge_classes() {
-  if (live_.size() < 2) {
-    if (!live_.empty()) classes_[live_[0]].changed = false;
-    return;
-  }
   merge_worklist_.clear();
   for (const std::uint32_t c : live_) {
     if (!classes_[c].changed) continue;
@@ -391,10 +387,7 @@ void ExecutionEngine::merge_classes() {
     if (classes_[a].members.empty()) continue;  // already absorbed
     for (std::size_t j = 0; j < live_.size(); ++j) {
       const std::uint32_t b = live_[j];
-      if (b == a || classes_[a].view.tip() != classes_[b].view.tip() ||
-          !classes_[a].view.same_state(classes_[b].view)) {
-        continue;
-      }
+      if (b == a || !classes_[a].view.same_state(classes_[b].view)) continue;
       a = merge_pair(a, b);
       j = static_cast<std::size_t>(-1);  // live_ shrank: rescan
     }

@@ -36,11 +36,6 @@ bool MinerView::accepts(protocol::BlockIndex block,
                       [block](const Orphan& o) { return o.block == block; });
 }
 
-bool MinerView::same_state(const MinerView& other) const noexcept {
-  return tip_ == other.tip_ && orphans_.empty() && other.orphans_.empty() &&
-         fingerprint_ == other.fingerprint_ && known_ == other.known_;
-}
-
 void MinerView::deliver_fresh(protocol::BlockIndex block,
                               const protocol::BlockStore& store,
                               AdoptionEvent& event) {

@@ -63,7 +63,10 @@ class MinerView {
   /// True iff `other` would behave identically to this view on every
   /// future delivery: same tip, same known set, and both orphan buffers
   /// empty.  The fingerprint filters; the bitset comparison decides.
-  [[nodiscard]] bool same_state(const MinerView& other) const noexcept;
+  [[nodiscard]] bool same_state(const MinerView& other) const noexcept {
+    return tip_ == other.tip_ && orphans_.empty() && other.orphans_.empty() &&
+           fingerprint_ == other.fingerprint_ && known_ == other.known_;
+  }
 
   /// Delivers `block`; activates it (and any waiting descendants) if its
   /// ancestry is known, applying the longest-chain rule.  Returns the
