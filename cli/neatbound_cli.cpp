@@ -46,6 +46,11 @@
 //       exit 2 when the artifact itself is truncated or tampered (the
 //       strict reader names the offence).
 //
+//   neatbound_cli validate <trace.jsonl>
+//       checks a round trace from `run --trace` with the strict trace
+//       reader: exit 0 with the record count; exit 2 naming the line and
+//       key of the first offence, or when the trace holds no records.
+//
 //   neatbound_cli list [--scenarios DIR]
 //       prints every registered network model and adversary strategy
 //       (with accepted parameters), plus the *.json files in DIR when
@@ -87,6 +92,8 @@ int usage(std::ostream& os, int code) {
         "flags)\n"
         "  replay <artifact.json>        re-execute a violation artifact "
         "and re-assert the verdict\n"
+        "  validate <trace.jsonl>        check a round trace against the "
+        "schema\n"
         "  list [--scenarios DIR]        registered network models and "
         "adversary strategies\n"
         "  describe <scenario.json>      parsed + validated scenario "
@@ -462,6 +469,46 @@ int replay_command(int argc, char** argv) {
   return 1;
 }
 
+int validate_command(int argc, char** argv) {
+  if (argc >= 3 && std::string(argv[2]) == "--help") {
+    std::cout << "usage: neatbound_cli validate <trace.jsonl>\n"
+                 "  checks a round trace with the strict reader.\n"
+                 "  exit 0: valid, with N record(s); exit 2: unreadable, "
+                 "malformed or empty trace.\n";
+    return 0;
+  }
+  if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
+    std::cerr << "neatbound_cli validate: expected a trace file path\n";
+    return usage(std::cerr, 2);
+  }
+  const std::string path = argv[2];
+  CliArgs args(argc - 2, argv + 2);
+  if (args.handle_help(std::cout)) return 0;
+  args.reject_unconsumed();
+
+  std::ifstream is(path);
+  if (!is) {
+    std::cerr << "neatbound_cli validate: cannot open " << path << "\n";
+    return 2;
+  }
+  std::size_t records = 0;
+  try {
+    records = sim::read_trace_jsonl(is).size();
+  } catch (const std::exception& e) {
+    std::cerr << "neatbound_cli validate: " << path << ": " << e.what()
+              << "\n";
+    return 2;
+  }
+  if (records == 0) {
+    // A window outside the run writes an empty file; that is never the
+    // trace a caller meant to check.
+    std::cerr << "neatbound_cli validate: " << path << ": no trace records\n";
+    return 2;
+  }
+  std::cout << "OK: " << path << ": " << records << " record(s)\n";
+  return 0;
+}
+
 int list_command(int argc, char** argv) {
   CliArgs args(argc - 1, argv + 1);
   const std::string dir = args.get_string(
@@ -580,6 +627,7 @@ int main(int argc, char** argv) {
     const std::string command = argv[1];
     if (command == "run") return run_command(argc, argv);
     if (command == "replay") return replay_command(argc, argv);
+    if (command == "validate") return validate_command(argc, argv);
     if (command == "list") return list_command(argc, argv);
     if (command == "describe") return describe_command(argc, argv);
     if (command == "--help" || command == "help") {

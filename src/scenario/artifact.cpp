@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "exp/checkpoint.hpp"
 #include "scenario/runner.hpp"
@@ -23,6 +24,7 @@ namespace {
 void reject_unknown_keys(const JsonValue& object,
                          const std::set<std::string>& known,
                          const std::string& where) {
+  if (!object.is_object()) artifact_error(where + ": expected a JSON object");
   for (const auto& [key, value] : object.as_object()) {
     if (known.count(key) == 0) {
       artifact_error(where + ": unknown key \"" + key + "\"");
@@ -39,15 +41,49 @@ const JsonValue& require(const JsonValue& object, const char* key,
   return *value;
 }
 
-/// A required 32-bit field; a value past 2^32 is refused, never narrowed.
-std::uint32_t require_uint32(const JsonValue& object, const char* key,
-                             const std::string& where) {
+/// A required field read through the typed accessor `as`; a value of the
+/// wrong kind is refused with the key named.
+template <typename T>
+T require_as(const JsonValue& object, const char* key,
+             const std::string& where, T (JsonValue::*as)() const) {
   const JsonValue& value = require(object, key, where);
   try {
-    return value.as_uint32();
+    return (value.*as)();
   } catch (const std::exception& e) {
     artifact_error(where + "." + key + ": " + e.what());
   }
+}
+
+/// A required 32-bit field; a value past 2^32 is refused, never narrowed.
+std::uint32_t require_uint32(const JsonValue& object, const char* key,
+                             const std::string& where) {
+  return require_as(object, key, where, &JsonValue::as_uint32);
+}
+
+std::uint64_t require_uint(const JsonValue& object, const char* key,
+                           const std::string& where) {
+  return require_as(object, key, where, &JsonValue::as_uint);
+}
+
+double require_number(const JsonValue& object, const char* key,
+                      const std::string& where) {
+  return require_as(object, key, where, &JsonValue::as_number);
+}
+
+bool require_bool(const JsonValue& object, const char* key,
+                  const std::string& where) {
+  return require_as(object, key, where, &JsonValue::as_bool);
+}
+
+const std::string& require_string(const JsonValue& object, const char* key,
+                                  const std::string& where) {
+  return require_as(object, key, where, &JsonValue::as_string);
+}
+
+const JsonValue::Array& require_array(const JsonValue& object,
+                                      const char* key,
+                                      const std::string& where) {
+  return require_as(object, key, where, &JsonValue::as_array);
 }
 
 // --- writer helpers ---------------------------------------------------------
@@ -131,11 +167,11 @@ sim::EngineConfig parse_engine(const JsonValue& engine) {
                       "engine");
   sim::EngineConfig config;
   config.miner_count = require_uint32(engine, "miners", "engine");
-  config.adversary_fraction = require(engine, "nu", "engine").as_number();
-  config.p = require(engine, "p", "engine").as_number();
-  config.delta = require(engine, "delta", "engine").as_uint();
-  config.rounds = require(engine, "rounds", "engine").as_uint();
-  config.seed = require(engine, "seed", "engine").as_uint();
+  config.adversary_fraction = require_number(engine, "nu", "engine");
+  config.p = require_number(engine, "p", "engine");
+  config.delta = require_uint(engine, "delta", "engine");
+  config.rounds = require_uint(engine, "rounds", "engine");
+  config.seed = require_uint(engine, "seed", "engine");
   try {
     sim::validate_engine_config(config);
   } catch (const std::exception& e) {
@@ -151,17 +187,15 @@ sim::OracleConfig parse_oracle_block(const JsonValue& oracle) {
                        "quality_min_ratio", "slice_rounds"},
                       "oracle");
   sim::OracleConfig config;
-  config.common_prefix = require(oracle, "common_prefix", "oracle").as_bool();
-  config.common_prefix_t =
-      require(oracle, "common_prefix_t", "oracle").as_uint();
-  config.growth_window = require(oracle, "growth_window", "oracle").as_uint();
+  config.common_prefix = require_bool(oracle, "common_prefix", "oracle");
+  config.common_prefix_t = require_uint(oracle, "common_prefix_t", "oracle");
+  config.growth_window = require_uint(oracle, "growth_window", "oracle");
   config.growth_min_blocks =
-      require(oracle, "growth_min_blocks", "oracle").as_uint();
-  config.quality_window =
-      require(oracle, "quality_window", "oracle").as_uint();
+      require_uint(oracle, "growth_min_blocks", "oracle");
+  config.quality_window = require_uint(oracle, "quality_window", "oracle");
   config.quality_min_ratio =
-      require(oracle, "quality_min_ratio", "oracle").as_number();
-  config.slice_rounds = require(oracle, "slice_rounds", "oracle").as_uint();
+      require_number(oracle, "quality_min_ratio", "oracle");
+  config.slice_rounds = require_uint(oracle, "slice_rounds", "oracle");
   try {
     sim::validate_oracle_config(config);
   } catch (const std::exception& e) {
@@ -176,7 +210,7 @@ ComponentSpec parse_component(const JsonValue& object, const char* selector,
     artifact_error(where + ": expected a JSON object");
   }
   ComponentSpec component;
-  component.kind = require(object, selector, where).as_string();
+  component.kind = require_string(object, selector, where);
   if (component.kind.empty()) {
     artifact_error(where + ": \"" + std::string(selector) +
                    "\" must not be empty");
@@ -191,20 +225,19 @@ sim::OracleViolation parse_violation(const JsonValue& violation) {
       {"invariant", "round", "measured", "bound", "view_a", "view_b"},
       "violation");
   sim::OracleViolation out;
-  const std::string name =
-      require(violation, "invariant", "violation").as_string();
+  const std::string& name = require_string(violation, "invariant", "violation");
   const auto kind = sim::parse_invariant_name(name);
   if (!kind) {
     artifact_error("violation: unknown invariant \"" + name + "\"");
   }
   out.kind = *kind;
-  out.round = require(violation, "round", "violation").as_uint();
-  out.measured = require(violation, "measured", "violation").as_uint();
-  out.bound = require(violation, "bound", "violation").as_uint();
+  out.round = require_uint(violation, "round", "violation");
+  out.measured = require_uint(violation, "measured", "violation");
+  out.bound = require_uint(violation, "bound", "violation");
   out.view_a = require_uint32(violation, "view_a", "violation");
   out.view_b = require_uint32(violation, "view_b", "violation");
   if (out.round == 0) {
-    artifact_error("violation: rounds are 1-based");
+    artifact_error("violation.round: rounds are 1-based");
   }
   // The record must actually violate its bound — a doctored
   // "non-violation" would replay into a vacuous comparison.
@@ -220,13 +253,13 @@ sim::OracleViolation parse_violation(const JsonValue& violation) {
 
 sim::ViewSnapshot parse_view(const JsonValue& view, std::size_t index) {
   const std::string where = "views[" + std::to_string(index) + "]";
-  if (!view.is_object()) artifact_error(where + ": expected a JSON object");
   reject_unknown_keys(view, {"miner", "tip", "height", "hash"}, where);
   sim::ViewSnapshot snapshot;
   snapshot.miner = require_uint32(view, "miner", where);
   snapshot.tip = require_uint32(view, "tip", where);
-  snapshot.height = require(view, "height", where).as_uint();
-  snapshot.hash = parse_hex16(require(view, "hash", where).as_string(), where);
+  snapshot.height = require_uint(view, "height", where);
+  snapshot.hash =
+      parse_hex16(require_string(view, "hash", where), where + ".hash");
   if (snapshot.miner != index) {
     artifact_error(where + ": views must be in miner order (0, 1, ...)");
   }
@@ -323,23 +356,18 @@ void write_artifact_file(const std::string& path,
 }
 
 ViolationArtifact parse_artifact(const JsonValue& document) {
-  if (!document.is_object()) {
-    artifact_error("expected a JSON object");
-  }
   reject_unknown_keys(document,
                       {"format", "engine", "violation_t", "oracle",
                        "adversary", "network", "violation", "views", "trace"},
                       "document");
-  const std::string format =
-      require(document, "format", "document").as_string();
+  const std::string& format = require_string(document, "format", "document");
   if (format != kArtifactFormat) {
     artifact_error("unsupported format \"" + format + "\" (expected \"" +
                    std::string(kArtifactFormat) + "\")");
   }
   ViolationArtifact artifact;
   artifact.engine = parse_engine(require(document, "engine", "document"));
-  artifact.violation_t =
-      require(document, "violation_t", "document").as_uint();
+  artifact.violation_t = require_uint(document, "violation_t", "document");
   artifact.oracle =
       parse_oracle_block(require(document, "oracle", "document"));
   artifact.adversary = parse_component(
@@ -349,20 +377,25 @@ ViolationArtifact parse_artifact(const JsonValue& document) {
   artifact.violation =
       parse_violation(require(document, "violation", "document"));
   if (artifact.violation.round > artifact.engine.rounds) {
-    artifact_error("violation: round " +
+    artifact_error("violation.round: " +
                    std::to_string(artifact.violation.round) +
                    " exceeds engine rounds " +
                    std::to_string(artifact.engine.rounds));
   }
   const std::uint32_t honest = sim::honest_miner_count(artifact.engine);
-  if (artifact.violation.view_a >= honest ||
-      artifact.violation.view_b >= honest) {
-    artifact_error("violation: offending view out of honest range");
+  const std::pair<const char*, std::uint32_t> offending[] = {
+      {"view_a", artifact.violation.view_a},
+      {"view_b", artifact.violation.view_b}};
+  for (const auto& [key, view] : offending) {
+    if (view >= honest) {
+      artifact_error(std::string("violation.") + key + ": view " +
+                     std::to_string(view) + " out of honest range (" +
+                     std::to_string(honest) + " honest miners)");
+    }
   }
 
-  const JsonValue& views = require(document, "views", "document");
   std::size_t index = 0;
-  for (const JsonValue& entry : views.as_array()) {
+  for (const JsonValue& entry : require_array(document, "views", "document")) {
     artifact.views.push_back(parse_view(entry, index));
     ++index;
   }
@@ -372,9 +405,8 @@ ViolationArtifact parse_artifact(const JsonValue& document) {
                    std::to_string(artifact.views.size()));
   }
 
-  const JsonValue& trace = require(document, "trace", "document");
   index = 0;
-  for (const JsonValue& entry : trace.as_array()) {
+  for (const JsonValue& entry : require_array(document, "trace", "document")) {
     try {
       artifact.slice.push_back(sim::round_record_from_json(entry));
     } catch (const std::exception& e) {

@@ -4,11 +4,11 @@
 //
 // A trace is a JSONL stream — one self-contained JSON object per round —
 // so a partial file (bounded writer, interrupted run) is still
-// line-by-line parseable, and downstream tooling (scripts/check_trace.py,
-// jq, pandas) needs no framing.  The record is the per-round event
-// granularity the characteristic-string analyses (Kiayias–Quader–Russell,
-// Blum et al.) reason over: who mined, what was delivered, how views
-// moved.
+// line-by-line parseable, and downstream tooling (`neatbound_cli
+// validate`, jq, pandas) needs no framing.  The record is the per-round
+// event granularity the characteristic-string analyses
+// (Kiayias–Quader–Russell, Blum et al.) reason over: who mined, what was
+// delivered, how views moved.
 //
 // Tracing is strictly read-only over the engine: the observer reads
 // public accessors after the round has fully executed, so a traced run's
@@ -109,9 +109,11 @@ class BoundedTraceWriter final : public RoundTraceSink {
 /// parse of one already-decoded JSON value (exactly the RoundRecord
 /// keys, integer fields, round >= 1, mined_by length honest_mined or
 /// empty, adoptions <= delivered + honest_mined).  Throws
-/// std::runtime_error without line context — read_trace_jsonl and the
-/// violation-artifact reader (scenario/artifact.hpp) wrap it to name the
-/// offending line or slice entry.
+/// std::runtime_error naming the offending key (a value of the wrong
+/// kind reads "<key>: JSON: ...") but without line context —
+/// read_trace_jsonl and the violation-artifact reader
+/// (scenario/artifact.hpp) wrap it to name the offending line or slice
+/// entry.
 [[nodiscard]] RoundRecord round_record_from_json(
     const support::JsonValue& value);
 

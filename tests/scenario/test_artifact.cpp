@@ -118,142 +118,176 @@ TEST(Artifact, TamperedSeedIsCaughtByReplay) {
   EXPECT_FALSE(replay.mismatches.empty());
 }
 
-void expect_rejected(const std::string& text, const std::string& what) {
+/// Parsing `text` must fail with the documented prefix and name `key`,
+/// the offending key (or, for a document that is not JSON, "JSON").
+void expect_rejected(const std::string& text, const std::string& what,
+                     const std::string& key) {
   try {
     (void)parse_artifact(text);
     FAIL() << "parse accepted a corrupt artifact (" << what << ")";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("violation artifact"),
-              std::string::npos)
+    const std::string message = error.what();
+    EXPECT_EQ(message.rfind("violation artifact: ", 0), 0u)
         << what << ": error should carry the artifact prefix, got: "
-        << error.what();
+        << message;
+    EXPECT_NE(message.find(key), std::string::npos)
+        << what << ": error should name \"" << key << "\", got: " << message;
   }
+}
+
+/// [begin, end) of the first `"key":<value>` member in `text`.
+std::pair<std::size_t, std::size_t> member_span(const std::string& text,
+                                                const std::string& key) {
+  const auto begin = text.find("\"" + key + "\":");
+  EXPECT_NE(begin, std::string::npos) << key;
+  if (begin == std::string::npos) return {0, 0};
+  std::size_t end = begin + key.size() + 3;
+  if (text[end] == '{' || text[end] == '[') {
+    int depth = 0;
+    do {
+      if (text[end] == '{' || text[end] == '[') ++depth;
+      if (text[end] == '}' || text[end] == ']') --depth;
+      ++end;
+    } while (depth > 0);
+  } else if (text[end] == '"') {
+    end = text.find('"', end + 1) + 1;
+  } else {
+    end = text.find_first_of(",}\n", end);
+  }
+  return {begin, end};
+}
+
+/// `text` with the first `"key"` member's value replaced by `value`.
+std::string with_value(std::string text, const std::string& key,
+                       const std::string& value) {
+  const auto [begin, end] = member_span(text, key);
+  const std::size_t start = begin + key.size() + 3;
+  return text.replace(start, end - start, value);
+}
+
+/// `text` with the first `"key"` member (and one separating comma) removed.
+std::string without(std::string text, const std::string& key) {
+  auto [begin, end] = member_span(text, key);
+  if (begin > 0 && text[begin - 1] == ',') --begin;
+  else if (text[end] == ',') ++end;
+  return text.erase(begin, end - begin);
 }
 
 /// `text` with the first `"key":<n>` rewritten to n + 2^32: a value a
 /// bare 32-bit cast would silently truncate back to the original n.
-std::string widened(std::string text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = text.find(needle);
-  EXPECT_NE(pos, std::string::npos) << key;
-  if (pos == std::string::npos) return text;
-  const auto start = pos + needle.size();
-  const auto end = text.find_first_not_of("0123456789", start);
-  const std::uint64_t value = std::stoull(text.substr(start, end - start));
-  return text.replace(start, end - start,
-                      std::to_string(value + (std::uint64_t{1} << 32)));
+std::string widened(const std::string& text, const std::string& key) {
+  const std::size_t start = member_span(text, key).first + key.size() + 3;
+  const std::uint64_t value = std::stoull(text.substr(start));
+  return with_value(text, key,
+                    std::to_string(value + (std::uint64_t{1} << 32)));
 }
 
 TEST(Artifact, StrictReaderRejectsCorruptDocuments) {
   const std::string good = serialize(scan_one());
 
   // Truncation: cut the document mid-way.
-  expect_rejected(good.substr(0, good.size() / 2), "truncated JSON");
+  expect_rejected(good.substr(0, good.size() / 2), "truncated JSON", "JSON");
 
   // Wrong format tag, including the retired v2 schema (engine.rng).
   for (const char* tag : {"neatbound-violation-v2", "neatbound-violation-v9"}) {
-    std::string bad = good;
-    const auto pos = bad.find("neatbound-violation-v3");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, 22, tag);
-    expect_rejected(bad, tag);
+    expect_rejected(with_value(good, "format", std::string("\"") + tag + "\""),
+                    tag, "format");
   }
 
   // 32-bit fields past 2^32 are refused, never truncated.
   for (const char* key : {"miners", "view_a", "view_b", "miner", "tip"}) {
-    expect_rejected(widened(good, key), std::string(key) + " past 2^32");
+    expect_rejected(widened(good, key), std::string(key) + " past 2^32", key);
   }
 
-  // Unknown top-level key.
+  // A value of the wrong JSON kind at a known key, one per kind mismatch.
+  const std::pair<const char*, const char*> wrong_kinds[] = {
+      {"rounds", "-1"},       {"nu", "\"x\""},     {"views", "5"},
+      {"format", "3"},        {"hash", "1"},       {"invariant", "1"},
+      {"common_prefix", "1"}, {"engine", "[]"},
+  };
+  for (const auto& [key, value] : wrong_kinds) {
+    expect_rejected(with_value(good, key, value),
+                    std::string(key) + " = " + value, key);
+  }
+
+  // Key sets are exact: an unknown top-level key, and missing keys at
+  // the top level, in engine, in a view and in a slice record.
   {
     std::string bad = good;
-    const auto pos = bad.find("\"format\"");
-    ASSERT_NE(pos, std::string::npos);
-    bad.insert(pos, "\"surprise\":1,");
-    expect_rejected(bad, "unknown key");
+    bad.insert(member_span(good, "format").first, "\"surprise\":1,");
+    expect_rejected(bad, "unknown key", "surprise");
+  }
+  for (const char* key : {"violation_t", "seed", "tip", "delivered"}) {
+    expect_rejected(without(good, key), std::string("missing ") + key, key);
   }
 
-  // Missing key: drop violation_t entirely.
-  {
-    std::string bad = good;
-    const auto pos = bad.find("\"violation_t\"");
-    ASSERT_NE(pos, std::string::npos);
-    const auto end = bad.find('\n', pos);
-    ASSERT_NE(end, std::string::npos);
-    bad.erase(pos, end - pos + 1);
-    expect_rejected(bad, "missing violation_t");
-  }
+  // Values the engine config refuses, and an unknown invariant name.
+  expect_rejected(with_value(good, "nu", "-0.4"), "negative nu", "nu");
+  expect_rejected(with_value(good, "invariant", "\"common-suffix\""),
+                  "unknown invariant", "invariant");
 
-  // Unknown invariant name in the violation tuple.
-  {
-    std::string bad = good;
-    const auto pos = bad.find("\"common-prefix\"");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, 15, "\"common-suffix\"");
-    expect_rejected(bad, "unknown invariant");
-  }
-
-  // A measured value that does not actually violate the bound.
-  {
-    const ViolationArtifact artifact = scan_one();
-    ViolationArtifact bad = artifact;
-    bad.violation.measured = bad.violation.bound;  // not > bound any more
-    expect_rejected(serialize(bad), "non-violating measured");
-  }
-
-  // A slice that does not end at the violating round.
-  {
-    ViolationArtifact bad = scan_one();
-    ASSERT_FALSE(bad.slice.empty());
-    bad.slice.back().round += 1;
-    expect_rejected(serialize(bad), "slice/violation round mismatch");
-  }
-
-  // A short slice (dropped record).
-  {
-    ViolationArtifact bad = scan_one();
-    ASSERT_GT(bad.slice.size(), 1u);
-    bad.slice.erase(bad.slice.begin());
-    expect_rejected(serialize(bad), "short slice");
-  }
-
-  // The round-trace rules on the slice, and a common-prefix slice that
-  // does not end on the measured depth.
+  // Internally inconsistent artifacts: the violation tuple, the views
+  // and the trace slice must agree with each other and with the rules
+  // of a round trace.
   using Tamper = void (*)(ViolationArtifact&);
-  const std::pair<const char*, Tamper> slice_tampers[] = {
-      {"round 0", [](ViolationArtifact& a) { a.slice.front().round = 0; }},
-      {"best_height decreases",
+  struct Case {
+    const char* what;
+    const char* key;
+    Tamper tamper;
+  };
+  const Case tampers[] = {
+      {"non-violating common-prefix", "measured",
+       [](ViolationArtifact& a) { a.violation.measured = a.violation.bound; }},
+      {"non-violating chain-growth", "measured",
+       [](ViolationArtifact& a) {
+         a.violation.kind = sim::InvariantKind::kChainGrowth;
+         a.violation.measured = a.violation.bound;
+       }},
+      {"violation round 0", "round",
+       [](ViolationArtifact& a) { a.violation.round = 0; }},
+      {"violation after the last round", "round",
+       [](ViolationArtifact& a) {
+         a.violation.round = a.engine.rounds + 1;
+       }},
+      {"view_b out of range", "view_b",
+       [](ViolationArtifact& a) {
+         a.violation.view_b = static_cast<std::uint32_t>(a.views.size());
+       }},
+      {"views out of miner order", "miner",
+       [](ViolationArtifact& a) { a.views[1].miner = 7; }},
+      {"missing view", "views",
+       [](ViolationArtifact& a) { a.views.pop_back(); }},
+      {"slice/violation round mismatch", "round",
+       [](ViolationArtifact& a) { a.slice.back().round += 1; }},
+      {"short slice", "trace",
+       [](ViolationArtifact& a) { a.slice.erase(a.slice.begin()); }},
+      {"slice round 0", "round",
+       [](ViolationArtifact& a) { a.slice.front().round = 0; }},
+      {"best_height decreases", "best_height",
        [](ViolationArtifact& a) {
          a.slice.front().best_height = a.slice[1].best_height + 1;
        }},
-      {"violation_depth decreases",
+      {"violation_depth decreases", "violation_depth",
        [](ViolationArtifact& a) {
          a.slice.front().violation_depth = a.slice[1].violation_depth + 1;
        }},
-      {"unexplained adoption",
+      {"unexplained adoption", "adoptions",
        [](ViolationArtifact& a) {
          sim::RoundRecord& last = a.slice.back();
          last.adoptions = last.delivered + last.honest_mined + 1;
        }},
-      {"slice depth != measured",
+      {"slice depth != measured", "violation_depth",
        [](ViolationArtifact& a) {
          a.slice.back().violation_depth = a.violation.measured + 1;
        }},
   };
-  for (const auto& [what, tamper] : slice_tampers) {
+  for (const Case& c : tampers) {
     ViolationArtifact bad = scan_one();
     ASSERT_GT(bad.slice.size(), 1u);
+    ASSERT_GT(bad.views.size(), 1u);
     ASSERT_EQ(bad.violation.kind, sim::InvariantKind::kCommonPrefix);
-    tamper(bad);
-    expect_rejected(serialize(bad), what);
-  }
-
-  // Views not covering the honest miners.
-  {
-    ViolationArtifact bad = scan_one();
-    ASSERT_FALSE(bad.views.empty());
-    bad.views.pop_back();
-    expect_rejected(serialize(bad), "missing view");
+    c.tamper(bad);
+    expect_rejected(serialize(bad), c.what, c.key);
   }
 
   // A mangled hash string.
@@ -262,11 +296,11 @@ TEST(Artifact, StrictReaderRejectsCorruptDocuments) {
     const auto pos = bad.find("\"hash\":\"0x");
     ASSERT_NE(pos, std::string::npos);
     bad[pos + 10] = 'z';
-    expect_rejected(bad, "malformed hash");
+    expect_rejected(bad, "malformed hash", "hash");
   }
 
   // Not JSON at all.
-  expect_rejected("not json", "non-JSON input");
+  expect_rejected("not json", "non-JSON input", "JSON");
 }
 
 TEST(Artifact, LoadFileRejectsMissingPath) {

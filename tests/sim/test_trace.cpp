@@ -1,6 +1,6 @@
 // Trace-layer tests: --trace-rounds parsing, the bounded JSONL writer,
-// reader strictness (the schema is a contract — scripts/check_trace.py
-// enforces the same one from the outside), writer↔reader round-trips,
+// reader strictness (the schema is a contract — `neatbound_cli validate`
+// applies this reader to trace files), writer↔reader round-trips,
 // observer purity (a traced run's RunResult is bit-identical to an
 // untraced run), and the aggregate engine's sink/legacy-vector shim.
 #include "sim/trace.hpp"
@@ -130,28 +130,52 @@ TEST(TraceJsonl, WriterReaderRoundTrip) {
 }
 
 TEST(TraceJsonl, ReaderRejectsSchemaDrift) {
-  const auto reject = [](const std::string& text) {
+  // Every rejection names its line and the offending key (or rule).
+  const auto reject = [](const std::string& text, const std::string& key) {
     std::istringstream is(text);
-    EXPECT_THROW((void)read_trace_jsonl(is), std::runtime_error) << text;
+    try {
+      (void)read_trace_jsonl(is);
+      ADD_FAILURE() << "reader accepted: " << text;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("trace line ", 0), 0u) << what;
+      EXPECT_NE(what.find(key), std::string::npos)
+          << "expected \"" << key << "\" in: " << what;
+    }
   };
   const std::string good = to_jsonl_line(sample_record(1));
+  // `good` with the JSON text `from` replaced by `to`.
+  const auto edited = [&good](const std::string& from, const std::string& to) {
+    std::string bad = good;
+    const auto pos = bad.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return pos == std::string::npos ? bad : bad.replace(pos, from.size(), to);
+  };
 
-  reject("not json\n");
-  reject("[1,2]\n");
+  reject("not json\n", "JSON");
+  reject("[1,2]\n", "JSON object");
   // An extra key: the key set is exact, not a superset.
   std::string extra = good;
   extra.insert(extra.size() - 1, ",\"extra\":0");
-  reject(extra + "\n");
+  reject(extra + "\n", "extra");
   // A missing key (violation_depth dropped).
   reject(
       "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":0,"
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
-      "\"best_height\":0}\n");
+      "\"best_height\":0}\n",
+      "violation_depth");
+  // A value of the wrong kind: a bool count, a negative height, a
+  // string miner id.
+  reject(edited("\"delivered\":5", "\"delivered\":true") + "\n", "delivered");
+  reject(edited("\"best_height\":11", "\"best_height\":-1") + "\n",
+         "best_height");
+  reject(edited("[3,7]", "[\"a\",7]") + "\n", "mined_by");
   // A non-empty mined_by must have honest_mined entries...
   reject(
       "{\"round\":1,\"honest_mined\":2,\"adversary_mined\":0,"
       "\"mined_by\":[1],\"delivered\":0,\"adoptions\":0,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "mined_by");
   // ...but an empty one with honest_mined > 0 is the documented
   // aggregate-engine form (miner identity not modeled).
   std::istringstream aggregate_style(
@@ -164,39 +188,44 @@ TEST(TraceJsonl, ReaderRejectsSchemaDrift) {
   reject(
       "{\"round\":1,\"honest_mined\":4294967297,\"adversary_mined\":0,"
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "honest_mined");
   reject(
       "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":4294967296,"
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "adversary_mined");
   reject(
       "{\"round\":1,\"honest_mined\":1,\"adversary_mined\":0,"
       "\"mined_by\":[4294967296],\"delivered\":0,\"adoptions\":0,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "mined_by");
   reject(
       "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":0,"
       "\"mined_by\":[],\"delivered\":4294967296,\"adoptions\":0,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "delivered");
   reject(
       "{\"round\":1,\"honest_mined\":0,\"adversary_mined\":0,"
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":4294967296,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "adoptions");
   // Rounds 1-based and strictly increasing.
-  reject(to_jsonl_line(sample_record(0)) + "\n");
-  reject(good + "\n" + good + "\n");
+  reject(to_jsonl_line(sample_record(0)) + "\n", "round");
+  reject(good + "\n" + good + "\n", "line 2: rounds");
   // best_height and violation_depth are running maxima.
   RoundRecord lower = sample_record(2);
   lower.best_height = sample_record(1).best_height - 1;
-  reject(good + "\n" + to_jsonl_line(lower) + "\n");
+  reject(good + "\n" + to_jsonl_line(lower) + "\n", "best_height");
   lower = sample_record(2);
   lower.violation_depth = sample_record(1).violation_depth - 1;
-  reject(good + "\n" + to_jsonl_line(lower) + "\n");
+  reject(good + "\n" + to_jsonl_line(lower) + "\n", "violation_depth");
   // A tip switch needs a delivery or a freshly mined block.
   RoundRecord unexplained = sample_record(1);
   unexplained.adoptions = unexplained.delivered + unexplained.honest_mined + 1;
-  reject(to_jsonl_line(unexplained) + "\n");
+  reject(to_jsonl_line(unexplained) + "\n", "adoptions");
   // Blank lines only at the end of the stream.
-  reject(good + "\n\n" + good + "\n");
+  reject(good + "\n\n" + good + "\n", "blank line");
 
   // ... and a trailing blank is fine (a flushed, truncated file).
   std::istringstream trailing(good + "\n\n");

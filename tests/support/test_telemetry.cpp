@@ -2,11 +2,14 @@
 // while phase scopes record only under ScopedPhaseTiming, the accumulator
 // fold is associative and seed-order independent, the name tables cover
 // their enums, and the Chrome-trace exporter emits a parseable document
-// with or without a timeline.
+// of the documented shape with or without a timeline.  No reader exists
+// for that format (it is written for third-party viewers only), so its
+// shape rules are asserted here, on the writer's own output.
 #include "support/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -140,6 +143,20 @@ TEST(Telemetry, ChromeTraceExportsParseableDocument) {
   // One process_name metadata record, one "X" per scope, two instant
   // events (counters, phase totals).
   ASSERT_EQ(trace_events.size(), events.size() + 3);
+  std::size_t metadata = 0;
+  for (const support::JsonValue& event : trace_events) {
+    const std::string& ph = event.at("ph").as_string();
+    EXPECT_TRUE(ph == "M" || ph == "X" || ph == "I") << ph;
+    EXPECT_NE(event.find("name"), nullptr) << ph;
+    if (ph == "M") ++metadata;
+    if (ph != "X") continue;
+    for (const char* key : {"ts", "dur"}) {
+      const double value = event.at(key).as_number();
+      EXPECT_TRUE(std::isfinite(value) && value >= 0.0)
+          << key << " = " << value;
+    }
+  }
+  EXPECT_EQ(metadata, 1u);
   EXPECT_NE(os.str().find("\"process_name\""), std::string::npos);
   EXPECT_NE(os.str().find("\"deliver\""), std::string::npos);
   EXPECT_NE(os.str().find("\"phase_totals_ns\""), std::string::npos);
@@ -148,8 +165,7 @@ TEST(Telemetry, ChromeTraceExportsParseableDocument) {
 TEST(Telemetry, ChromeTraceTimestampsAreFixedPointMicros) {
   // ts/dur are fixed-point fractional µs with ns resolution.  A run
   // longer than ~1 s must not degrade into scientific notation or
-  // rounded timestamps (scripts/check_trace.py --chrome enforces plain
-  // non-negative numbers on the CI side).
+  // rounded timestamps (viewers need plain non-negative numbers).
   std::vector<PhaseEvent> events;
   events.push_back({5'000'000'000'000, 1'234'567'891'234, Phase::kDeliver});
   events.push_back({9'876'543'210'987, 42, Phase::kMine});
