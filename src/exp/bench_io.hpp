@@ -7,11 +7,10 @@
 //
 // The stdout table sink is always attached, so default behaviour matches
 // the pre-orchestrator output; the JSON document additionally records the
-// requested thread count and wall-clock seconds — the fields the
-// BENCH_*.json perf trajectory tracks.  (`threads_requested` is the raw
-// flag value: each pool clamps its actual worker count to its job count,
-// so the number of threads that really ran can be smaller and can differ
-// between a bench's sections.)
+// requested thread count and wall-clock seconds.  (`threads_requested` is
+// the raw flag value: each pool clamps its actual worker count to its job
+// count, so the number of threads that really ran can be smaller and can
+// differ between a bench's sections.)
 #pragma once
 
 #include <chrono>

@@ -6,8 +6,8 @@
 //   * CsvSink   — one CSV file, a `section` column first, header row
 //                 re-emitted whenever a section changes the schema,
 //   * JsonSink  — one machine-readable summary document (sections, rows,
-//                 plus free-form metadata like wall-clock seconds) — the
-//                 format the BENCH_*.json perf trajectory consumes,
+//                 plus free-form metadata like wall-clock seconds and
+//                 the `tel_*` work counts cli/counter_parity gates),
 //   * SinkSet   — fan-out composite the benches actually hold.
 #pragma once
 

@@ -14,6 +14,12 @@ void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides) {
   if (overrides.delta) spec.delta = *overrides.delta;
   if (overrides.rounds) spec.rounds = *overrides.rounds;
   if (overrides.seeds) {
+    // The spec reader's rule: zero seeds would report an empty sweep as
+    // a perfectly consistent one, and an adaptive budget of zero is a
+    // precondition failure.
+    if (*overrides.seeds == 0) {
+      throw std::runtime_error("scenario: \"seeds\" must be >= 1");
+    }
     spec.seeds = *overrides.seeds;
     // Downsizing an adaptive spec must actually cap its budget: --seeds
     // becomes the max, and min/batch are clamped under it.

@@ -17,8 +17,8 @@
 // exactly the checks whose silent violation produced the PR 4 orphan-buffer
 // corruption, but paying for them on every delivery in Release would erase
 // the perf work they protect.  A violation therefore fails loudly at the
-// *mutation site* in every checking build, and costs nothing in the
-// configuration the perf trajectory (BENCH_history.jsonl) tracks.
+// *mutation site* in every checking build, and costs nothing in
+// Release, the configuration perfbench measures.
 //
 // Activation — the macro NEATBOUND_CHECK_INVARIANTS (0 or 1):
 //   * set tree-wide by the CMake cache variable of the same name

@@ -200,6 +200,12 @@ TEST(ScenarioRunner, SeedsOverrideCapsAdaptiveBudget) {
   EXPECT_EQ(spec.adaptive->max_seeds, 3u);
   EXPECT_EQ(spec.adaptive->min_seeds, 3u);
   EXPECT_EQ(spec.adaptive->batch, 3u);
+
+  // A zero budget is the spec reader's error, fixed or adaptive.
+  overrides.seeds = 0;
+  EXPECT_THROW(apply_overrides(spec, overrides), std::runtime_error);
+  ScenarioSpec fixed = parse_scenario(kMiniSweep);
+  EXPECT_THROW(apply_overrides(fixed, overrides), std::runtime_error);
 }
 
 TEST(ScenarioRunner, ResumeRejectsCheckpointFromDifferentComponents) {
