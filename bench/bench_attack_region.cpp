@@ -7,10 +7,12 @@
 // Orchestrated: all (c, ν, seed) engine runs share one work pool
 // (--threads); summaries are bit-identical to the serial path.
 #include <iostream>
+#include <memory>
 
 #include "bounds/pss.hpp"
 #include "exp/bench_io.hpp"
 #include "exp/orchestrator.hpp"
+#include "sim/strategies.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -47,12 +49,15 @@ int main(int argc, char** argv) {
     config.engine.p = 1.0 / (point.value("c") * static_cast<double>(miners) *
                              static_cast<double>(delta));
     config.engine.rounds = rounds;
-    config.adversary = sim::AdversaryKind::kBalanceAttack;
     config.seeds = seeds;
     return config;
   };
-  const auto cells =
-      exp::run_sweep(grid, build, {.violation_t = 8, .threads = io.threads});
+  const auto cells = exp::run_sweep(
+      grid, build, {.violation_t = 8, .threads = io.threads},
+      [](const sim::EngineConfig& engine) {
+        return std::make_unique<sim::BalanceAttackAdversary>(
+            sim::honest_miner_count(engine), engine.delta);
+      });
 
   const std::vector<std::string> headers = {"nu", "predicted",
                                             "mean max divergence",

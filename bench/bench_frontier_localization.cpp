@@ -14,11 +14,13 @@
 // magnitude.
 #include <cmath>
 #include <iostream>
+#include <memory>
 
 #include "bounds/frontier.hpp"
 #include "bounds/zhao.hpp"
 #include "exp/adaptive.hpp"
 #include "exp/bench_io.hpp"
+#include "sim/strategies.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -77,14 +79,15 @@ int main(int argc, char** argv) {
     config.engine.p = 1.0 / (c * static_cast<double>(miners) *
                              static_cast<double>(delta));
     config.engine.rounds = rounds;
-    config.adversary = sim::AdversaryKind::kPrivateWithhold;
     config.seeds = adaptive.max_seeds;
     return config;
   };
 
   const exp::FrontierResult result = exp::localize_frontier(
       grid, build, {.violation_t = violation_t, .threads = io.threads},
-      adaptive, frontier);
+      adaptive, frontier, [](const sim::EngineConfig&) {
+        return std::make_unique<sim::PrivateWithholdAdversary>();
+      });
 
   report.begin_section(
       "coarse sweep (adaptive seed allocation)",

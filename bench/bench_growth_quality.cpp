@@ -3,9 +3,9 @@
 // standard heuristics g ≈ α/(1+Δα) and q ≈ 1 − ν/μ, plus the selfish-
 // mining degradation of quality.
 //
-// Orchestrated: the growth and quality sweeps run their (grid × seed)
-// engine jobs on one work pool; the block-DAG section parallelizes its
-// single-seed engine runs over grid cells (--threads).
+// Orchestrated: the growth sweep and each strategy's quality sweep run
+// their (grid × seed) engine jobs on one work pool; the block-DAG section
+// parallelizes its single-seed engine runs over grid cells (--threads).
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -13,7 +13,9 @@
 #include "bounds/growth_quality.hpp"
 #include "exp/bench_io.hpp"
 #include "exp/orchestrator.hpp"
+#include "scenario/registry.hpp"
 #include "sim/engine.hpp"
+#include "sim/strategies.hpp"
 #include "support/cli.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
@@ -47,12 +49,14 @@ int main(int argc, char** argv) {
       config.engine.delta = static_cast<std::uint64_t>(point.value("delta"));
       config.engine.p = point.value("p");
       config.engine.rounds = rounds;
-      config.adversary = sim::AdversaryKind::kMaxDelay;
       config.seeds = seeds;
       return config;
     };
-    const auto cells =
-        exp::run_sweep(grid, build, {.violation_t = 8, .threads = io.threads});
+    const auto cells = exp::run_sweep(
+        grid, build, {.violation_t = 8, .threads = io.threads},
+        [](const sim::EngineConfig& engine) {
+          return std::make_unique<sim::MaxDelayAdversary>(engine.delta);
+        });
     report.begin_section(
         "growth — max-delay delivery vs g ~ alpha/(1+delta*alpha)",
         {"delta", "p", "alpha", "g heuristic", "g simulated", "ratio"});
@@ -72,11 +76,12 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Categorical axis: index into the strategy list.
-    const sim::AdversaryKind kinds[] = {sim::AdversaryKind::kPrivateWithhold,
-                                        sim::AdversaryKind::kSelfishMining};
+    report.begin_section(
+        "quality — vs adversary strategy (q heuristic: 1 - nu/mu under "
+        "honest-ish behaviour)",
+        {"strategy", "nu", "q heuristic", "q simulated",
+         "adv blocks in chain"});
     exp::SweepGrid grid;
-    grid.axis("strategy", {0, 1});
     grid.axis("nu", {0.1, 0.25, 0.4});
     const auto build = [&](const exp::GridPoint& point) {
       sim::ExperimentConfig config;
@@ -85,29 +90,29 @@ int main(int argc, char** argv) {
       config.engine.delta = 2;
       config.engine.p = 0.002;
       config.engine.rounds = rounds;
-      config.adversary =
-          kinds[static_cast<std::size_t>(point.value("strategy"))];
       config.seeds = seeds;
       return config;
     };
-    const auto cells =
-        exp::run_sweep(grid, build, {.violation_t = 8, .threads = io.threads});
-    report.begin_section(
-        "quality — vs adversary strategy (q heuristic: 1 - nu/mu under "
-        "honest-ish behaviour)",
-        {"strategy", "nu", "q heuristic", "q simulated",
-         "adv blocks in chain"});
-    for (const exp::SweepCell& cell : cells) {
-      const double nu = cell.point.value("nu");
-      const double heuristic = 1.0 - nu / (1.0 - nu);
-      report.add_row(
-          {sim::adversary_kind_name(cell.config.adversary),
-           format_fixed(nu, 2), format_fixed(heuristic, 3),
-           format_fixed(cell.summary.chain_quality.mean(), 3),
-           format_fixed(cell.summary.chain_quality.count() > 0
-                            ? (1.0 - cell.summary.chain_quality.mean())
-                            : 0.0,
-                        3)});
+    const scenario::ScenarioRegistry& registry =
+        scenario::ScenarioRegistry::builtin();
+    for (const std::string strategy : {"private-withhold", "selfish-mining"}) {
+      const auto cells = exp::run_sweep(
+          grid, build, {.violation_t = 8, .threads = io.threads},
+          [&](const sim::EngineConfig& engine) {
+            return registry.make_adversary("strategy", {}, strategy, {},
+                                           engine);
+          });
+      for (const exp::SweepCell& cell : cells) {
+        const double nu = cell.point.value("nu");
+        const double heuristic = 1.0 - nu / (1.0 - nu);
+        report.add_row(
+            {strategy, format_fixed(nu, 2), format_fixed(heuristic, 3),
+             format_fixed(cell.summary.chain_quality.mean(), 3),
+             format_fixed(cell.summary.chain_quality.count() > 0
+                              ? (1.0 - cell.summary.chain_quality.mean())
+                              : 0.0,
+                          3)});
+      }
     }
   }
 

@@ -238,7 +238,8 @@ int run_command(int argc, char** argv) {
     try {
       trace_bounds = sim::parse_trace_rounds(trace_rounds_text);
     } catch (const std::invalid_argument& e) {
-      std::cerr << "neatbound_cli run: --trace-rounds: " << e.what() << "\n";
+      // The parser's messages already name the flag.
+      std::cerr << "neatbound_cli run: " << e.what() << "\n";
       return 2;
     }
   }

@@ -7,6 +7,7 @@
 
 #include "bounds/pss.hpp"
 #include "bounds/zhao.hpp"
+#include "scenario/registry.hpp"
 #include "sim/runner.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -35,11 +36,9 @@ int main(int argc, char** argv) {
   TablePrinter table({"strategy", "violation depth", "max reorg",
                       "max divergence", "disagree frac", "quality",
                       "growth/round", "conv opps", "adv blocks"});
-  for (const auto kind :
-       {sim::AdversaryKind::kNull, sim::AdversaryKind::kMaxDelay,
-        sim::AdversaryKind::kPrivateWithhold,
-        sim::AdversaryKind::kBalanceAttack,
-        sim::AdversaryKind::kSelfishMining}) {
+  const scenario::ScenarioRegistry& registry =
+      scenario::ScenarioRegistry::builtin();
+  for (const auto& strategy : registry.adversary_strategies()) {
     sim::ExperimentConfig config;
     config.engine.miner_count = miners;
     config.engine.adversary_fraction = nu;
@@ -47,11 +46,14 @@ int main(int argc, char** argv) {
     config.engine.p = 1.0 / (c * static_cast<double>(miners) *
                              static_cast<double>(delta));
     config.engine.rounds = rounds;
-    config.adversary = kind;
     config.seeds = seeds;
-    const auto s = sim::run_experiment(config, 8);
+    const auto s = sim::run_experiment(
+        config, 8, [&](const sim::EngineConfig& engine) {
+          return registry.make_adversary("strategy", {}, strategy.name, {},
+                                         engine);
+        });
     table.add_row(
-        {sim::adversary_kind_name(kind),
+        {strategy.name,
          format_fixed(s.violation_depth.mean(), 1),
          format_fixed(s.max_reorg_depth.mean(), 1),
          format_fixed(s.max_divergence.mean(), 1),
@@ -64,9 +66,10 @@ int main(int argc, char** argv) {
          format_fixed(s.adversary_blocks.mean(), 0)});
   }
   table.print(std::cout);
-  std::cout << "\nhow to read: private-withhold targets consistency (reorg "
-               "depth), balance-attack targets agreement (divergence), "
-               "selfish-mining targets chain quality; null/max-delay are "
-               "the benign baselines bracketing honest behaviour.\n";
+  std::cout << "\nhow to read: private-withhold and delay-saturate target "
+               "consistency (reorg depth), balance-attack and fork-balancer "
+               "target agreement (divergence), selfish-mining targets chain "
+               "quality; null/max-delay are the benign baselines bracketing "
+               "honest behaviour.\n";
   return 0;
 }

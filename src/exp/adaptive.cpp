@@ -60,7 +60,6 @@ std::uint64_t sweep_fingerprint(const SweepGrid& grid,
         .number(engine.p)
         .integer(engine.delta)
         .integer(engine.rounds)
-        .integer(static_cast<std::uint64_t>(cell.config.adversary))
         .integer(cell.config.base_seed);
   }
   fp.text("options").integer(options.violation_t);
@@ -121,7 +120,7 @@ struct WaveLoopOutcome {
 WaveLoopOutcome run_waves(std::vector<CellState>& cells,
                           const SweepOptions& options,
                           const AdaptiveOptions& adaptive,
-                          const SweepAdversaryFactory& factory,
+                          const sim::AdversaryFactory& factory,
                           std::uint64_t fingerprint) {
   const double z = stats::z_for_confidence(adaptive.confidence);
   WaveLoopOutcome outcome;
@@ -175,8 +174,7 @@ WaveLoopOutcome run_waves(std::vector<CellState>& cells,
       const sim::ExperimentConfig& cell_config = cells[jobs[j].cell].config;
       sim::EngineConfig engine_config = cell_config.engine;
       engine_config.seed = cell_config.base_seed + jobs[j].seed;
-      sim::ExecutionEngine engine(engine_config,
-                                  factory(cell_config, engine_config));
+      sim::ExecutionEngine engine(engine_config, factory(engine_config));
       results[j] = engine.run();
     });
 
@@ -275,10 +273,11 @@ AdaptiveCell finish_cell(CellState&& cell, double z) {
 
 }  // namespace
 
-AdaptiveSweepResult run_sweep_adaptive_with(
-    const SweepGrid& grid, const ConfigBuilder& build,
-    const SweepOptions& options, const AdaptiveOptions& adaptive,
-    const SweepAdversaryFactory& factory) {
+AdaptiveSweepResult run_sweep_adaptive(const SweepGrid& grid,
+                                       const ConfigBuilder& build,
+                                       const SweepOptions& options,
+                                       const AdaptiveOptions& adaptive,
+                                       const sim::AdversaryFactory& factory) {
   validate_adaptive(adaptive);
   std::vector<CellState> cells = build_cells(grid, build);
   const std::uint64_t fingerprint =
@@ -298,14 +297,6 @@ AdaptiveSweepResult run_sweep_adaptive_with(
   return result;
 }
 
-AdaptiveSweepResult run_sweep_adaptive(const SweepGrid& grid,
-                                       const ConfigBuilder& build,
-                                       const SweepOptions& options,
-                                       const AdaptiveOptions& adaptive) {
-  return run_sweep_adaptive_with(grid, build, options, adaptive,
-                                 default_sweep_adversary_factory());
-}
-
 namespace {
 
 /// Frontier midpoint evaluation: a one-cell adaptive run (no
@@ -320,7 +311,7 @@ MidpointEstimate evaluate_midpoint(const GridPoint& point,
                                    const ConfigBuilder& build,
                                    const SweepOptions& options,
                                    const AdaptiveOptions& adaptive,
-                                   const SweepAdversaryFactory& factory) {
+                                   const sim::AdversaryFactory& factory) {
   AdaptiveOptions local = adaptive;
   local.checkpoint_path.clear();
   local.resume = false;
@@ -348,12 +339,12 @@ GridPoint synthetic_point(const SweepGrid& grid, std::size_t index,
 
 }  // namespace
 
-FrontierResult localize_frontier_with(const SweepGrid& grid,
-                                      const ConfigBuilder& build,
-                                      const SweepOptions& options,
-                                      const AdaptiveOptions& adaptive,
-                                      const FrontierOptions& frontier,
-                                      const SweepAdversaryFactory& factory) {
+FrontierResult localize_frontier(const SweepGrid& grid,
+                                 const ConfigBuilder& build,
+                                 const SweepOptions& options,
+                                 const AdaptiveOptions& adaptive,
+                                 const FrontierOptions& frontier,
+                                 const sim::AdversaryFactory& factory) {
   bool axis_found = false;
   std::size_t axis_pos = 0;
   for (std::size_t i = 0; i < grid.axis_count(); ++i) {
@@ -372,7 +363,7 @@ FrontierResult localize_frontier_with(const SweepGrid& grid,
 
   FrontierResult result;
   result.coarse =
-      run_sweep_adaptive_with(grid, build, options, adaptive, factory);
+      run_sweep_adaptive(grid, build, options, adaptive, factory);
   result.engine_runs = result.coarse.engine_runs;
   if (!result.coarse.complete) return result;  // interrupted coarse phase
 
@@ -462,15 +453,6 @@ FrontierResult localize_frontier_with(const SweepGrid& grid,
     result.rows.push_back(std::move(row));
   }
   return result;
-}
-
-FrontierResult localize_frontier(const SweepGrid& grid,
-                                 const ConfigBuilder& build,
-                                 const SweepOptions& options,
-                                 const AdaptiveOptions& adaptive,
-                                 const FrontierOptions& frontier) {
-  return localize_frontier_with(grid, build, options, adaptive, frontier,
-                                default_sweep_adversary_factory());
 }
 
 }  // namespace neatbound::exp

@@ -4,7 +4,7 @@
 // burning a fixed seed budget uniformly over the grid.
 //
 // Sequential stopping.  Seeds are scheduled in *waves* on the same
-// (cell × seed) pool run_sweep_with uses: wave 0 gives every cell
+// (cell × seed) pool run_sweep uses: wave 0 gives every cell
 // min_seeds runs, each later wave adds `batch` runs to every cell whose
 // Wilson interval on P[violation depth > T] is still wider than the
 // half-width target (and which is below max_seeds).  Seed k of cell g
@@ -24,7 +24,7 @@
 // bit-identical to an uninterrupted one.
 //
 // Frontier refinement.  Given one sweep axis and a violation-probability
-// threshold, localize_frontier_with scans each line of the coarse grid
+// threshold, localize_frontier scans each line of the coarse grid
 // for a bracket (adjacent points whose estimates straddle the threshold)
 // and recursively bisects the bracket — evaluating midpoints with the
 // same sequential-stopping rule — until the crossing is pinned to the
@@ -68,10 +68,10 @@ struct AdaptiveOptions {
   double confidence = 0.95;  ///< level of the stopping/reporting interval
   std::string checkpoint_path;  ///< "" = no checkpointing
   /// Folded into the checkpoint fingerprint.  The automatic fingerprint
-  /// covers the grid and each cell's engine config; anything else the
-  /// builder or adversary factory depends on (scenario adversary /
+  /// covers the grid and each cell's engine config, never the adversary
+  /// factory: a caller whose factory varies (scenario adversary /
   /// network components and their parameters, custom factory state)
-  /// must be described here, or a checkpoint from a differently-wired
+  /// must put its identity here, or a checkpoint from a differently-wired
   /// sweep would resume silently.
   std::string fingerprint_context;
   /// Load checkpoint_path if it exists and resume from it (a missing
@@ -107,16 +107,11 @@ struct AdaptiveSweepResult {
 };
 
 /// Runs the grid adaptively on one parallel_for_indexed pool; adversaries
-/// come from `factory` exactly as in run_sweep_with.
-[[nodiscard]] AdaptiveSweepResult run_sweep_adaptive_with(
-    const SweepGrid& grid, const ConfigBuilder& build,
-    const SweepOptions& options, const AdaptiveOptions& adaptive,
-    const SweepAdversaryFactory& factory);
-
-/// Same, with each cell's adversary built from its config.adversary kind.
+/// come from `factory` exactly as in run_sweep.
 [[nodiscard]] AdaptiveSweepResult run_sweep_adaptive(
     const SweepGrid& grid, const ConfigBuilder& build,
-    const SweepOptions& options, const AdaptiveOptions& adaptive);
+    const SweepOptions& options, const AdaptiveOptions& adaptive,
+    const sim::AdversaryFactory& factory);
 
 struct FrontierOptions {
   std::string axis;        ///< grid axis to bisect along
@@ -154,14 +149,9 @@ struct FrontierResult {
 /// configured, covers the coarse phase; refinement re-runs are bounded
 /// by max_bisections × max_seeds per line.  Throws std::invalid_argument
 /// when options.axis is not a grid axis.
-[[nodiscard]] FrontierResult localize_frontier_with(
-    const SweepGrid& grid, const ConfigBuilder& build,
-    const SweepOptions& options, const AdaptiveOptions& adaptive,
-    const FrontierOptions& frontier, const SweepAdversaryFactory& factory);
-
 [[nodiscard]] FrontierResult localize_frontier(
     const SweepGrid& grid, const ConfigBuilder& build,
     const SweepOptions& options, const AdaptiveOptions& adaptive,
-    const FrontierOptions& frontier);
+    const FrontierOptions& frontier, const sim::AdversaryFactory& factory);
 
 }  // namespace neatbound::exp

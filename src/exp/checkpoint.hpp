@@ -44,11 +44,11 @@ struct SweepCheckpoint {
 };
 
 /// FNV-1a over a canonical description of the sweep: axis names/values,
-/// per-cell engine parameters + adversary kind + base seed, the adaptive
-/// schedule (min/batch/max seeds, half-width target, confidence),
-/// violation_t, and the caller's fingerprint_context (component
-/// identity for scenario runs).  Doubles are folded in at full
-/// precision.
+/// per-cell engine parameters + base seed, the adaptive schedule
+/// (min/batch/max seeds, half-width target, confidence), violation_t,
+/// and the caller's fingerprint_context (the adversary's identity —
+/// network and strategy components for scenario runs).  Doubles are
+/// folded in at full precision.
 class FingerprintBuilder {
  public:
   FingerprintBuilder& text(const std::string& piece);

@@ -44,8 +44,9 @@ class GridPoint {
   std::vector<double> values_;
 };
 
-/// Cartesian product of named axes.  Axes hold doubles; categorical axes
-/// (adversary kinds, …) are encoded as indices into a bench-side array.
+/// Cartesian product of named axes.  Axes hold doubles; a categorical
+/// choice such as the adversary strategy is one sweep per choice, since
+/// the adversary factory sees only each run's engine config.
 class SweepGrid {
  public:
   /// Appends an axis; throws std::invalid_argument on empty values or a

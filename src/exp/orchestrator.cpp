@@ -7,10 +7,10 @@
 
 namespace neatbound::exp {
 
-std::vector<SweepCell> run_sweep_with(const SweepGrid& grid,
-                                      const ConfigBuilder& build,
-                                      const SweepOptions& options,
-                                      const SweepAdversaryFactory& factory) {
+std::vector<SweepCell> run_sweep(const SweepGrid& grid,
+                                 const ConfigBuilder& build,
+                                 const SweepOptions& options,
+                                 const sim::AdversaryFactory& factory) {
   const std::size_t cells = grid.size();
 
   // Materialize every cell's config up front (single-threaded: builders
@@ -39,8 +39,7 @@ std::vector<SweepCell> run_sweep_with(const SweepGrid& grid,
     const std::size_t k = j - first_job[job_cell[j]];
     sim::EngineConfig engine_config = cell.config.engine;
     engine_config.seed = cell.config.base_seed + k;
-    sim::ExecutionEngine engine(engine_config,
-                                factory(cell.config, engine_config));
+    sim::ExecutionEngine engine(engine_config, factory(engine_config));
     results[j] = engine.run();
   });
 
@@ -52,20 +51,6 @@ std::vector<SweepCell> run_sweep_with(const SweepGrid& grid,
     }
   }
   return out;
-}
-
-SweepAdversaryFactory default_sweep_adversary_factory() {
-  return [](const sim::ExperimentConfig& config,
-            const sim::EngineConfig& engine_config) {
-    return sim::make_default_adversary(config.adversary, engine_config);
-  };
-}
-
-std::vector<SweepCell> run_sweep(const SweepGrid& grid,
-                                 const ConfigBuilder& build,
-                                 const SweepOptions& options) {
-  return run_sweep_with(grid, build, options,
-                        default_sweep_adversary_factory());
 }
 
 }  // namespace neatbound::exp

@@ -7,8 +7,8 @@
 // that cell's config, results land in a (cell, seed)-indexed slot, and
 // aggregation replays them sequentially in seed order with the runner's
 // own accumulate_run — the summaries are bit-identical to calling
-// sim::run_experiment on each cell, regardless of thread count or
-// scheduling.  Worker exceptions propagate to the caller (first one wins)
+// sim::run_experiment on each cell with the same factory, regardless of
+// thread count or scheduling.  Worker exceptions propagate to the caller (first one wins)
 // after all workers have joined.
 #pragma once
 
@@ -22,23 +22,9 @@
 namespace neatbound::exp {
 
 /// Maps one grid point to the experiment to run there (engine parameters,
-/// adversary kind, seed count).  Called once per point, up front, on the
-/// calling thread.
+/// seed count).  Called once per point, up front, on the calling thread.
 using ConfigBuilder =
     std::function<sim::ExperimentConfig(const GridPoint&)>;
-
-/// Per-point adversary construction hook: receives the point's full
-/// experiment config plus the per-seed engine config (seed already set).
-/// Must be callable concurrently.
-using SweepAdversaryFactory = std::function<std::unique_ptr<sim::Adversary>(
-    const sim::ExperimentConfig&, const sim::EngineConfig&)>;
-
-/// The factory the *_with-less entry points use: each cell's adversary
-/// built from its config.adversary kind via the runner's default
-/// construction.  Shared by run_sweep, run_sweep_adaptive and
-/// localize_frontier so default adversary wiring cannot diverge between
-/// the plain and adaptive paths.
-[[nodiscard]] SweepAdversaryFactory default_sweep_adversary_factory();
 
 struct SweepOptions {
   std::uint64_t violation_t = 8;  ///< consistency predicate depth
@@ -53,15 +39,10 @@ struct SweepCell {
 };
 
 /// Runs every (cell × seed) engine job on one pool and returns the cells
-/// in grid order.  The adversary for each run comes from the factory.
-[[nodiscard]] std::vector<SweepCell> run_sweep_with(
+/// in grid order.  Each run's adversary comes from `factory`, called with
+/// that run's engine config (seed set); it must be callable concurrently.
+[[nodiscard]] std::vector<SweepCell> run_sweep(
     const SweepGrid& grid, const ConfigBuilder& build,
-    const SweepOptions& options, const SweepAdversaryFactory& factory);
-
-/// Same, with each cell's adversary built from its config.adversary kind
-/// (the runner's default factory).
-[[nodiscard]] std::vector<SweepCell> run_sweep(const SweepGrid& grid,
-                                               const ConfigBuilder& build,
-                                               const SweepOptions& options);
+    const SweepOptions& options, const sim::AdversaryFactory& factory);
 
 }  // namespace neatbound::exp

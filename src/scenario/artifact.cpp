@@ -583,6 +583,7 @@ OracleScanResult run_scenario_oracle(const ScenarioSpec& spec,
                                      std::uint64_t max_runs) {
   const sim::OracleConfig oracle_config = resolve_oracle_config(spec);
   const exp::SweepGrid grid = build_grid(spec);
+  const sim::AdversaryFactory factory = spec_adversary_factory(spec, registry);
   OracleScanResult result;
   for (std::size_t cell = 0; cell < grid.size(); ++cell) {
     const sim::ExperimentConfig cell_config =
@@ -592,11 +593,7 @@ OracleScanResult run_scenario_oracle(const ScenarioSpec& spec,
       sim::EngineConfig engine_config = cell_config.engine;
       engine_config.seed = spec.base_seed + seed_index;
       sim::InvariantOracle oracle(oracle_config);
-      sim::ExecutionEngine engine(
-          engine_config,
-          registry.make_adversary(spec.network.kind, spec.network.params,
-                                  spec.adversary.kind, spec.adversary.params,
-                                  engine_config));
+      sim::ExecutionEngine engine(engine_config, factory(engine_config));
       (void)engine.run(oracle.observer());
       ++result.runs_scanned;
       if (oracle.violated()) {

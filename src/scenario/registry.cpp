@@ -114,8 +114,8 @@ std::unique_ptr<sim::Adversary> ScenarioRegistry::make_adversary(
 void register_builtin_networks(ScenarioRegistry& registry) {
   registry.register_network(
       {"strategy",
-       "delays chosen by the adversary strategy's own honest_delay (what "
-       "every hand-written bench does)",
+       "delays chosen by the adversary strategy's own honest_delay (the "
+       "strategy run on its own)",
        {}},
       [](const Params&, const sim::EngineConfig&, std::uint32_t) {
         return std::unique_ptr<net::DeliverySchedule>();

@@ -7,7 +7,8 @@
 // *strategy* decides what the corrupted miners do.  The engine sources
 // both powers from one Adversary object, so composition works like this:
 //   * model "strategy" (the default) leaves delays to the strategy's own
-//     honest_delay — exactly what every hand-written bench does;
+//     honest_delay — exactly as when the strategy is handed to the engine
+//     directly;
 //   * any other model wraps the strategy in a sim::ScheduleAdversary,
 //     overriding delays with the model's DeliverySchedule.
 //

@@ -94,7 +94,7 @@ double CellContext::value(const std::string& name) const {
     double c;
     if (spec_.hardness_mode == "neat-bound-multiple") {
       // Recompute exactly as the config builder did, so "c" rows print
-      // the same doubles a hand-written bench prints.
+      // the doubles the engine ran with.
       const double multiple = spec_.has_axis("multiple")
                                   ? cell_.point.value("multiple")
                                   : spec_.hardness_multiple;

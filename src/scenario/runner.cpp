@@ -65,8 +65,8 @@ sim::ExperimentConfig build_config(const ScenarioSpec& spec,
   config.engine.p = axis_or(spec, point, "p", spec.p);
 
   if (spec.hardness_mode == "neat-bound-multiple") {
-    // Operation-for-operation the arithmetic of bench_consistency_sweep:
-    // c = neat_bound_c(nu) · multiple, p = 1 / (c·n·Δ).
+    // The Fig. 1 parameterization: c = neat_bound_c(nu) · multiple,
+    // p = 1 / (c·n·Δ).
     const double nu = config.engine.adversary_fraction;
     const double multiple =
         axis_or(spec, point, "multiple", spec.hardness_multiple);
@@ -87,14 +87,21 @@ sim::ExperimentConfig build_config(const ScenarioSpec& spec,
   return config;
 }
 
+sim::AdversaryFactory spec_adversary_factory(
+    const ScenarioSpec& spec, const ScenarioRegistry& registry) {
+  return [&spec, &registry](const sim::EngineConfig& engine_config) {
+    return registry.make_adversary(spec.network.kind, spec.network.params,
+                                   spec.adversary.kind,
+                                   spec.adversary.params, engine_config);
+  };
+}
+
 void validate_components(const ScenarioSpec& spec,
                          const ScenarioRegistry& registry) {
   sim::EngineConfig probe =
       build_config(spec, build_grid(spec).point(0)).engine;
   probe.seed = spec.base_seed;
-  (void)registry.make_adversary(spec.network.kind, spec.network.params,
-                                spec.adversary.kind, spec.adversary.params,
-                                probe);
+  (void)spec_adversary_factory(spec, registry)(probe);
 }
 
 std::vector<exp::SweepCell> run_scenario(const ScenarioSpec& spec,
@@ -106,16 +113,10 @@ std::vector<exp::SweepCell> run_scenario(const ScenarioSpec& spec,
   const auto build = [&spec](const exp::GridPoint& point) {
     return build_config(spec, point);
   };
-  const auto factory = [&spec, &registry](
-                           const sim::ExperimentConfig&,
-                           const sim::EngineConfig& engine_config) {
-    return registry.make_adversary(spec.network.kind, spec.network.params,
-                                   spec.adversary.kind,
-                                   spec.adversary.params, engine_config);
-  };
-  return exp::run_sweep_with(
+  return exp::run_sweep(
       grid, build,
-      {.violation_t = spec.violation_t, .threads = options.threads}, factory);
+      {.violation_t = spec.violation_t, .threads = options.threads},
+      spec_adversary_factory(spec, registry));
 }
 
 exp::AdaptiveOptions resolve_adaptive_options(
@@ -159,17 +160,11 @@ exp::AdaptiveSweepResult run_scenario_adaptive(
   const auto build = [&spec](const exp::GridPoint& point) {
     return build_config(spec, point);
   };
-  const auto factory = [&spec, &registry](
-                           const sim::ExperimentConfig&,
-                           const sim::EngineConfig& engine_config) {
-    return registry.make_adversary(spec.network.kind, spec.network.params,
-                                   spec.adversary.kind,
-                                   spec.adversary.params, engine_config);
-  };
-  return exp::run_sweep_adaptive_with(
+  return exp::run_sweep_adaptive(
       grid, build,
       {.violation_t = spec.violation_t, .threads = options.threads},
-      resolve_adaptive_options(spec, options), factory);
+      resolve_adaptive_options(spec, options),
+      spec_adversary_factory(spec, registry));
 }
 
 sim::RunResult run_scenario_trace(const ScenarioSpec& spec,
@@ -179,10 +174,7 @@ sim::RunResult run_scenario_trace(const ScenarioSpec& spec,
   sim::EngineConfig engine_config = build_config(spec, grid.point(0)).engine;
   engine_config.seed = spec.base_seed;
   sim::ExecutionEngine engine(
-      engine_config,
-      registry.make_adversary(spec.network.kind, spec.network.params,
-                              spec.adversary.kind, spec.adversary.params,
-                              engine_config));
+      engine_config, spec_adversary_factory(spec, registry)(engine_config));
   return engine.run(sim::make_round_tracer(sink));
 }
 

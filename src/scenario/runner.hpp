@@ -1,13 +1,13 @@
 // Executes a parsed scenario through the experiment orchestrator.
 //
-// The pipeline is exactly a hand-written bench's: the spec's axes become
-// an exp::SweepGrid, each grid point is materialized into an
-// sim::ExperimentConfig (axis overrides + hardness rule), every
-// (cell × seed) engine run goes through exp::run_sweep_with on one shared
-// work pool, and the cells render into any exp::ResultSink.  Because the
-// grid enumeration, config arithmetic, adversary construction and
-// aggregation all reuse the bench code paths, a scenario that mirrors a
-// bench produces bit-identical summaries.
+// The spec's axes become an exp::SweepGrid, each grid point is
+// materialized into an sim::ExperimentConfig (axis overrides + hardness
+// rule), every (cell × seed) engine run goes through exp::run_sweep on one
+// shared work pool with an adversary composed by the registry, and the
+// cells render into any exp::ResultSink.  Grid enumeration, config
+// arithmetic and aggregation are the exp layer's, so a scenario produces
+// exactly the summaries a program calling exp::run_sweep on the same grid
+// and adversary would.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +67,12 @@ struct ScenarioRunOptions {
   std::function<void(const exp::WaveProgress&)> progress;
 };
 
+/// The spec's network model × strategy, composed by `registry`, as the
+/// one per-run adversary hook every scenario path builds its engines
+/// with.  Captures both arguments by reference.
+[[nodiscard]] sim::AdversaryFactory spec_adversary_factory(
+    const ScenarioSpec& spec, const ScenarioRegistry& registry);
+
 /// Fail-fast validation shared by run/describe: resolves the first grid
 /// point's engine config and builds (and discards) one adversary, so
 /// unknown components, bad parameters and unusable engine values all
@@ -91,7 +97,7 @@ void validate_components(const ScenarioSpec& spec,
 
 /// Adaptive/checkpointed variant of run_scenario: same grid, configs,
 /// registry-built adversaries and validation, executed through
-/// exp::run_sweep_adaptive_with.  result.complete is false when
+/// exp::run_sweep_adaptive.  result.complete is false when
 /// options.stop_after_waves interrupted the sweep (the checkpoint, if
 /// any, holds the partial state).
 [[nodiscard]] exp::AdaptiveSweepResult run_scenario_adaptive(

@@ -37,9 +37,10 @@
 //                             from the "nu" axis (or engine.nu) and
 //                             multiple from the "multiple" axis (or
 //                             hardness.multiple); p = 1 / (c·n·Δ).  The
-//                             arithmetic matches bench_consistency_sweep
+//                             arithmetic is the plain C++ expression
 //                             operation for operation, so a scenario run
-//                             is bit-identical to the hand-written bench.
+//                             is bit-identical to a hand-built sweep of
+//                             the same cells (ScenarioRunner test).
 //
 // An "adaptive" block switches the run from the fixed per-cell seed
 // budget to confidence-interval-driven sequential stopping (see

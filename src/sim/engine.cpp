@@ -46,9 +46,11 @@ void validate_engine_config(const EngineConfig& config) {
   NEATBOUND_EXPECTS(config.adversary_fraction >= 0.0 &&
                         config.adversary_fraction < 0.5,
                     "adversary fraction nu must be in [0, 1/2)");
+  // Before p: the hardness rules derive p = 1/(c·n·Δ), so Δ = 0 would
+  // otherwise be reported as a bad p the user never set.
+  NEATBOUND_EXPECTS(config.delta >= 1, "delta must be >= 1");
   NEATBOUND_EXPECTS(config.p > 0.0 && config.p < 1.0,
                     "mining hardness p must be in (0, 1)");
-  NEATBOUND_EXPECTS(config.delta >= 1, "delta must be >= 1");
   NEATBOUND_EXPECTS(config.rounds >= 1, "rounds must be >= 1");
   NEATBOUND_EXPECTS(config.miner_count > corrupted_count(config),
                     "at least one honest miner needed");

@@ -81,7 +81,7 @@ struct EngineConfig {
 
 /// Rejects unusable parameter combinations with a ContractViolation whose
 /// message names the offending field: n < 4 (the paper's condition (3)),
-/// ν ∉ [0, 1/2) (which covers ν ≥ 1), p ∉ (0, 1), Δ = 0, T = 0, or a
+/// ν ∉ [0, 1/2) (which covers ν ≥ 1), Δ = 0, p ∉ (0, 1), T = 0, or a
 /// corrupted count that leaves no honest miner.  Called by the engine
 /// constructor; exposed so config-producing layers (CLI, scenario files)
 /// can fail fast before spawning runs.

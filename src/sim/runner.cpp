@@ -22,21 +22,9 @@ void accumulate_run(ExperimentSummary& summary, const RunResult& result,
   summary.telemetry.add(result.telemetry);
 }
 
-std::unique_ptr<Adversary> make_default_adversary(
-    AdversaryKind kind, const EngineConfig& engine_config) {
-  return make_adversary(kind, honest_miner_count(engine_config),
-                        engine_config.delta);
-}
-
-AdversaryFactory default_adversary_factory(AdversaryKind kind) {
-  return [kind](const EngineConfig& engine_config) {
-    return make_default_adversary(kind, engine_config);
-  };
-}
-
-ExperimentSummary run_experiment_with(const ExperimentConfig& config,
-                                      std::uint64_t violation_t,
-                                      const AdversaryFactory& factory) {
+ExperimentSummary run_experiment(const ExperimentConfig& config,
+                                 std::uint64_t violation_t,
+                                 const AdversaryFactory& factory) {
   ExperimentSummary summary;
   for (std::uint32_t k = 0; k < config.seeds; ++k) {
     EngineConfig engine_config = config.engine;
@@ -45,12 +33,6 @@ ExperimentSummary run_experiment_with(const ExperimentConfig& config,
     accumulate_run(summary, engine.run(), violation_t);
   }
   return summary;
-}
-
-ExperimentSummary run_experiment(const ExperimentConfig& config,
-                                 std::uint64_t violation_t) {
-  return run_experiment_with(config, violation_t,
-                             default_adversary_factory(config.adversary));
 }
 
 }  // namespace neatbound::sim

@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "sim/engine.hpp"
-#include "sim/strategies.hpp"
+#include "sim/adversary.hpp"
 #include "stats/summary.hpp"
 #include "support/telemetry.hpp"
 
@@ -17,7 +17,6 @@ namespace neatbound::sim {
 
 struct ExperimentConfig {
   EngineConfig engine;
-  AdversaryKind adversary = AdversaryKind::kMaxDelay;
   std::uint32_t seeds = 8;          ///< independent repetitions
   std::uint64_t base_seed = 12345;  ///< seed for repetition k is base+k
 };
@@ -43,17 +42,11 @@ struct ExperimentSummary {
   telemetry::TelemetryAccumulator telemetry;
 };
 
-/// Per-config adversary construction hook shared by every runner variant.
+/// The one adversary hook: builds a fresh adversary for each engine run
+/// (seed already set).  Sweeps call it from pool workers, so it must be
+/// callable concurrently.
 using AdversaryFactory =
     std::function<std::unique_ptr<Adversary>(const EngineConfig&)>;
-
-/// The adversary run_experiment builds implicitly: make_adversary(kind, …)
-/// sized from the engine config's miner count and fraction.
-[[nodiscard]] std::unique_ptr<Adversary> make_default_adversary(
-    AdversaryKind kind, const EngineConfig& engine_config);
-
-/// make_default_adversary wrapped as a per-config factory.
-[[nodiscard]] AdversaryFactory default_adversary_factory(AdversaryKind kind);
 
 /// Folds one engine run into the summary.  Exposed so higher layers (the
 /// sweep orchestrator) aggregate with exactly the serial runner's
@@ -61,17 +54,13 @@ using AdversaryFactory =
 void accumulate_run(ExperimentSummary& summary, const RunResult& result,
                     std::uint64_t violation_t);
 
-/// Runs `config.seeds` executions.  `violation_t` parameterizes the
-/// consistency predicate: a run "violates T-consistency" iff its observed
-/// violation depth exceeds violation_t.
+/// Runs `config.seeds` executions serially, each against an adversary
+/// from `factory`.  `violation_t` parameterizes the consistency predicate:
+/// a run "violates T-consistency" iff its observed violation depth
+/// exceeds violation_t.  Parallel sweeps go through exp::run_sweep, which
+/// folds runs with accumulate_run in the same seed order.
 [[nodiscard]] ExperimentSummary run_experiment(const ExperimentConfig& config,
-                                               std::uint64_t violation_t);
-
-/// Hook for custom adversaries: same aggregation, caller-provided factory.
-/// Parallel sweeps go through exp::run_sweep_with, which folds runs with
-/// accumulate_run in the same seed order.
-[[nodiscard]] ExperimentSummary run_experiment_with(
-    const ExperimentConfig& config, std::uint64_t violation_t,
-    const AdversaryFactory& factory);
+                                               std::uint64_t violation_t,
+                                               const AdversaryFactory& factory);
 
 }  // namespace neatbound::sim

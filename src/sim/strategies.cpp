@@ -397,51 +397,4 @@ void DelaySaturatingWithholder::act(AdversaryOps& ops) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Factory
-// ---------------------------------------------------------------------------
-
-const char* adversary_kind_name(AdversaryKind kind) {
-  switch (kind) {
-    case AdversaryKind::kNull:
-      return "null";
-    case AdversaryKind::kMaxDelay:
-      return "max-delay";
-    case AdversaryKind::kPrivateWithhold:
-      return "private-withhold";
-    case AdversaryKind::kBalanceAttack:
-      return "balance-attack";
-    case AdversaryKind::kSelfishMining:
-      return "selfish-mining";
-    case AdversaryKind::kForkBalancer:
-      return "fork-balancer";
-    case AdversaryKind::kDelaySaturate:
-      return "delay-saturate";
-  }
-  return "?";
-}
-
-std::unique_ptr<Adversary> make_adversary(AdversaryKind kind,
-                                          std::uint32_t honest_count,
-                                          std::uint64_t delta) {
-  switch (kind) {
-    case AdversaryKind::kNull:
-      return std::make_unique<NullAdversary>();
-    case AdversaryKind::kMaxDelay:
-      return std::make_unique<MaxDelayAdversary>(delta);
-    case AdversaryKind::kPrivateWithhold:
-      return std::make_unique<PrivateWithholdAdversary>();
-    case AdversaryKind::kBalanceAttack:
-      return std::make_unique<BalanceAttackAdversary>(honest_count, delta);
-    case AdversaryKind::kSelfishMining:
-      return std::make_unique<SelfishMiningAdversary>();
-    case AdversaryKind::kForkBalancer:
-      return std::make_unique<ForkBalancerAdversary>(honest_count, delta);
-    case AdversaryKind::kDelaySaturate:
-      return std::make_unique<DelaySaturatingWithholder>();
-  }
-  NEATBOUND_ENSURES(false, "unknown adversary kind");
-  return nullptr;
-}
-
 }  // namespace neatbound::sim

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "sim/adversary.hpp"
@@ -283,21 +282,5 @@ class DelaySaturatingWithholder final : public Adversary {
   std::deque<protocol::BlockIndex> withheld_;
   std::uint64_t released_ = 0;
 };
-
-/// Factory used by the experiment runner.
-enum class AdversaryKind {
-  kNull,
-  kMaxDelay,
-  kPrivateWithhold,
-  kBalanceAttack,
-  kSelfishMining,
-  kForkBalancer,
-  kDelaySaturate,
-};
-
-[[nodiscard]] const char* adversary_kind_name(AdversaryKind kind);
-
-[[nodiscard]] std::unique_ptr<Adversary> make_adversary(
-    AdversaryKind kind, std::uint32_t honest_count, std::uint64_t delta);
 
 }  // namespace neatbound::sim

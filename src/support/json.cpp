@@ -330,7 +330,7 @@ class Parser {
     }
     // strtod on the exact token: correctly-rounded, so "0.15" parses to
     // the same double as the C++ literal 0.15 — scenario grids reproduce
-    // hand-written bench grids bit-for-bit.
+    // grids written as C++ literals bit-for-bit.
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);

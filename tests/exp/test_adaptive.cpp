@@ -1,29 +1,32 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "exp/adaptive.hpp"
 #include "exp/grid.hpp"
 #include "sim/runner.hpp"
+#include "sim/strategies.hpp"
 
 namespace neatbound::exp {
 namespace {
 
-sim::ExperimentConfig cell_config(double nu, double p,
-                                  sim::AdversaryKind kind,
-                                  std::uint32_t seeds) {
+sim::ExperimentConfig cell_config(double nu, double p, std::uint32_t seeds) {
   sim::ExperimentConfig config;
   config.engine.miner_count = 12;
   config.engine.adversary_fraction = nu;
   config.engine.p = p;
   config.engine.delta = 2;
   config.engine.rounds = 700;
-  config.adversary = kind;
   config.seeds = seeds;
   config.base_seed = 9000;
   return config;
+}
+
+std::unique_ptr<sim::Adversary> withhold(const sim::EngineConfig&) {
+  return std::make_unique<sim::PrivateWithholdAdversary>();
 }
 
 void expect_identical(const sim::ExperimentSummary& a,
@@ -50,8 +53,7 @@ SweepGrid two_by_two() {
 
 ConfigBuilder builder(std::uint32_t seeds) {
   return [seeds](const GridPoint& point) {
-    return cell_config(point.value("nu"), point.value("p"),
-                       sim::AdversaryKind::kPrivateWithhold, seeds);
+    return cell_config(point.value("nu"), point.value("p"), seeds);
   };
 }
 
@@ -65,9 +67,9 @@ TEST(AdaptiveSweep, FixedBudgetDegenerateMatchesPlainSweep) {
   adaptive.half_width = 0.0;
 
   const auto plain =
-      run_sweep(grid, builder(3), {.violation_t = 5, .threads = 2});
+      run_sweep(grid, builder(3), {.violation_t = 5, .threads = 2}, withhold);
   const auto result = run_sweep_adaptive(
-      grid, builder(3), {.violation_t = 5, .threads = 2}, adaptive);
+      grid, builder(3), {.violation_t = 5, .threads = 2}, adaptive, withhold);
 
   ASSERT_EQ(result.cells.size(), plain.size());
   EXPECT_EQ(result.waves, 1u);
@@ -93,7 +95,7 @@ TEST(AdaptiveSweep, StoppedCellBitIdenticalToTruncatedFixedBudget) {
   adaptive.half_width = 0.35;  // loose target: some cells stop early
 
   const auto result = run_sweep_adaptive(
-      grid, builder(10), {.violation_t = 5, .threads = 4}, adaptive);
+      grid, builder(10), {.violation_t = 5, .threads = 4}, adaptive, withhold);
 
   bool some_stopped_early = false;
   for (const AdaptiveCell& cell : result.cells) {
@@ -101,7 +103,7 @@ TEST(AdaptiveSweep, StoppedCellBitIdenticalToTruncatedFixedBudget) {
     ASSERT_LE(cell.seeds_used, adaptive.max_seeds);
     some_stopped_early |= cell.stopped_early;
     EXPECT_EQ(cell.cell.config.seeds, cell.seeds_used);
-    expect_identical(sim::run_experiment(cell.cell.config, 5),
+    expect_identical(sim::run_experiment(cell.cell.config, 5, withhold),
                      cell.cell.summary);
     // The Wilson interval matches the recorded violation count.
     const auto ci =
@@ -122,9 +124,9 @@ TEST(AdaptiveSweep, SerialAndParallelBitIdentical) {
   adaptive.half_width = 0.3;
 
   const auto serial = run_sweep_adaptive(
-      grid, builder(8), {.violation_t = 5, .threads = 1}, adaptive);
+      grid, builder(8), {.violation_t = 5, .threads = 1}, adaptive, withhold);
   const auto pooled = run_sweep_adaptive(
-      grid, builder(8), {.violation_t = 5, .threads = 4}, adaptive);
+      grid, builder(8), {.violation_t = 5, .threads = 4}, adaptive, withhold);
 
   ASSERT_EQ(serial.cells.size(), pooled.cells.size());
   EXPECT_EQ(serial.engine_runs, pooled.engine_runs);
@@ -151,8 +153,9 @@ TEST(AdaptiveSweep, SeedsUsedMonotoneInHalfWidthTarget) {
     adaptive.batch = 2;
     adaptive.max_seeds = 12;
     adaptive.half_width = target;  // 0.0 = never stop early → max budget
-    const auto result = run_sweep_adaptive(
-        grid, builder(12), {.violation_t = 5, .threads = 2}, adaptive);
+    const auto result =
+        run_sweep_adaptive(grid, builder(12), {.violation_t = 5, .threads = 2},
+                           adaptive, withhold);
     ASSERT_EQ(result.cells.size(), 1u);
     EXPECT_GE(result.cells[0].seeds_used, previous);
     previous = result.cells[0].seeds_used;
@@ -167,15 +170,15 @@ TEST(AdaptiveSweep, RejectsBadOptions) {
   bad.min_seeds = 5;
   bad.max_seeds = 3;
   EXPECT_ANY_THROW((void)run_sweep_adaptive(
-      grid, builder(3), {.violation_t = 5, .threads = 1}, bad));
+      grid, builder(3), {.violation_t = 5, .threads = 1}, bad, withhold));
   bad = {};
   bad.batch = 0;
   EXPECT_ANY_THROW((void)run_sweep_adaptive(
-      grid, builder(3), {.violation_t = 5, .threads = 1}, bad));
+      grid, builder(3), {.violation_t = 5, .threads = 1}, bad, withhold));
   bad = {};
   bad.confidence = 1.0;
   EXPECT_ANY_THROW((void)run_sweep_adaptive(
-      grid, builder(3), {.violation_t = 5, .threads = 1}, bad));
+      grid, builder(3), {.violation_t = 5, .threads = 1}, bad, withhold));
 }
 
 SweepGrid frontier_grid() {
@@ -198,7 +201,7 @@ TEST(Frontier, LocalizesACrossingToTolerance) {
 
   const FrontierResult result = localize_frontier(
       frontier_grid(), builder(6), {.violation_t = 4, .threads = 4},
-      adaptive, frontier);
+      adaptive, frontier, withhold);
 
   ASSERT_EQ(result.rows.size(), 1u);
   const FrontierRow& row = result.rows[0];
@@ -229,10 +232,10 @@ TEST(Frontier, DeterministicAcrossThreadCounts) {
 
   const FrontierResult serial = localize_frontier(
       frontier_grid(), builder(3), {.violation_t = 4, .threads = 1},
-      adaptive, frontier);
+      adaptive, frontier, withhold);
   const FrontierResult pooled = localize_frontier(
       frontier_grid(), builder(3), {.violation_t = 4, .threads = 4},
-      adaptive, frontier);
+      adaptive, frontier, withhold);
   ASSERT_EQ(serial.rows.size(), pooled.rows.size());
   EXPECT_EQ(serial.engine_runs, pooled.engine_runs);
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
@@ -256,7 +259,7 @@ TEST(Frontier, NoCrossingReportsUnbracketedRow) {
 
   const FrontierResult result = localize_frontier(
       frontier_grid(), builder(2), {.violation_t = 4, .threads = 2},
-      adaptive, frontier);
+      adaptive, frontier, withhold);
   ASSERT_EQ(result.rows.size(), 1u);
   EXPECT_FALSE(result.rows[0].bracketed);
   EXPECT_EQ(result.rows[0].refine_runs, 0u);
@@ -271,7 +274,7 @@ TEST(Frontier, RejectsUnknownAxisAndBadTolerance) {
   frontier.axis = "missing";
   EXPECT_THROW((void)localize_frontier(frontier_grid(), builder(2),
                                        {.violation_t = 4, .threads = 1},
-                                       adaptive, frontier),
+                                       adaptive, frontier, withhold),
                std::invalid_argument);
   // std::string move-assign sidesteps a GCC 12 -Wrestrict false positive
   // on const char* reassignment (same workaround as markov/chain.cpp).
@@ -279,7 +282,7 @@ TEST(Frontier, RejectsUnknownAxisAndBadTolerance) {
   frontier.tolerance = 0.0;
   EXPECT_THROW((void)localize_frontier(frontier_grid(), builder(2),
                                        {.violation_t = 4, .threads = 1},
-                                       adaptive, frontier),
+                                       adaptive, frontier, withhold),
                std::invalid_argument);
 }
 

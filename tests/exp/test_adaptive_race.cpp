@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 
 #include "exp/adaptive.hpp"
 #include "exp/grid.hpp"
 #include "sim/runner.hpp"
+#include "sim/strategies.hpp"
 
 namespace neatbound::exp {
 namespace {
@@ -24,11 +26,14 @@ ConfigBuilder race_builder() {
     config.engine.p = point.value("p");
     config.engine.delta = 2;
     config.engine.rounds = 300;
-    config.adversary = sim::AdversaryKind::kPrivateWithhold;
     config.seeds = 8;
     config.base_seed = 4100;
     return config;
   };
+}
+
+std::unique_ptr<sim::Adversary> withhold(const sim::EngineConfig&) {
+  return std::make_unique<sim::PrivateWithholdAdversary>();
 }
 
 void expect_identical(const sim::ExperimentSummary& a,
@@ -53,9 +58,11 @@ TEST(AdaptiveRace, ManyWavesManyThreadsMatchSerialBitForBit) {
   adaptive.half_width = 0.0;  // unreachable target: every cell runs to max
 
   const auto serial = run_sweep_adaptive(
-      grid, race_builder(), {.violation_t = 4, .threads = 1}, adaptive);
+      grid, race_builder(), {.violation_t = 4, .threads = 1}, adaptive,
+      withhold);
   const auto threaded = run_sweep_adaptive(
-      grid, race_builder(), {.violation_t = 4, .threads = 8}, adaptive);
+      grid, race_builder(), {.violation_t = 4, .threads = 8}, adaptive,
+      withhold);
 
   ASSERT_EQ(threaded.cells.size(), serial.cells.size());
   EXPECT_EQ(threaded.waves, serial.waves);
@@ -82,10 +89,12 @@ TEST(AdaptiveRace, RepeatedThreadedRunsAreStable) {
   adaptive.half_width = 0.0;
 
   const auto reference = run_sweep_adaptive(
-      grid, race_builder(), {.violation_t = 4, .threads = 6}, adaptive);
+      grid, race_builder(), {.violation_t = 4, .threads = 6}, adaptive,
+      withhold);
   for (int repeat = 0; repeat < 3; ++repeat) {
     const auto rerun = run_sweep_adaptive(
-        grid, race_builder(), {.violation_t = 4, .threads = 6}, adaptive);
+        grid, race_builder(), {.violation_t = 4, .threads = 6}, adaptive,
+        withhold);
     ASSERT_EQ(rerun.cells.size(), reference.cells.size());
     for (std::size_t i = 0; i < reference.cells.size(); ++i) {
       EXPECT_EQ(rerun.cells[i].violations, reference.cells[i].violations);

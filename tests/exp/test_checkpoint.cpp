@@ -6,12 +6,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "exp/adaptive.hpp"
 #include "exp/checkpoint.hpp"
 #include "sim/runner.hpp"
+#include "sim/strategies.hpp"
 
 namespace neatbound::exp {
 namespace {
@@ -183,10 +185,13 @@ sim::ExperimentConfig cell_config(double nu, double p) {
   config.engine.p = p;
   config.engine.delta = 2;
   config.engine.rounds = 600;
-  config.adversary = sim::AdversaryKind::kPrivateWithhold;
   config.seeds = 9;
   config.base_seed = 9000;
   return config;
+}
+
+std::unique_ptr<sim::Adversary> withhold(const sim::EngineConfig&) {
+  return std::make_unique<sim::PrivateWithholdAdversary>();
 }
 
 SweepGrid small_grid() {
@@ -238,7 +243,8 @@ void expect_identical_cells(const AdaptiveSweepResult& a,
 TEST(Checkpoint, InterruptedThenResumedSweepBitIdenticalToUninterrupted) {
   const SweepOptions options{.violation_t = 4, .threads = 4};
   const AdaptiveSweepResult uninterrupted =
-      run_sweep_adaptive(small_grid(), small_builder(), options, schedule());
+      run_sweep_adaptive(small_grid(), small_builder(), options, schedule(),
+                         withhold);
   ASSERT_TRUE(uninterrupted.complete);
   EXPECT_EQ(uninterrupted.waves, 3u);
 
@@ -247,7 +253,7 @@ TEST(Checkpoint, InterruptedThenResumedSweepBitIdenticalToUninterrupted) {
   interrupted_schedule.checkpoint_path = file.path();
   interrupted_schedule.stop_after_waves = 1;
   const AdaptiveSweepResult partial = run_sweep_adaptive(
-      small_grid(), small_builder(), options, interrupted_schedule);
+      small_grid(), small_builder(), options, interrupted_schedule, withhold);
   EXPECT_FALSE(partial.complete);
   EXPECT_EQ(partial.waves, 1u);
   ASSERT_TRUE(std::filesystem::exists(file.path()));
@@ -256,7 +262,7 @@ TEST(Checkpoint, InterruptedThenResumedSweepBitIdenticalToUninterrupted) {
   resume_schedule.checkpoint_path = file.path();
   resume_schedule.resume = true;
   const AdaptiveSweepResult resumed = run_sweep_adaptive(
-      small_grid(), small_builder(), options, resume_schedule);
+      small_grid(), small_builder(), options, resume_schedule, withhold);
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.waves, 3u);  // 1 restored + 2 run here
   EXPECT_EQ(resumed.engine_runs, uninterrupted.engine_runs);
@@ -276,13 +282,13 @@ TEST(Checkpoint, ResumingACompletedSweepRunsNoWaves) {
   AdaptiveOptions with_checkpoint = schedule();
   with_checkpoint.checkpoint_path = file.path();
   const AdaptiveSweepResult first = run_sweep_adaptive(
-      small_grid(), small_builder(), options, with_checkpoint);
+      small_grid(), small_builder(), options, with_checkpoint, withhold);
   ASSERT_TRUE(first.complete);
 
   AdaptiveOptions resume_schedule = with_checkpoint;
   resume_schedule.resume = true;
   const AdaptiveSweepResult again = run_sweep_adaptive(
-      small_grid(), small_builder(), options, resume_schedule);
+      small_grid(), small_builder(), options, resume_schedule, withhold);
   EXPECT_TRUE(again.complete);
   EXPECT_EQ(again.waves, first.waves);
   expect_identical_cells(again, first);
@@ -296,14 +302,14 @@ TEST(Checkpoint, ResumeRejectsCheckpointFromDifferentSweep) {
   AdaptiveOptions with_checkpoint = schedule();
   with_checkpoint.checkpoint_path = file.path();
   (void)run_sweep_adaptive(small_grid(), small_builder(), options,
-                           with_checkpoint);
+                           with_checkpoint, withhold);
 
   SweepGrid other;
   other.axis("nu", {0.2, 0.4});  // different axis values
   AdaptiveOptions resume_schedule = with_checkpoint;
   resume_schedule.resume = true;
   EXPECT_THROW((void)run_sweep_adaptive(other, small_builder(), options,
-                                        resume_schedule),
+                                        resume_schedule, withhold),
                std::runtime_error);
 }
 
@@ -316,7 +322,7 @@ TEST(Checkpoint, ResumeWithMissingFileStartsFresh) {
   resume_schedule.checkpoint_path = file.path();
   resume_schedule.resume = true;
   const AdaptiveSweepResult result = run_sweep_adaptive(
-      small_grid(), small_builder(), options, resume_schedule);
+      small_grid(), small_builder(), options, resume_schedule, withhold);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.waves, 3u);
   EXPECT_TRUE(std::filesystem::exists(file.path()));

@@ -2,30 +2,35 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
 
 #include "exp/grid.hpp"
 #include "exp/orchestrator.hpp"
+#include "scenario/registry.hpp"
 #include "sim/runner.hpp"
+#include "sim/strategies.hpp"
 #include "stats/summary.hpp"
 
 namespace neatbound::exp {
 namespace {
 
-sim::ExperimentConfig cell_config(double nu, double p,
-                                  sim::AdversaryKind kind) {
+sim::ExperimentConfig cell_config(double nu, double p) {
   sim::ExperimentConfig config;
   config.engine.miner_count = 12;
   config.engine.adversary_fraction = nu;
   config.engine.p = p;
   config.engine.delta = 2;
   config.engine.rounds = 800;
-  config.adversary = kind;
   config.seeds = 3;
   config.base_seed = 9000;
   return config;
+}
+
+std::unique_ptr<sim::Adversary> max_delay(const sim::EngineConfig& engine) {
+  return std::make_unique<sim::MaxDelayAdversary>(engine.delta);
 }
 
 void expect_identical(const sim::ExperimentSummary& a,
@@ -48,32 +53,31 @@ void expect_identical(const sim::ExperimentSummary& a,
 }
 
 /// The tentpole guarantee: the pooled grid×seed sweep produces, for every
-/// adversary kind, summaries bit-identical to running each cell through
+/// built-in strategy, summaries bit-identical to running each cell through
 /// the serial single-cell runner.
-TEST(Orchestrator, GridParallelBitIdenticalToSerialForEveryAdversaryKind) {
-  const sim::AdversaryKind kinds[] = {
-      sim::AdversaryKind::kNull, sim::AdversaryKind::kMaxDelay,
-      sim::AdversaryKind::kPrivateWithhold, sim::AdversaryKind::kBalanceAttack,
-      sim::AdversaryKind::kSelfishMining};
-
+TEST(Orchestrator, GridParallelBitIdenticalToSerialForEveryStrategy) {
+  const scenario::ScenarioRegistry& registry =
+      scenario::ScenarioRegistry::builtin();
   SweepGrid grid;
-  grid.axis("kind", {0, 1, 2, 3, 4});
   grid.axis("nu", {0.2, 0.35});
-
-  const auto build = [&](const GridPoint& point) {
-    return cell_config(point.value("nu"), 0.01,
-                       kinds[static_cast<std::size_t>(point.value("kind"))]);
+  const auto build = [](const GridPoint& point) {
+    return cell_config(point.value("nu"), 0.01);
   };
 
-  const SweepOptions serial{.violation_t = 5, .threads = 1};
-  const SweepOptions pooled{.violation_t = 5, .threads = 4};
-  const auto parallel_cells = run_sweep(grid, build, pooled);
-  ASSERT_EQ(parallel_cells.size(), grid.size());
-
-  for (const SweepCell& cell : parallel_cells) {
-    const auto serial_summary =
-        sim::run_experiment(cell.config, serial.violation_t);
-    expect_identical(serial_summary, cell.summary);
+  for (const auto& strategy : registry.adversary_strategies()) {
+    SCOPED_TRACE(strategy.name);
+    const sim::AdversaryFactory factory =
+        [&](const sim::EngineConfig& engine_config) {
+          return registry.make_adversary("strategy", {}, strategy.name, {},
+                                         engine_config);
+        };
+    const auto parallel_cells =
+        run_sweep(grid, build, {.violation_t = 5, .threads = 4}, factory);
+    ASSERT_EQ(parallel_cells.size(), grid.size());
+    for (const SweepCell& cell : parallel_cells) {
+      expect_identical(sim::run_experiment(cell.config, 5, factory),
+                       cell.summary);
+    }
   }
 }
 
@@ -84,13 +88,12 @@ TEST(Orchestrator, CellsComeBackInGridOrder) {
   SweepGrid grid;
   grid.axis("nu", {0.1, 0.2, 0.3});
   const auto build = [](const GridPoint& point) {
-    return cell_config(point.value("nu"), 0.02,
-                       sim::AdversaryKind::kMaxDelay);
+    return cell_config(point.value("nu"), 0.02);
   };
   for (const unsigned threads : {0u, 1u, 3u, 16u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto cells =
-        run_sweep(grid, build, {.violation_t = 5, .threads = threads});
+    const auto cells = run_sweep(
+        grid, build, {.violation_t = 5, .threads = threads}, max_delay);
     ASSERT_EQ(cells.size(), 3u);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       EXPECT_EQ(cells[i].point.index(), i);
@@ -98,7 +101,7 @@ TEST(Orchestrator, CellsComeBackInGridOrder) {
                        0.1 + 0.1 * static_cast<double>(i));
       EXPECT_EQ(cells[i].summary.honest_blocks.count(),
                 cells[i].config.seeds);
-      expect_identical(sim::run_experiment(cells[i].config, 5),
+      expect_identical(sim::run_experiment(cells[i].config, 5, max_delay),
                        cells[i].summary);
     }
   }
@@ -108,38 +111,35 @@ TEST(Orchestrator, CustomFactoryIsUsedAndSeedsVary) {
   SweepGrid grid;
   grid.axis("nu", {0.25});
   const auto build = [](const GridPoint& point) {
-    return cell_config(point.value("nu"), 0.01,
-                       sim::AdversaryKind::kMaxDelay);
+    return cell_config(point.value("nu"), 0.01);
   };
   std::atomic<int> factory_calls{0};
-  const auto cells = run_sweep_with(
+  const auto cells = run_sweep(
       grid, build, {.violation_t = 5, .threads = 2},
-      [&](const sim::ExperimentConfig& config,
-          const sim::EngineConfig& engine_config) {
+      [&](const sim::EngineConfig& engine_config) {
         ++factory_calls;
-        EXPECT_GE(engine_config.seed, config.base_seed);
-        EXPECT_LT(engine_config.seed, config.base_seed + config.seeds);
-        return sim::default_adversary_factory(config.adversary)(engine_config);
+        EXPECT_GE(engine_config.seed, 9000u);
+        EXPECT_LT(engine_config.seed, 9000u + 3u);
+        return max_delay(engine_config);
       });
   EXPECT_EQ(factory_calls.load(), 3);
-  expect_identical(sim::run_experiment(cells[0].config, 5), cells[0].summary);
+  expect_identical(sim::run_experiment(cells[0].config, 5, max_delay),
+                   cells[0].summary);
 }
 
 TEST(Orchestrator, WorkerExceptionPropagatesToCaller) {
   SweepGrid grid;
   grid.axis("nu", {0.1, 0.2});
   const auto build = [](const GridPoint& point) {
-    return cell_config(point.value("nu"), 0.01,
-                       sim::AdversaryKind::kMaxDelay);
+    return cell_config(point.value("nu"), 0.01);
   };
   try {
-    (void)run_sweep_with(
-        grid, build, {.violation_t = 5, .threads = 4},
-        [](const sim::ExperimentConfig&, const sim::EngineConfig&)
-            -> std::unique_ptr<sim::Adversary> {
-          throw std::runtime_error("factory boom");
-        });
-    FAIL() << "expected run_sweep_with to throw";
+    (void)run_sweep(grid, build, {.violation_t = 5, .threads = 4},
+                    [](const sim::EngineConfig&)
+                        -> std::unique_ptr<sim::Adversary> {
+                      throw std::runtime_error("factory boom");
+                    });
+    FAIL() << "expected run_sweep to throw";
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "factory boom");
   }

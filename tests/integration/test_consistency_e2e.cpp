@@ -18,10 +18,17 @@
 namespace neatbound {
 namespace {
 
-using sim::AdversaryKind;
 using sim::EngineConfig;
 using sim::ExperimentConfig;
 using sim::ExperimentSummary;
+
+std::unique_ptr<sim::Adversary> private_withhold(const EngineConfig&) {
+  return std::make_unique<sim::PrivateWithholdAdversary>();
+}
+
+std::unique_ptr<sim::Adversary> max_delay(const EngineConfig& engine) {
+  return std::make_unique<sim::MaxDelayAdversary>(engine.delta);
+}
 
 TEST(EndToEnd, SafeRegimeKeepsViolationsShallow) {
   // ν = 0.2, Δ = 3, c = 8: far above the neat bound 2μ/ln(μ/ν) ≈ 1.15.
@@ -31,9 +38,9 @@ TEST(EndToEnd, SafeRegimeKeepsViolationsShallow) {
   config.engine.delta = 3;
   config.engine.p = 1.0 / (8.0 * 40.0 * 3.0);
   config.engine.rounds = 20000;
-  config.adversary = AdversaryKind::kPrivateWithhold;
   config.seeds = 4;
-  const ExperimentSummary summary = sim::run_experiment(config, 8);
+  const ExperimentSummary summary =
+      sim::run_experiment(config, 8, private_withhold);
   EXPECT_LT(summary.violation_depth.mean(), 8.0);
   EXPECT_EQ(summary.violation_exceeds_t.mean(), 0.0);
 }
@@ -47,9 +54,8 @@ TEST(EndToEnd, ConvergenceOpportunitiesBeatAdversaryAboveBound) {
   config.engine.delta = 2;
   config.engine.p = 1.0 / (6.0 * 40.0 * 2.0);  // c = 6
   config.engine.rounds = 30000;
-  config.adversary = AdversaryKind::kMaxDelay;
   config.seeds = 4;
-  const ExperimentSummary summary = sim::run_experiment(config, 8);
+  const ExperimentSummary summary = sim::run_experiment(config, 8, max_delay);
   EXPECT_GT(summary.convergence_opportunities.mean(),
             summary.adversary_blocks.mean());
 }
@@ -67,9 +73,8 @@ TEST(EndToEnd, AdversaryOutpacesOpportunitiesBelowBound) {
   config.engine.delta = 2;
   config.engine.p = params.p();
   config.engine.rounds = 30000;
-  config.adversary = AdversaryKind::kMaxDelay;
   config.seeds = 4;
-  const ExperimentSummary summary = sim::run_experiment(config, 8);
+  const ExperimentSummary summary = sim::run_experiment(config, 8, max_delay);
   EXPECT_LT(summary.convergence_opportunities.mean(),
             summary.adversary_blocks.mean());
 }
@@ -106,9 +111,8 @@ TEST(EndToEnd, TheoremOneMarginTracksSimulatedCounts) {
   config.engine.delta = 2;
   config.engine.p = params.p();
   config.engine.rounds = 60000;
-  config.adversary = AdversaryKind::kMaxDelay;
   config.seeds = 6;
-  const ExperimentSummary summary = sim::run_experiment(config, 8);
+  const ExperimentSummary summary = sim::run_experiment(config, 8, max_delay);
   const double simulated_ratio = summary.convergence_opportunities.mean() /
                                  summary.adversary_blocks.mean();
   EXPECT_NEAR(simulated_ratio / analytic_ratio, 1.0, 0.25);
@@ -140,9 +144,9 @@ TEST(EndToEnd, QualityNearMuMinusAttackGains) {
   config.engine.delta = 2;
   config.engine.p = 0.002;
   config.engine.rounds = 40000;
-  config.adversary = AdversaryKind::kPrivateWithhold;
   config.seeds = 3;
-  const ExperimentSummary summary = sim::run_experiment(config, 8);
+  const ExperimentSummary summary =
+      sim::run_experiment(config, 8, private_withhold);
   const double lower = 1.0 - (0.3 / 0.7) - 0.15;
   EXPECT_GT(summary.chain_quality.mean(), lower);
   EXPECT_LE(summary.chain_quality.mean(), 1.0);

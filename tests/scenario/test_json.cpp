@@ -17,7 +17,7 @@ TEST(Json, ParsesScalars) {
 }
 
 TEST(Json, NumbersRoundTripAsCppLiterals) {
-  // Scenario grids must reproduce hand-written bench grids bit-for-bit,
+  // Scenario grids must reproduce grids written as C++ literals bit-for-bit,
   // which hangs on strtod's correct rounding.
   EXPECT_EQ(parse_json("0.15").as_number(), 0.15);
   EXPECT_EQ(parse_json("0.4").as_number(), 0.4);

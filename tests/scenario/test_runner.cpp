@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bounds/zhao.hpp"
 #include "scenario/report.hpp"
+#include "sim/strategies.hpp"
 #include "support/contracts.hpp"
 #include "support/table.hpp"
 
@@ -78,9 +81,10 @@ void expect_stats_equal(const stats::RunningStats& a,
 }
 
 TEST(ScenarioRunner, BitIdenticalToHandWrittenSweep) {
-  // The scenario pipeline against the exact code a hand-written bench
-  // contains: same grid, same config arithmetic, same default adversary —
-  // every aggregate must match bit for bit (single-threaded both sides).
+  // The scenario pipeline against a sweep written out by hand: same
+  // grid, same config arithmetic, the strategy constructed directly
+  // rather than through the registry — every aggregate and every folded
+  // work counter must match bit for bit (single-threaded both sides).
   const ScenarioSpec spec = parse_scenario(kMiniSweep);
   const std::vector<exp::SweepCell> scenario_cells =
       run_scenario(spec, ScenarioRegistry::builtin(), with_threads(1));
@@ -97,28 +101,36 @@ TEST(ScenarioRunner, BitIdenticalToHandWrittenSweep) {
     config.engine.delta = 2;
     config.engine.p = 1.0 / (c * 16.0 * 2.0);
     config.engine.rounds = 400;
-    config.adversary = sim::AdversaryKind::kPrivateWithhold;
     config.seeds = 2;
     return config;
   };
-  const std::vector<exp::SweepCell> bench_cells =
-      exp::run_sweep(grid, build, {.violation_t = 8, .threads = 1});
+  const std::vector<exp::SweepCell> hand_cells = exp::run_sweep(
+      grid, build, {.violation_t = 8, .threads = 1},
+      [](const sim::EngineConfig&) {
+        return std::make_unique<sim::PrivateWithholdAdversary>();
+      });
 
-  ASSERT_EQ(scenario_cells.size(), bench_cells.size());
-  for (std::size_t i = 0; i < bench_cells.size(); ++i) {
+  ASSERT_EQ(scenario_cells.size(), hand_cells.size());
+  for (std::size_t i = 0; i < hand_cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
     EXPECT_EQ(scenario_cells[i].config.engine.p,
-              bench_cells[i].config.engine.p)
-        << "cell " << i;
-    expect_stats_equal(scenario_cells[i].summary.violation_depth,
-                       bench_cells[i].summary.violation_depth);
-    expect_stats_equal(scenario_cells[i].summary.chain_quality,
-                       bench_cells[i].summary.chain_quality);
-    expect_stats_equal(scenario_cells[i].summary.violation_exceeds_t,
-                       bench_cells[i].summary.violation_exceeds_t);
-    expect_stats_equal(scenario_cells[i].summary.max_reorg_depth,
-                       bench_cells[i].summary.max_reorg_depth);
-    expect_stats_equal(scenario_cells[i].summary.honest_blocks,
-                       bench_cells[i].summary.honest_blocks);
+              hand_cells[i].config.engine.p);
+    const sim::ExperimentSummary& a = scenario_cells[i].summary;
+    const sim::ExperimentSummary& b = hand_cells[i].summary;
+    expect_stats_equal(a.convergence_opportunities,
+                       b.convergence_opportunities);
+    expect_stats_equal(a.adversary_blocks, b.adversary_blocks);
+    expect_stats_equal(a.honest_blocks, b.honest_blocks);
+    expect_stats_equal(a.violation_depth, b.violation_depth);
+    expect_stats_equal(a.max_reorg_depth, b.max_reorg_depth);
+    expect_stats_equal(a.max_divergence, b.max_divergence);
+    expect_stats_equal(a.disagreement_rounds, b.disagreement_rounds);
+    expect_stats_equal(a.chain_growth, b.chain_growth);
+    expect_stats_equal(a.chain_quality, b.chain_quality);
+    expect_stats_equal(a.best_height, b.best_height);
+    expect_stats_equal(a.violation_exceeds_t, b.violation_exceeds_t);
+    EXPECT_EQ(a.telemetry.counters, b.telemetry.counters);
+    EXPECT_EQ(a.telemetry.runs, b.telemetry.runs);
   }
 }
 
@@ -357,6 +369,22 @@ TEST(ScenarioRunner, InvalidEngineParametersFailFast) {
   EXPECT_THROW(
       (void)run_scenario(bad_p, ScenarioRegistry::builtin(), with_threads(1)),
       ContractViolation);
+
+  // Δ = 0 makes the derived p = 1/(c·n·Δ) infinite; the error must blame
+  // delta, which the user set, not p, which they never did.
+  const ScenarioSpec bad_delta = parse_scenario(
+      R"({"name": "bad", "engine": {"miners": 8, "nu": 0.2, "delta": 0,
+          "rounds": 100}, "hardness": {"mode": "neat-bound-multiple"},
+          "seeds": 1})");
+  try {
+    (void)run_scenario(bad_delta, ScenarioRegistry::builtin(),
+                       with_threads(1));
+    ADD_FAILURE() << "delta = 0 accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("delta must be >= 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScenarioRunner, UnknownComponentFailsBeforeRunning) {

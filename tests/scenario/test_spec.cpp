@@ -273,10 +273,10 @@ TEST(Spec, BundledScenariosParseAndValidate) {
   }
 }
 
-TEST(Spec, MirrorSpecMatchesBenchGrid) {
+TEST(Spec, ConsistencySweepSpecMatchesFig1Grid) {
   const ScenarioSpec spec = load_scenario_file(
       std::string(NEATBOUND_SCENARIO_DIR) + "/consistency_sweep.json");
-  // The values bench_consistency_sweep hard-codes.
+  // The Fig. 1 sweep's values; the name keeps its JSON summary stable.
   EXPECT_EQ(spec.name, "bench_consistency_sweep");
   EXPECT_EQ(spec.miners, 40u);
   EXPECT_EQ(spec.delta, 3u);

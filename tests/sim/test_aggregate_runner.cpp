@@ -4,6 +4,7 @@
 #include "chains/convergence.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/runner.hpp"
+#include "sim/strategies.hpp"
 #include "support/contracts.hpp"
 
 namespace neatbound::sim {
@@ -120,9 +121,11 @@ TEST(Runner, AggregatesAcrossSeeds) {
   config.engine.p = 0.003;
   config.engine.delta = 2;
   config.engine.rounds = 3000;
-  config.adversary = AdversaryKind::kPrivateWithhold;
   config.seeds = 5;
-  const ExperimentSummary summary = run_experiment(config, /*violation_t=*/6);
+  const ExperimentSummary summary =
+      run_experiment(config, /*violation_t=*/6, [](const EngineConfig&) {
+        return std::make_unique<PrivateWithholdAdversary>();
+      });
   EXPECT_EQ(summary.convergence_opportunities.count(), 5u);
   EXPECT_EQ(summary.chain_quality.count(), 5u);
   EXPECT_GT(summary.honest_blocks.mean(), 0.0);
@@ -139,7 +142,7 @@ TEST(Runner, CustomFactoryReceivesConfig) {
   config.engine.rounds = 500;
   config.seeds = 2;
   int calls = 0;
-  const ExperimentSummary summary = run_experiment_with(
+  const ExperimentSummary summary = run_experiment(
       config, 3, [&calls](const EngineConfig& engine_config) {
         ++calls;
         EXPECT_EQ(engine_config.miner_count, 12u);
@@ -156,9 +159,11 @@ TEST(Runner, SeedsVaryAcrossRepetitions) {
   config.engine.p = 0.01;
   config.engine.delta = 2;
   config.engine.rounds = 2000;
-  config.adversary = AdversaryKind::kNull;
   config.seeds = 6;
-  const ExperimentSummary summary = run_experiment(config, 3);
+  const ExperimentSummary summary =
+      run_experiment(config, 3, [](const EngineConfig&) {
+        return std::make_unique<NullAdversary>();
+      });
   // With six independent seeds the per-run block counts almost surely
   // differ, so the variance is positive.
   EXPECT_GT(summary.honest_blocks.variance(), 0.0);

@@ -1,19 +1,19 @@
 // Cross-product property sweep: every adversary strategy × a grid of
 // engine configurations, asserting the universal invariants that must
 // hold regardless of strategy or parameters.
-#include <cmath>
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include "chains/convergence.hpp"
 #include "protocol/validation.hpp"
+#include "scenario/registry.hpp"
 #include "sim/engine.hpp"
-#include "sim/strategies.hpp"
 
 namespace neatbound::sim {
 namespace {
 
 struct SweepCase {
-  AdversaryKind kind;
+  const char* strategy;  ///< built-in registry strategy name
   std::uint32_t miners;
   double nu;
   std::uint64_t delta;
@@ -23,7 +23,7 @@ struct SweepCase {
 class EngineSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(EngineSweep, UniversalInvariants) {
-  const auto [kind, miners, nu, delta, p] = GetParam();
+  const auto [strategy, miners, nu, delta, p] = GetParam();
   EngineConfig config;
   config.miner_count = miners;
   config.adversary_fraction = nu;
@@ -31,10 +31,10 @@ TEST_P(EngineSweep, UniversalInvariants) {
   config.p = p;
   config.rounds = 4000;
   config.seed = 1234;
-  const auto corrupted =
-      static_cast<std::uint32_t>(std::llround(nu * miners));
   ExecutionEngine engine(
-      config, make_adversary(kind, miners - corrupted, delta));
+      config, scenario::ScenarioRegistry::builtin().make_adversary(
+                  "strategy", scenario::Params{}, strategy,
+                  scenario::Params{}, config));
   const RunResult result = engine.run();
 
   // Counting identities.
@@ -78,21 +78,21 @@ TEST_P(EngineSweep, UniversalInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, EngineSweep,
     ::testing::Values(
-        SweepCase{AdversaryKind::kNull, 8, 0.25, 1, 0.02},
-        SweepCase{AdversaryKind::kNull, 64, 0.1, 8, 0.0005},
-        SweepCase{AdversaryKind::kMaxDelay, 16, 0.3, 2, 0.01},
-        SweepCase{AdversaryKind::kMaxDelay, 40, 0.45, 6, 0.002},
-        SweepCase{AdversaryKind::kPrivateWithhold, 16, 0.4, 1, 0.02},
-        SweepCase{AdversaryKind::kPrivateWithhold, 48, 0.2, 4, 0.001},
-        SweepCase{AdversaryKind::kBalanceAttack, 12, 0.3, 2, 0.01},
-        SweepCase{AdversaryKind::kBalanceAttack, 40, 0.45, 8, 0.004},
-        SweepCase{AdversaryKind::kSelfishMining, 16, 0.35, 2, 0.005},
-        SweepCase{AdversaryKind::kSelfishMining, 32, 0.15, 4, 0.002},
+        SweepCase{"null", 8, 0.25, 1, 0.02},
+        SweepCase{"null", 64, 0.1, 8, 0.0005},
+        SweepCase{"max-delay", 16, 0.3, 2, 0.01},
+        SweepCase{"max-delay", 40, 0.45, 6, 0.002},
+        SweepCase{"private-withhold", 16, 0.4, 1, 0.02},
+        SweepCase{"private-withhold", 48, 0.2, 4, 0.001},
+        SweepCase{"balance-attack", 12, 0.3, 2, 0.01},
+        SweepCase{"balance-attack", 40, 0.45, 8, 0.004},
+        SweepCase{"selfish-mining", 16, 0.35, 2, 0.005},
+        SweepCase{"selfish-mining", 32, 0.15, 4, 0.002},
         // Degenerate-ish corners: minimum miners, single-round delta,
         // heavy per-round block rate.
-        SweepCase{AdversaryKind::kNull, 4, 0.25, 1, 0.2},
-        SweepCase{AdversaryKind::kPrivateWithhold, 4, 0.25, 2, 0.1},
-        SweepCase{AdversaryKind::kMaxDelay, 100, 0.49, 3, 0.01}));
+        SweepCase{"null", 4, 0.25, 1, 0.2},
+        SweepCase{"private-withhold", 4, 0.25, 2, 0.1},
+        SweepCase{"max-delay", 100, 0.49, 3, 0.01}));
 
 }  // namespace
 }  // namespace neatbound::sim

@@ -8,18 +8,6 @@
 namespace neatbound::sim {
 namespace {
 
-TEST(Factory, ProducesEveryKind) {
-  for (const AdversaryKind kind :
-       {AdversaryKind::kNull, AdversaryKind::kMaxDelay,
-        AdversaryKind::kPrivateWithhold, AdversaryKind::kBalanceAttack,
-        AdversaryKind::kSelfishMining, AdversaryKind::kForkBalancer,
-        AdversaryKind::kDelaySaturate}) {
-    const auto adversary = make_adversary(kind, 10, 4);
-    ASSERT_NE(adversary, nullptr);
-    EXPECT_STREQ(adversary->name(), adversary_kind_name(kind));
-  }
-}
-
 TEST(NullAdversary, ImmediateDelays) {
   NullAdversary adv;
   EXPECT_EQ(adv.honest_delay(0, 0, 1, 0), 1u);
