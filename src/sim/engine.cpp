@@ -610,11 +610,16 @@ RunResult ExecutionEngine::run(const RoundObserver& observer) {
   // thread executed it.
   telemetry::reset();
   for (std::uint64_t round = 1; round <= config_.rounds; ++round) {
-    // An observer must see every round, so only unobserved runs skip.
-    if (!observer) {
-      round = skip_quiet_rounds(round, config_.rounds);
-      if (round > config_.rounds) break;
+    // Observed or not, a run commits its quiet rounds in O(1); an
+    // observer then sees each committed round in turn, in exactly the
+    // state a stepped quiet round leaves (zeroed activity, unchanged
+    // tips, store, best height and violation depth).
+    const std::uint64_t busy = skip_quiet_rounds(round, config_.rounds);
+    if (observer) {
+      for (; round < busy; ++round) observer(*this, round);
     }
+    round = busy;
+    if (round > config_.rounds) break;
     step_round(round, observer);
   }
   return finish_run();

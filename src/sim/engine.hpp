@@ -133,13 +133,16 @@ class ExecutionEngine {
       std::function<void(const ExecutionEngine&, std::uint64_t round)>;
 
   /// Runs the configured number of rounds and returns the metrics.
-  /// May be called once per engine instance.  The optional observer fires
-  /// after each round's deliveries, mining and adversary turn.  Without an
-  /// observer, runs of provably-quiet rounds are committed in O(1) instead
-  /// of being stepped (see skip_quiet_rounds).  The result is identical
-  /// either way; only the telemetry counters quiet_rounds_skipped and
-  /// ancestry_queries (re-queried on stepped rounds whose tips disagree)
-  /// tell the two apart.
+  /// May be called once per engine instance.  Runs of provably-quiet
+  /// rounds are committed in O(1) instead of being stepped (see
+  /// skip_quiet_rounds); the result is identical to stepping them.  The
+  /// optional observer fires once per round, in order: after a stepped
+  /// round's deliveries, mining and adversary turn, and for each committed
+  /// quiet round with zeroed round_activity(), no round_miners() and the
+  /// tips, store, best height and violation depth a stepped quiet round
+  /// shows.  Observing never changes which rounds are stepped, so an
+  /// observed run reports the unobserved run's counters; only the
+  /// observer's own store lookups add to ancestry_queries.
   [[nodiscard]] RunResult run(const RoundObserver& observer = {});
 
   // --- read-only access for tests / examples after run() ---

@@ -88,9 +88,15 @@ void InvariantOracle::observe(const ExecutionEngine& engine,
   record_round(engine, round);
   // Fixed assertion order; the first failure across rounds (and, within
   // a round, in this order) freezes the snapshot — fully deterministic.
-  check_common_prefix(engine, round);
+  // Honest tips and the best tip move only by adoption, so on a round
+  // without one both tip verdicts repeat the previous round's: the same
+  // divergence with no reorg, the same best chain.
+  const bool tips_moved = engine.round_activity().adoptions > 0;
+  if (tips_moved) check_common_prefix(engine, round);
   if (config_.growth_window > 0) check_chain_growth(engine, round);
-  if (config_.quality_window > 0) check_chain_quality(engine, round);
+  if (tips_moved && config_.quality_window > 0) {
+    check_chain_quality(engine, round);
+  }
 }
 
 void InvariantOracle::record_round(const ExecutionEngine& engine,

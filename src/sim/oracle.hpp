@@ -17,18 +17,21 @@
 // Cost model (why this stays out of untraced hot paths): the oracle is a
 // RoundObserver, attached only when requested, and reads public
 // accessors after the round has executed — an unobserved run executes
-// zero oracle instructions.  When armed, per round: common-prefix is
-// O(d² log h) for d distinct tips (d is almost always 1–3; each pair is
-// one binary-lifting common_ancestor query), chain-growth is O(1) against
-// a ring of W heights, chain-quality is one O(K) parent walk.  The slice
-// recorder appends one RoundRecord into a bounded ring.  Nothing here
-// writes to the simulation: an oracle-armed run's RunResult is
-// bit-identical to an unarmed run of the same seed
-// (tests/sim/test_oracle.cpp pins this, like PR 8 did for tracing).
-// One diagnostic exception: the oracle queries ancestry through the
-// same instrumented BlockStore, so its own lookups are visible in the
-// ancestry-queries counter — every counter
-// that measures simulation work stays exact.
+// zero oracle instructions.  When armed, per round with an adoption:
+// common-prefix is an O(n·d) distinct-tip scan over the n honest views
+// plus O(d² log h) for d distinct tips (d is almost always 1–3; each
+// pair is one binary-lifting common_ancestor query), and chain-quality
+// is one O(K) parent walk.  Tips move only by adoption, so a round
+// without one (every quiet round, most rounds of a sparse run) repeats
+// the previous verdicts and skips both passes.  Chain-growth is O(1)
+// against a ring of W heights, and the slice recorder appends one
+// RoundRecord into a bounded ring, every round.  Nothing here writes to
+// the simulation: an oracle-armed run steps the same rounds as an
+// unarmed run of the same seed and its RunResult is bit-identical
+// (tests/sim/test_oracle.cpp pins this).  One diagnostic exception: the
+// oracle queries ancestry through the same instrumented BlockStore, so
+// its own lookups are visible in the ancestry-queries counter — every
+// counter that measures simulation work stays exact.
 //
 // The oracle owns no file I/O (the trace-io rule bans it in sim/):
 // serializing a frozen violation into an artifact is scenario-layer work

@@ -178,23 +178,23 @@ TEST(Oracle, ArmedRunIsBitIdenticalToUnarmed) {
             unarmed.chain.adversary_blocks_in_chain);
   EXPECT_EQ(armed.chain.quality, unarmed.chain.quality);
   EXPECT_EQ(armed.store_size, unarmed.store_size);
-  // The oracle reads through the same instrumented store, so its own
+  // The armed run skips the same quiet rounds as the unarmed one.  The
+  // oracle reads through the same instrumented store, so its own
   // binary-lifting lookups show up in the ancestry-queries diagnostic
-  // counter, as do the armed run's stepped quiet rounds, which the
-  // unarmed run skips; every other counter that measures *simulation*
-  // work must still match exactly.
+  // counter; every other counter, the skip counter included, must match
+  // exactly.
   const auto ancestry =
       static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
   const auto quiet =
       static_cast<std::size_t>(telemetry::Counter::kQuietRoundsSkipped);
   for (std::size_t i = 0; i < armed.telemetry.counters.size(); ++i) {
-    if (i == ancestry || i == quiet) continue;
+    if (i == ancestry) continue;
     EXPECT_EQ(armed.telemetry.counters[i], unarmed.telemetry.counters[i])
-        << "counter " << i;
+        << telemetry::counter_name(static_cast<telemetry::Counter>(i));
   }
   EXPECT_GE(armed.telemetry.counters[ancestry],
             unarmed.telemetry.counters[ancestry]);
-  EXPECT_EQ(armed.telemetry.counters[quiet], 0u);
+  EXPECT_GT(armed.telemetry.counters[quiet], 0u);
 }
 
 TEST(Oracle, FreezesFirstViolationWithViewsAndBoundedSlice) {

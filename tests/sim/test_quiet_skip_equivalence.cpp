@@ -1,12 +1,13 @@
 // Differential battery pinning the quiet-round fast path of
-// ExecutionEngine::run() to the full per-round loop bit-for-bit.  An
-// unobserved run() commits provably-quiet rounds in O(1); attaching any
-// observer — here a no-op one — makes run() step every round.  Both must
-// produce *exactly* the same RunResult for every adversary strategy over
-// every network model, and every registry adversary must opt into the
-// quiet-act contract (otherwise both runs would step every round and the
-// identity would hold vacuously).  An adversary that did not opt in is
-// checked to step every round.
+// ExecutionEngine::run() to the full per-round loop bit-for-bit.  Every
+// run, observed or not, commits provably-quiet rounds in O(1); the
+// stepping reference is the same strategy behind a wrapper that does not
+// opt into the quiet-act contract, so act() runs and the round is stepped
+// every round.  Both must produce *exactly* the same RunResult, and an
+// observer must see the same record and the same honest tips in every
+// round, for every adversary strategy over every network model.  Every
+// registry adversary must opt into the quiet-act contract (otherwise both
+// runs would step every round and the identity would hold vacuously).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,8 @@
 #include "bounds/zhao.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
+#include "sim/oracle.hpp"
+#include "sim/trace.hpp"
 #include "support/crng.hpp"
 #include "support/telemetry.hpp"
 
@@ -67,11 +70,6 @@ std::unique_ptr<Adversary> make_adversary(const char* network,
   return scenario::ScenarioRegistry::builtin().make_adversary(
       network, {}, strategy, {}, config);
 }
-
-/// Observing a round forces run() to step it; this observer does nothing
-/// else, so it yields the no-skip reference run.
-const ExecutionEngine::RoundObserver kStepEveryRound =
-    [](const ExecutionEngine&, std::uint64_t) {};
 
 // Field-by-field equality over everything a RunResult reports except the
 // telemetry snapshot (compared separately where it must match).
@@ -142,10 +140,49 @@ std::vector<Cell> all_cells() {
   return cells;
 }
 
+/// What an observer saw of one run: the RunResult, and per round the
+/// trace record and the honest tips.
+struct ObservedRun {
+  RunResult result;
+  std::vector<RoundRecord> records;
+  std::vector<std::vector<protocol::BlockIndex>> tips;
+};
+
+ObservedRun observed_run(const EngineConfig& config,
+                         std::unique_ptr<Adversary> adversary) {
+  ObservedRun out;
+  ExecutionEngine engine(config, std::move(adversary));
+  out.result = engine.run([&](const ExecutionEngine& e, std::uint64_t round) {
+    out.records.push_back(make_round_record(e, round));
+    out.tips.emplace_back(e.honest_tips().begin(), e.honest_tips().end());
+  });
+  return out;
+}
+
+void expect_rounds_equal(const ObservedRun& got, const ObservedRun& want) {
+  ASSERT_EQ(got.records.size(), want.records.size());
+  ASSERT_EQ(got.tips.size(), want.tips.size());
+  for (std::size_t i = 0; i < got.records.size(); ++i) {
+    const RoundRecord& g = got.records[i];
+    const RoundRecord& w = want.records[i];
+    SCOPED_TRACE("round=" + std::to_string(w.round));
+    EXPECT_EQ(g.round, w.round);
+    EXPECT_EQ(g.honest_mined, w.honest_mined);
+    EXPECT_EQ(g.adversary_mined, w.adversary_mined);
+    EXPECT_EQ(g.mined_by, w.mined_by);
+    EXPECT_EQ(g.delivered, w.delivered);
+    EXPECT_EQ(g.adoptions, w.adoptions);
+    EXPECT_EQ(g.best_height, w.best_height);
+    EXPECT_EQ(g.violation_depth, w.violation_depth);
+    EXPECT_EQ(got.tips[i], want.tips[i]);
+  }
+}
+
 class QuietSkipEquivalence : public ::testing::TestWithParam<Cell> {};
 
-// The tentpole identity: for every seed, the unobserved (skipping) run
-// reports exactly the RunResult of the observed (stepping) run.
+// The tentpole identity: for every seed, the skipping run reports exactly
+// the RunResult of the stepping run, and its observer sees every round
+// exactly as the stepping run's observer does.
 TEST_P(QuietSkipEquivalence, SkippingRunMatchesSteppingRunBitForBit) {
   const Cell cell = GetParam();
   for (std::uint64_t seed = kBaseSeed; seed < kBaseSeed + kSeeds; ++seed) {
@@ -156,12 +193,20 @@ TEST_P(QuietSkipEquivalence, SkippingRunMatchesSteppingRunBitForBit) {
         make_adversary(cell.network, cell.strategy, config);
     // Without the opt-in the "skipping" run would step every round too.
     ASSERT_TRUE(adversary->quiet_act_is_noop());
-    ExecutionEngine skipping(config, std::move(adversary));
-    ExecutionEngine stepping(
-        config, make_adversary(cell.network, cell.strategy, config));
-    const RunResult skipped = skipping.run();
-    const RunResult stepped = stepping.run(kStepEveryRound);
-    expect_result_equal(skipped, stepped);
+    auto stepping_adversary = std::make_unique<CountingAdversary>(
+        make_adversary(cell.network, cell.strategy, config),
+        /*quiet_noop=*/false);
+    const std::shared_ptr<std::uint64_t> acts = stepping_adversary->acts();
+    const ObservedRun skipped = observed_run(config, std::move(adversary));
+    const ObservedRun stepped =
+        observed_run(config, std::move(stepping_adversary));
+    EXPECT_EQ(*acts, config.rounds);
+    // Every cell has quiet rounds, so neither side holds vacuously.
+    EXPECT_GT(skipped.result.telemetry.counters[static_cast<std::size_t>(
+                  telemetry::Counter::kQuietRoundsSkipped)],
+              0u);
+    expect_result_equal(skipped.result, stepped.result);
+    expect_rounds_equal(skipped, stepped);
   }
 }
 
@@ -176,25 +221,35 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-/// act() calls of one unobserved run of the sparse cell.
-std::uint64_t unobserved_acts(bool quiet_noop) {
+/// act() calls of one run of the sparse cell, observed by `observer`.
+std::uint64_t sparse_acts(bool quiet_noop,
+                          const ExecutionEngine::RoundObserver& observer = {}) {
   const EngineConfig config = sparse_config();
   auto adversary = std::make_unique<CountingAdversary>(
       make_adversary("strategy", "private-withhold", config), quiet_noop);
   const std::shared_ptr<std::uint64_t> acts = adversary->acts();
   ExecutionEngine engine(config, std::move(adversary));
-  (void)engine.run();
+  (void)engine.run(observer);
   return *acts;
 }
 
 // The probe itself: on the sparse cell an eligible run skips most rounds.
 TEST(QuietSkipEligibility, EligibleRunSkipsRounds) {
-  EXPECT_LT(unobserved_acts(/*quiet_noop=*/true), sparse_config().rounds);
+  EXPECT_LT(sparse_acts(/*quiet_noop=*/true), sparse_config().rounds);
+}
+
+// Observing a run does not change which rounds it steps: an armed oracle
+// still sees every round, but act() runs only on the busy ones.
+TEST(QuietSkipEligibility, ObservedRunSkipsRounds) {
+  InvariantOracle oracle(OracleConfig{});
+  EXPECT_LT(sparse_acts(/*quiet_noop=*/true, oracle.observer()),
+            sparse_config().rounds);
+  EXPECT_EQ(oracle.rounds_observed(), sparse_config().rounds);
 }
 
 // Without the quiet-act opt-in, act() must run in every round.
 TEST(QuietSkipEligibility, AdversaryWithoutQuietContractNeverSkips) {
-  EXPECT_EQ(unobserved_acts(/*quiet_noop=*/false), sparse_config().rounds);
+  EXPECT_EQ(sparse_acts(/*quiet_noop=*/false), sparse_config().rounds);
 }
 
 // The skip shows up in its own counter and nowhere else.  The
@@ -206,9 +261,11 @@ TEST(QuietSkipTelemetry, OnlyTheSkipCounterMoves) {
   ExecutionEngine skipping(
       config, make_adversary("strategy", "private-withhold", config));
   ExecutionEngine stepping(
-      config, make_adversary("strategy", "private-withhold", config));
+      config, std::make_unique<CountingAdversary>(
+                  make_adversary("strategy", "private-withhold", config),
+                  /*quiet_noop=*/false));
   const RunResult skipped = skipping.run();
-  const RunResult stepped = stepping.run(kStepEveryRound);
+  const RunResult stepped = stepping.run();
   expect_result_equal(skipped, stepped);
 
   const auto index = [](telemetry::Counter c) {

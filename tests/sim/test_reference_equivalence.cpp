@@ -32,8 +32,10 @@ const char* const kNetworks[] = {
 };
 
 struct EngineRun {
-  RunResult observed;    ///< stepped every round (observer attached)
-  RunResult unobserved;  ///< quiet rounds skipped
+  /// Observer attached: every round, stepped or committed as quiet,
+  /// checked against the model.
+  RunResult observed;
+  RunResult unobserved;  ///< no observer
   std::vector<reference::RoundRecord> rounds;
   std::vector<std::size_t> classes;  ///< view classes after each round
 };

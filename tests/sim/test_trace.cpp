@@ -271,21 +271,12 @@ TEST(RoundTracer, TracedRunIsBitIdenticalToUntraced) {
   EXPECT_EQ(traced.chain.quality, untraced.chain.quality);
   EXPECT_EQ(traced.store_size, untraced.store_size);
   // Event counters are part of the trajectory; phase wall times are not.
-  // The exceptions: the traced run steps the quiet rounds the untraced
-  // run skips, and the adversary's act() on a stepped quiet round may
-  // query the store's ancestry.
-  const auto ancestry =
-      static_cast<std::size_t>(telemetry::Counter::kAncestryQueries);
-  const auto quiet =
-      static_cast<std::size_t>(telemetry::Counter::kQuietRoundsSkipped);
-  for (std::size_t i = 0; i < traced.telemetry.counters.size(); ++i) {
-    if (i == ancestry || i == quiet) continue;
-    EXPECT_EQ(traced.telemetry.counters[i], untraced.telemetry.counters[i])
-        << "counter " << i;
-  }
-  EXPECT_GE(traced.telemetry.counters[ancestry],
-            untraced.telemetry.counters[ancestry]);
-  EXPECT_EQ(traced.telemetry.counters[quiet], 0u);
+  // The traced run skips the same quiet rounds and the tracer makes no
+  // ancestry lookups, so every counter matches exactly.
+  EXPECT_EQ(traced.telemetry.counters, untraced.telemetry.counters);
+  EXPECT_GT(traced.telemetry.counters[static_cast<std::size_t>(
+                telemetry::Counter::kQuietRoundsSkipped)],
+            0u);
 }
 
 TEST(RoundTracer, RecordsAreConsistentWithTheRun) {
