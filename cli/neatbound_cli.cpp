@@ -11,14 +11,14 @@
 //       (cell × seed) engine run on one work pool, reporting through the
 //       same stdout/CSV/JSON sink stack the benches use.  The override
 //       flags replace the spec's engine defaults (axes still win per
-//       point) — the CI smoke job uses them to downsize bundled specs.
+//       point) — cli/scenario_smoke uses them to downsize bundled specs.
 //       Specs with an "adaptive" block (and any run given --checkpoint /
 //       --resume) execute through the adaptive sequential-stopping
 //       sweep: --checkpoint snapshots every cell's accumulators after
 //       each scheduling wave, --resume picks a matching snapshot back up
 //       without recomputation, and --stop-after-waves N interrupts
-//       deterministically after N waves (exit status 3) — the hook CI's
-//       kill-and-resume round trip uses.  A resumed run's summary is
+//       deterministically after N waves (exit status 3) — the hook the
+//       cli/checkpoint_resume round trip uses.  A resumed run's summary is
 //       bit-identical to an uninterrupted one.
 //
 //       Observability (docs/observability.md): --trace P streams one

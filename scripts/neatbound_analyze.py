@@ -1,18 +1,42 @@
 #!/usr/bin/env python3
 """neatbound-analyze: repo-specific static analysis over src/ and cli/.
 
-The determinism lint (check_determinism.py) bans *token-level* hazards.
-This tool enforces the *structural* discipline the upcoming engine
-rewrites (million-miner loop, Philox RNG, PoS protocol family) must not
-regress — each rule encodes a bug class a previous PR fixed by hand:
+The repo's own lint of the C++ tree, for the rules clang-tidy has no
+vocabulary for.  Every rule encodes a bug class a previous change fixed
+by hand; the first six guard the determinism contract (same seed, same
+bytes, serial ≡ parallel), the rest the structural discipline of the
+engine:
 
+  nondeterministic-source   std::random_device, rand()/srand(), time()-
+                            style entropy.  Every random draw must come
+                            from a seeded support/crng.hpp key.
+  wall-clock                std::chrono::system_clock /
+                            high_resolution_clock anywhere.
+  raw-steady-clock          std::chrono::steady_clock anywhere except
+                            src/support/telemetry.{hpp,cpp} — the one
+                            sanctioned timing point (the reporter's
+                            elapsed_seconds routes through an explicit
+                            allow).  Clock reads scattered through sim
+                            code eventually leak into output or, worse,
+                            into control flow.
+  time-seeded-rng           any crng::Key or crng::Stream, std engine or
+                            seed expression built from a clock's now().
+  unordered-iteration       iterating an unordered_map/unordered_set:
+                            hash order is libstdc++-version- and
+                            pointer-dependent, and eventually leaks into
+                            output or an accumulation fold.  Membership
+                            lookups (find/count/at/emplace) are fine.
+  pointer-keyed-ordering    std::map/std::set keyed on a pointer, or a
+                            std::less<T*> comparator: iteration order
+                            becomes allocation order, which ASLR
+                            reshuffles per process.
   layering            the module dependency DAG, from real #include
                       edges.  Modules are layered (see LAYERS below);
                       an include may only point at a strictly lower
-                      layer, or stay inside its own module.  This is
-                      the PR 5 bug class (scenario/json had to move to
-                      support/json so exp/ could parse checkpoints
-                      without inverting the layering) made mechanical.
+                      layer, or stay inside its own module.  This makes
+                      mechanical the bug where scenario/json had to
+                      move to support/json so exp/ could parse
+                      checkpoints without inverting the layering.
   include-cycle       no include cycles and no self-includes, detected
                       on the file-level include graph.
   hot-alloc           functions annotated NEATBOUND_HOT (support/
@@ -20,8 +44,8 @@ regress — each rule encodes a bug class a previous PR fixed by hand:
                       through the project call graph, must not allocate:
                       new / malloc / make_unique / allocating container
                       calls / local std container construction.  The
-                      PR 4 overhaul removed per-delivery allocations;
-                      this rule keeps them out.  Amortized or
+                      engine's per-delivery allocations were removed
+                      once; this rule keeps them out.  Amortized or
                       deliberately cold growth paths carry an in-source
                       allow with a written rationale.
   rng-stream          no std::<...>_distribution, no std RNG engines,
@@ -56,7 +80,13 @@ regress — each rule encodes a bug class a previous PR fixed by hand:
                       out of the engine's hot path.  Report/sink I/O
                       lives in exp/ and support/, outside this rule.
 
-Allowlist syntax (same line as the finding or the line above):
+Every rule reads the one model scripts/neatbound_srcmodel.py builds per
+file: a lexer pass that blanks comments and string literals (raw strings
+included) while keeping the line layout, so prose cannot trip a rule and
+a string containing "//" cannot hide a real finding.
+
+Allowlist syntax (same line as the finding or the line above; a
+multi-line // rationale block carries the allow to the code below it):
 
     // neatbound-analyze: allow(<rule>[, <rule>]) — <why it is safe>
 
@@ -65,29 +95,18 @@ above it) marks the whole function as an accepted allocation boundary:
 its body is not scanned and hotness does not propagate through it (use
 for append-only amortized growth like BlockStore::add).
 
-Front ends (--frontend):
-  libclang  AST-precise, driven by the exported compile database
-            (compile_commands.json); preferred when the clang Python
-            bindings and a libclang shared library are installed.
-  text      the built-in lexer front end (scripts/neatbound_srcmodel.py):
-            comment/string-safe, include-exact, with a conservative
-            name-based call graph.  No dependencies beyond Python.
-  auto      libclang when fully functional, otherwise text (with a
-            notice).  The degraded mode is not include-graph-only: every
-            rule runs on the text front end; libclang adds precision
-            (real overload resolution, exact extents), not coverage.
-
 Self-test: `--self-test` runs every rule over the mini source trees in
-tests/lint/fixtures/analyze/*/ — each case declares the rules its files
-must trigger with `// analyze-expect: <rule>` lines, the `allowlisted`
-case proves the allow syntax silences every rule, and the run fails
-unless the fired set matches exactly and every rule is covered.  CTest
-entries: lint/analyze_self_test, lint/analyze_src.
+tests/lint/fixtures/analyze/*/.  A `// analyze-expect: <rule>[, <rule>]`
+comment declares findings on its own line or, standing alone, on the
+next code line; the run fails unless every case fires exactly its
+declared (file, line, rule) set, every rule fires somewhere, and the
+`allowlisted` case silences a real finding of every rule and scans
+clean.  CTest entries: lint/analyze_self_test (the self-test) and
+lint/all (scripts/lint_all, which runs this over the tree).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import re
 import sys
@@ -96,7 +115,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 import neatbound_srcmodel as srcmodel  # noqa: E402
 
 ALLOW_TAG = "neatbound-analyze"
-EXPECT = re.compile(r"//\s*analyze-expect:\s*([a-z-]+)")
+EXPECT = re.compile(r"//\s*analyze-expect:\s*([a-z,\s-]+)")
 
 # The machine-enforced module layering.  An include edge must point at a
 # strictly lower layer (or stay inside its own module); modules sharing a
@@ -113,6 +132,8 @@ LAYERS: dict[str, int] = {
 }
 
 ALL_RULES = [
+    "nondeterministic-source", "wall-clock", "raw-steady-clock",
+    "time-seeded-rng", "unordered-iteration", "pointer-keyed-ordering",
     "layering", "include-cycle", "hot-alloc", "rng-stream",
     "contract-coverage", "hot-hygiene", "trace-io",
 ]
@@ -139,27 +160,90 @@ ALLOC_PATTERNS = [
     (re.compile(r"\bto_string\s*\("), "std::to_string (allocates)"),
 ]
 
-RNG_PATTERNS = [
-    (re.compile(r"\b\w+_distribution\s*<"),
-     "std::*_distribution has an implementation-defined sequence"),
-    (re.compile(r"\b(mt19937(_64)?|minstd_rand0?|ranlux\w+|knuth_b|"
-                r"default_random_engine|mersenne_twister_engine|"
-                r"linear_congruential_engine|subtract_with_carry_engine)\b"),
-     "std RNG engine: sequential hidden state blocks addressable streams"),
-    (re.compile(r"#\s*include\s*<random>"),
-     "<random> is banned in src/ and cli/"),
-]
-
 # Simulation-core modules may not grow private file writers; the single
 # exemption is the sanctioned bounded trace serializer.
 TRACE_IO_MODULES = {"sim", "net", "protocol"}
 TRACE_IO_EXEMPT = {"src/sim/trace.cpp"}
-TRACE_IO_PATTERNS = [
-    (re.compile(r"\bo?fstream\b"), "file stream construction"),
-    (re.compile(r"\bfreopen\s*\(|\bfopen\s*\("), "C stdio open"),
-    (re.compile(r"\bFILE\s*\*"), "FILE* handle"),
-    (re.compile(r"\bf(printf|write|puts|putc)\s*\("), "C stdio write"),
-]
+# The one sanctioned steady_clock reader.
+STEADY_CLOCK_EXEMPT = {"src/support/telemetry.hpp",
+                       "src/support/telemetry.cpp"}
+
+# Line-pattern rules: rule -> (scope, [(pattern, what)], advice).  Each
+# lexed line of every in-scope file fires a rule at most once, naming the
+# first pattern that matched.
+LINE_RULES = {
+    "nondeterministic-source": (
+        lambda fm: True,
+        [(re.compile(r"random_device"), "std::random_device"),
+         (re.compile(r"(?<![\w:])(?:std\s*::\s*)?s?rand\s*\("),
+          "C rand()/srand()"),
+         (re.compile(r"(?<![\w:])std\s*::\s*time\s*\("), "std::time()"),
+         (re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0)\s*\)"),
+          "time(NULL)")],
+        "every random draw comes from a seeded support/crng.hpp key"),
+    "wall-clock": (
+        lambda fm: True,
+        [(re.compile(r"system_clock"), "std::chrono::system_clock"),
+         (re.compile(r"high_resolution_clock"),
+          "std::chrono::high_resolution_clock")],
+        "wall-clock reads make output depend on when the run happened"),
+    "raw-steady-clock": (
+        lambda fm: fm.rel not in STEADY_CLOCK_EXEMPT,
+        [(re.compile(r"steady_clock"), "std::chrono::steady_clock")],
+        "time phases through support/telemetry.hpp, the one sanctioned "
+        "clock reader"),
+    "time-seeded-rng": (
+        lambda fm: True,
+        [(re.compile(
+            r"(?:\bKey\b|\bStream\b|\bmt19937(?:_64)?\b|\bminstd_rand0?\b"
+            r"|\bdefault_random_engine\b|\branlux\w+\b|[Ss]eed\w*)"
+            r"[^;]*?[({=][^;]*\bnow\s*\(\)"),
+          "RNG key, engine or seed built from a clock's now()")],
+        "seeds come from the run's configuration, never from a clock"),
+    "pointer-keyed-ordering": (
+        lambda fm: True,
+        [(re.compile(r"std\s*::\s*(?:map|set)\s*<\s*(?:const\s+)?"
+                     r"[A-Za-z_:][\w:<>]*\s*\*"),
+          "std::map/std::set keyed on a pointer"),
+         (re.compile(r"std\s*::\s*less\s*<[^>]*\*\s*>"),
+          "std::less<T*> comparator")],
+        "iteration order becomes allocation order, which ASLR reshuffles; "
+        "key on a stable id"),
+    "rng-stream": (
+        lambda fm: True,
+        [(re.compile(r"\b\w+_distribution\s*<"),
+          "std::*_distribution has an implementation-defined sequence"),
+         (re.compile(r"\b(mt19937(_64)?|minstd_rand0?|ranlux\w+|knuth_b|"
+                     r"default_random_engine|mersenne_twister_engine|"
+                     r"linear_congruential_engine|subtract_with_carry_engine)"
+                     r"\b"),
+          "std RNG engine: sequential hidden state blocks addressable "
+          "streams"),
+         (re.compile(r"#\s*include\s*<random>"),
+          "<random> is banned in src/ and cli/")],
+        "key draws through support/crng.hpp so every draw stays "
+        "addressable as (key, counter)"),
+    "trace-io": (
+        lambda fm: (fm.module in TRACE_IO_MODULES
+                    and fm.rel not in TRACE_IO_EXEMPT),
+        [(re.compile(r"\bo?fstream\b"), "file stream construction"),
+         (re.compile(r"\bfreopen\s*\(|\bfopen\s*\("), "C stdio open"),
+         (re.compile(r"\bFILE\s*\*"), "FILE* handle"),
+         (re.compile(r"\bf(printf|write|puts|putc)\s*\("), "C stdio write")],
+        "simulation-core modules route structured output through "
+        "sim::BoundedTraceWriter (sim/trace.hpp) and let the caller own "
+        "the stream"),
+}
+
+# unordered-iteration: remember each unordered container's variable name
+# so iteration over it is flagged even far from the declaration.
+UNORDERED_DECL = re.compile(
+    r"unordered_(?:map|set)\s*<[^;{}]*?>\s*([A-Za-z_]\w*)\s*[;={]")
+# Range-for target: the last identifier component of the iterated
+# expression ("for (auto& x : foo.bar_)" -> "bar_").
+RANGE_FOR = re.compile(r"for\s*\([^;)]*?:\s*([A-Za-z_][\w.\->]*)\s*\)")
+ITER_CALL = re.compile(
+    r"([A-Za-z_]\w*)\s*\.\s*(?:begin|end|cbegin|cend)\s*\(")
 
 ACCESSOR_NAME = re.compile(
     r"^(get_|is_|has_|peek_)|(_of|_height|_count|_size)$"
@@ -189,9 +273,7 @@ class FileModel:
 class Model:
     """All scanned files plus cross-file indexes."""
 
-    def __init__(self, root: pathlib.Path, frontend: str):
-        self.root = root
-        self.frontend = frontend
+    def __init__(self):
         self.files: dict[str, FileModel] = {}
 
     def add_file(self, rel: str, text: str) -> None:
@@ -242,184 +324,13 @@ def source_files(root: pathlib.Path) -> list[pathlib.Path]:
     return out
 
 
-def build_model_text(root: pathlib.Path) -> Model:
-    model = Model(root, "text")
+def build_model(root: pathlib.Path) -> Model:
+    model = Model()
     for path in source_files(root):
         rel = path.relative_to(root).as_posix()
         model.add_file(rel, path.read_text(encoding="utf-8"))
     model.finalize()
     return model
-
-
-# --- libclang front end -----------------------------------------------------
-
-def _locate_libclang() -> bool:
-    """Point clang.cindex at a libclang shared object, if findable."""
-    import glob
-
-    from clang import cindex
-    if cindex.Config.loaded:
-        return True
-    candidates = []
-    for pattern in ("/usr/lib/llvm-*/lib/libclang.so*",
-                    "/usr/lib/llvm-*/lib/libclang-*.so*",
-                    "/usr/lib/x86_64-linux-gnu/libclang-*.so*",
-                    "/usr/lib/x86_64-linux-gnu/libclang.so*"):
-        candidates.extend(sorted(glob.glob(pattern), reverse=True))
-    for lib in candidates:
-        if "libclang-cpp" in lib:
-            continue  # the C++ API library, not the C API libclang needs
-        try:
-            cindex.Config.set_library_file(lib)
-            cindex.Index.create()
-            return True
-        except Exception:  # noqa: BLE001 — probe the next candidate
-            cindex.Config.loaded = False
-            cindex.Config.library_file = None
-    try:
-        cindex.Index.create()  # maybe a plain `libclang.so` is on the path
-        return True
-    except Exception:  # noqa: BLE001
-        return False
-
-
-def libclang_available() -> bool:
-    try:
-        import clang.cindex  # noqa: F401
-    except ImportError:
-        return False
-    try:
-        return _locate_libclang()
-    except Exception:  # noqa: BLE001
-        return False
-
-
-def build_model_libclang(root: pathlib.Path,
-                         compile_db: pathlib.Path | None) -> Model:
-    """AST front end: same Model shapes, cursor-accurate facts."""
-    from clang import cindex
-
-    args_for: dict[str, list[str]] = {}
-    if compile_db and compile_db.is_file():
-        for entry in json.loads(compile_db.read_text()):
-            file = pathlib.Path(entry["directory"], entry["file"]).resolve()
-            raw = entry.get("arguments") or entry.get("command", "").split()
-            args = [a for a in raw[1:] if a.startswith(("-I", "-D", "-std",
-                                                        "-isystem"))]
-            args_for[str(file)] = args
-    default_args = ["-std=c++20", f"-I{root / 'src'}", f"-I{root}"]
-
-    model = Model(root, "libclang")
-    index = cindex.Index.create()
-    seen_functions: set[tuple[str, int, str]] = set()
-    for path in source_files(root):
-        rel = path.relative_to(root).as_posix()
-        model.add_file(rel, path.read_text(encoding="utf-8"))
-    for rel, fm in list(model.files.items()):
-        if not rel.endswith(".cpp"):
-            continue
-        path = root / rel
-        args = args_for.get(str(path.resolve()), default_args)
-        tu = index.parse(str(path), args=args,
-                         options=cindex.TranslationUnit
-                         .PARSE_DETAILED_PROCESSING_RECORD)
-        _harvest_tu(model, root, tu, seen_functions)
-    model.finalize()
-    return model
-
-
-def _harvest_tu(model, root, tu, seen) -> None:
-    from clang import cindex
-
-    K = cindex.CursorKind
-
-    def rel_of(location) -> str | None:
-        if location.file is None:
-            return None
-        try:
-            p = pathlib.Path(str(location.file)).resolve()
-            rel = p.relative_to(root.resolve()).as_posix()
-        except ValueError:
-            return None
-        return rel if rel in model.files else None
-
-    def walk(cursor):
-        for child in cursor.get_children():
-            rel = rel_of(child.location)
-            if rel is None and child.kind not in (K.NAMESPACE,):
-                continue
-            if child.kind in (K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
-                              K.DESTRUCTOR, K.FUNCTION_TEMPLATE):
-                if child.is_definition() and rel is not None:
-                    key = (rel, child.extent.start.line, child.spelling)
-                    if key not in seen:
-                        seen.add(key)
-                        _replace_function(model.files[rel], child)
-                continue
-            if child.kind in (K.NAMESPACE, K.CLASS_DECL, K.STRUCT_DECL,
-                              K.CLASS_TEMPLATE, K.UNEXPOSED_DECL):
-                walk(child)
-
-    walk(tu.cursor)
-
-
-def _replace_function(fm: FileModel, cursor) -> None:
-    """Overwrite the lexer's record for this definition with AST facts."""
-    from clang import cindex
-
-    K = cindex.CursorKind
-    start, end = cursor.extent.start.line, cursor.extent.end.line
-    calls: set[str] = set()
-    allocates = False
-
-    def visit(c):
-        nonlocal allocates
-        if c.kind == K.CALL_EXPR and c.spelling:
-            calls.add(c.spelling)
-        if c.kind == K.CXX_NEW_EXPR:
-            allocates = True
-        for g in c.get_children():
-            visit(g)
-
-    visit(cursor)
-    tokens = {t.spelling for t in cursor.get_tokens()}
-    parent = cursor.semantic_parent
-    class_name = parent.spelling if parent is not None and parent.kind in (
-        K.CLASS_DECL, K.STRUCT_DECL, K.CLASS_TEMPLATE) else ""
-    access = {"public": "public", "protected": "protected",
-              "private": "private"}.get(
-        str(cursor.access_specifier).split(".")[-1].lower(), "")
-    spec = cursor.exception_specification_kind
-    noexcept = str(spec).split(".")[-1] in ("BASIC_NOEXCEPT",
-                                            "COMPUTED_NOEXCEPT")
-    record = srcmodel.Function(
-        name=cursor.spelling,
-        class_name=class_name,
-        qualified=(f"{class_name}::{cursor.spelling}"
-                   if class_name else cursor.spelling),
-        line=start,
-        body_start=0, body_end=0,
-        is_const=bool(cursor.is_const_method()),
-        is_noexcept=noexcept,
-        is_static=bool(cursor.is_static_method()),
-        access=access,
-        annotated_hot=("NEATBOUND_HOT" in tokens or any(
-            c.kind == K.ANNOTATE_ATTR and c.spelling == "neatbound_hot"
-            for c in cursor.get_children())),
-        calls=calls,
-        statements=sum(t == ";" for t in
-                       (tok.spelling for tok in cursor.get_tokens())),
-        contains_contract=bool(tokens & {"NEATBOUND_EXPECTS",
-                                         "NEATBOUND_ENSURES",
-                                         "NEATBOUND_INVARIANT"}),
-        contains_throw="throw" in tokens,
-        body_lines=(start, end),
-    )
-    if allocates:
-        record.calls.add("operator new")
-    fm.functions = [f for f in fm.functions
-                    if not (f.name == record.name and f.line == record.line)]
-    fm.functions.append(record)
 
 
 # --- findings ---------------------------------------------------------------
@@ -432,22 +343,64 @@ class Finding:
         return (self.rel, self.line, self.rule, self.message)
 
 
-def run_rules(model: Model) -> list[Finding]:
+def raw_findings(model: Model) -> list[Finding]:
+    """Every rule's findings, before in-source allows are applied."""
     findings: list[Finding] = []
+    findings += rule_line_patterns(model)
+    findings += rule_unordered_iteration(model)
     findings += rule_layering(model)
     findings += rule_include_cycle(model)
-    findings += rule_rng(model)
     findings += rule_hot_alloc(model)
     findings += rule_contract_coverage(model)
     findings += rule_hot_hygiene(model)
-    findings += rule_trace_io(model)
-    kept = []
-    for f in sorted(findings, key=Finding.key):
-        fm = model.files.get(f.rel)
-        if fm is not None and fm.allowed(f.line, f.rule):
+    return sorted(findings, key=Finding.key)
+
+
+def run_rules(model: Model) -> list[Finding]:
+    return [f for f in raw_findings(model)
+            if not model.files[f.rel].allowed(f.line, f.rule)]
+
+
+# --- line-pattern rules -----------------------------------------------------
+
+def rule_line_patterns(model: Model) -> list[Finding]:
+    out = []
+    for fm in model.files.values():
+        if fm.module is None:
             continue
-        kept.append(f)
-    return kept
+        rules = [(rule, patterns, advice)
+                 for rule, (scope, patterns, advice) in LINE_RULES.items()
+                 if scope(fm)]
+        for lineno, line in enumerate(fm.code_lines, 1):
+            for rule, patterns, advice in rules:
+                what = next((w for p, w in patterns if p.search(line)), None)
+                if what is not None:
+                    out.append(Finding(fm.rel, lineno, rule,
+                                       f"{what}; {advice}"))
+    return out
+
+
+# --- rule: unordered-iteration ----------------------------------------------
+
+def rule_unordered_iteration(model: Model) -> list[Finding]:
+    out = []
+    for fm in model.files.values():
+        if fm.module is None:
+            continue
+        names = {n for line in fm.code_lines
+                 for n in UNORDERED_DECL.findall(line)}
+        for lineno, line in enumerate(fm.code_lines, 1):
+            ranged = any(re.split(r"\.|->", m.group(1))[-1] in names
+                         or "unordered_" in m.group(0)
+                         for m in RANGE_FOR.finditer(line))
+            called = any(m.group(1) in names
+                         for m in ITER_CALL.finditer(line))
+            if ranged or called:
+                out.append(Finding(
+                    fm.rel, lineno, "unordered-iteration",
+                    "iterating an unordered container leaks hash order into "
+                    "output; iterate a sorted copy or an ordered container"))
+    return out
 
 
 # --- rule: layering ---------------------------------------------------------
@@ -600,40 +553,15 @@ def rule_include_cycle(model: Model) -> list[Finding]:
     return out
 
 
-# --- rule: rng-stream -------------------------------------------------------
-
-def rule_rng(model: Model) -> list[Finding]:
-    out = []
-    for fm in model.files.values():
-        if fm.module is None:
-            continue
-        for lineno, line in enumerate(fm.code_lines, 1):
-            hit = None
-            for pattern, why in RNG_PATTERNS:
-                if pattern.search(line):
-                    hit = (f"{why}; key draws through support/crng.hpp "
-                           f"so every draw stays addressable as "
-                           f"(key, counter)")
-                    break
-            if hit is not None:
-                out.append(Finding(fm.rel, lineno, "rng-stream", hit))
-    return out
-
-
 # --- rule: hot-alloc --------------------------------------------------------
 
 def body_line_texts(fm: FileModel, f):
     """(lineno, lexed text) for each line of f's body — starting *after*
     the opening brace, so types in the signature (e.g. a std::vector<>&
     return type) cannot trip the allocation patterns."""
-    if f.body_start > 0 and f.body_end > f.body_start:
-        segment = fm.lexed.code[f.body_start + 1: f.body_end - 1]
-        for i, text in enumerate(segment.split("\n")):
-            yield f.body_lines[0] + i, text
-        return
-    start, end = f.body_lines  # libclang extent: full-definition lines
-    for lineno in range(start, min(end, len(fm.code_lines)) + 1):
-        yield lineno, fm.code_lines[lineno - 1]
+    segment = fm.lexed.code[f.body_start + 1: f.body_end - 1]
+    for i, text in enumerate(segment.split("\n")):
+        yield f.body_lines[0] + i, text
 
 
 def _is_boundary(fm: FileModel, func) -> bool:
@@ -669,8 +597,6 @@ def hot_closure(model: Model) -> dict[int, tuple]:
 def rule_hot_alloc(model: Model) -> list[Finding]:
     out = []
     for fm, f, chain in hot_closure(model).values():
-        if f.body_lines[0] == 0:
-            continue
         for lineno, line in body_line_texts(fm, f):
             for pattern, what in ALLOC_PATTERNS:
                 if pattern.search(line):
@@ -727,8 +653,7 @@ def rule_hot_hygiene(model: Model) -> list[Finding]:
             allocs = any(
                 pattern.search(text)
                 for _, text in body_line_texts(fm, f)
-                for pattern, _ in ALLOC_PATTERNS
-            ) if f.body_lines[0] else False
+                for pattern, _ in ALLOC_PATTERNS)
             if (not project_calls and not f.contains_contract
                     and not f.contains_throw and not allocs
                     and not f.is_noexcept):
@@ -739,72 +664,15 @@ def rule_hot_hygiene(model: Model) -> list[Finding]:
     return out
 
 
-# --- rule: trace-io ---------------------------------------------------------
-
-def rule_trace_io(model: Model) -> list[Finding]:
-    out = []
-    for fm in model.files.values():
-        if fm.module not in TRACE_IO_MODULES or fm.rel in TRACE_IO_EXEMPT:
-            continue
-        for lineno, line in enumerate(fm.code_lines, 1):
-            for pattern, what in TRACE_IO_PATTERNS:
-                if pattern.search(line):
-                    out.append(Finding(
-                        fm.rel, lineno, "trace-io",
-                        f"{what} in simulation-core module '{fm.module}': "
-                        f"route structured output through "
-                        f"sim::BoundedTraceWriter (sim/trace.hpp) and let "
-                        f"the caller own the stream"))
-                    break
-    return out
-
-
 # --- driver -----------------------------------------------------------------
 
-def probe_compile_db(root: pathlib.Path,
-                     explicit: str | None) -> pathlib.Path | None:
-    if explicit:
-        p = pathlib.Path(explicit)
-        return p if p.is_file() else None
-    for candidate in sorted(root.glob("build*/compile_commands.json")):
-        return candidate
-    return None
-
-
-def build_model(root: pathlib.Path, frontend: str,
-                compile_db: pathlib.Path | None,
-                quiet: bool = False) -> Model:
-    if frontend == "libclang" or (frontend == "auto"
-                                  and libclang_available()):
-        if frontend == "libclang" and not libclang_available():
-            print("FAIL: --frontend=libclang requested but the clang "
-                  "Python bindings / libclang shared library are not "
-                  "available", file=sys.stderr)
-            raise SystemExit(2)
-        try:
-            return build_model_libclang(root, compile_db)
-        except Exception as error:  # noqa: BLE001
-            if frontend == "libclang":
-                raise
-            if not quiet:
-                print(f"note: libclang front end failed ({error}); "
-                      f"falling back to the text front end",
-                      file=sys.stderr)
-    if frontend == "auto" and not quiet and not libclang_available():
-        print("note: libclang not available — running the built-in text "
-              "front end (all rules active; libclang adds precision only)",
-              file=sys.stderr)
-    return build_model_text(root)
-
-
-def analyze_tree(root: pathlib.Path, frontend: str,
-                 compile_db: pathlib.Path | None) -> int:
-    model = build_model(root, frontend, compile_db)
+def analyze_tree(root: pathlib.Path) -> int:
+    model = build_model(root)
     findings = run_rules(model)
     for f in findings:
         excerpt = ""
-        fm = model.files.get(f.rel)
-        if fm and 0 < f.line <= len(fm.raw_lines):
+        fm = model.files[f.rel]
+        if 0 < f.line <= len(fm.raw_lines):
             excerpt = " | " + fm.raw_lines[f.line - 1].strip()
         print(f"FAIL: {f.rel}:{f.line}: [{f.rule}] {f.message}{excerpt}",
               file=sys.stderr)
@@ -814,11 +682,29 @@ def analyze_tree(root: pathlib.Path, frontend: str,
               f"rationale", file=sys.stderr)
         return 1
     print(f"OK: src/ and cli/ are clean under neatbound-analyze "
-          f"({', '.join(ALL_RULES)}; front end: {model.frontend})")
+          f"({', '.join(ALL_RULES)})")
     return 0
 
 
-def self_test(repo_root: pathlib.Path, frontend: str) -> int:
+def expected_findings(fm: FileModel) -> set[tuple[str, int, str]]:
+    """(rel, line, rule) declared by `// analyze-expect:` comments: a
+    trailing comment names its own line, a comment standing alone names
+    the next line with code."""
+    out = set()
+    for lineno, raw in enumerate(fm.raw_lines, 1):
+        m = EXPECT.search(raw)
+        if not m:
+            continue
+        target = lineno
+        while (target <= len(fm.code_lines)
+               and not fm.code_lines[target - 1].strip()):
+            target += 1
+        out |= {(fm.rel, target, rule.strip())
+                for rule in m.group(1).split(",") if rule.strip()}
+    return out
+
+
+def self_test(repo_root: pathlib.Path) -> int:
     cases_dir = repo_root / "tests" / "lint" / "fixtures" / "analyze"
     cases = sorted(p for p in cases_dir.iterdir() if p.is_dir()) \
         if cases_dir.is_dir() else []
@@ -827,19 +713,19 @@ def self_test(repo_root: pathlib.Path, frontend: str) -> int:
         return 1
     failures = 0
     covered: set[str] = set()
-    allow_proven = False
+    silenced: set[str] = set()
+    allowlisted_clean = False
     for case in cases:
-        model = build_model(case, frontend, None, quiet=True)
-        fired = {(f.rel, f.rule) for f in run_rules(model)}
+        model = build_model(case)
+        fired = {(f.rel, f.line, f.rule) for f in run_rules(model)}
         expected = set()
         for fm in model.files.values():
-            for line in fm.raw_lines:
-                m = EXPECT.search(line)
-                if m:
-                    expected.add((fm.rel, m.group(1)))
-        covered |= {rule for _, rule in fired}
+            expected |= expected_findings(fm)
+        covered |= {rule for _, _, rule in fired}
         if case.name == "allowlisted":
-            allow_proven = not fired and not expected
+            silenced = {f.rule for f in raw_findings(model)
+                        if model.files[f.rel].allowed(f.line, f.rule)}
+            allowlisted_clean = not fired and not expected
         if fired != expected:
             missing = sorted(expected - fired)
             extra = sorted(fired - expected)
@@ -847,17 +733,18 @@ def self_test(repo_root: pathlib.Path, frontend: str) -> int:
                   f"fired-but-unexpected {extra}", file=sys.stderr)
             failures += 1
         else:
-            rules = sorted({r for _, r in fired}) or ["clean"]
-            print(f"ok: {case.name}: {rules}")
+            rules = sorted({r for _, _, r in fired}) or ["clean"]
+            print(f"ok: {case.name}: {len(fired)} finding(s) {rules}")
     missing_rules = set(ALL_RULES) - covered
     if missing_rules:
         print(f"FAIL: no fixture case fires rule(s): "
               f"{sorted(missing_rules)}", file=sys.stderr)
         failures += 1
-    if not allow_proven:
-        print("FAIL: the 'allowlisted' case must exist and scan clean "
-              "(it proves the allow syntax for every rule)",
-              file=sys.stderr)
+    unsilenced = set(ALL_RULES) - silenced
+    if unsilenced or not allowlisted_clean:
+        print(f"FAIL: the 'allowlisted' case must exist, scan clean and "
+              f"silence a finding of every rule; not silenced: "
+              f"{sorted(unsilenced)}", file=sys.stderr)
         failures += 1
     if failures:
         return 1
@@ -874,13 +761,6 @@ def main() -> int:
         "--root",
         default=str(pathlib.Path(__file__).resolve().parent.parent),
         help="repository root (default: the repo containing this script)")
-    parser.add_argument(
-        "--compile-db", default=None,
-        help="compile_commands.json (default: probe build*/); used by the "
-             "libclang front end for per-TU flags")
-    parser.add_argument(
-        "--frontend", choices=("auto", "libclang", "text"), default="auto",
-        help="AST front end selection (default: auto)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the rules against "
                              "tests/lint/fixtures/analyze/ and require "
@@ -895,9 +775,8 @@ def main() -> int:
             print(f"  layer {layer}: {module}")
         return 0
     if args.self_test:
-        return self_test(root, args.frontend)
-    return analyze_tree(root, args.frontend,
-                        probe_compile_db(root, args.compile_db))
+        return self_test(root)
+    return analyze_tree(root)
 
 
 if __name__ == "__main__":

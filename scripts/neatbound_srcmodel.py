@@ -1,13 +1,12 @@
 """Shared C++ source model for the repo's Python lint/analysis tools.
 
-This module is the text front end both `check_determinism.py` and
-`neatbound_analyze.py` build on.  It deliberately implements a *lexer*,
-not a parser: the tools need comment/string-safe pattern matching,
-include edges, and function extents with a few declaration-level facts
-(class, access, const/noexcept, annotations) — all of which a tracked
-brace/paren scan recovers reliably for this codebase's style, without a
-compiler dependency.  When libclang is available, `neatbound_analyze.py`
-swaps this front end for a real AST; the model shapes are identical.
+This module is the front end `neatbound_analyze.py` builds on.  It
+deliberately implements a *lexer*, not a parser: the rules need
+comment/string-safe pattern matching, include edges, and function
+extents with a few declaration-level facts (class, access,
+const/noexcept, annotations) — all of which a tracked brace/paren scan
+recovers reliably for this codebase's style, without a compiler
+dependency.
 
 Pieces:
 
@@ -18,8 +17,8 @@ Pieces:
                         line comments, multi-line /* */ blocks, escaped
                         quotes, digit separators (1'000'000), and raw
                         string literals R"delim(...)delim" — the
-                        constructs the pre-PR-7 determinism lint
-                        mishandled: a raw string could swallow code, and
+                        constructs a line-oriented comment stripper
+                        mishandles: a raw string could swallow code, and
                         `//` inside a string ate the rest of the line.
   extract_includes   -> ordered [(lineno, target)] of quoted includes.
   extract_functions  -> ([Function], [Declaration]): every function
@@ -30,9 +29,8 @@ Pieces:
                         lookup of out-of-line definitions.
   parse_allow_comments -> {lineno: rules} from in-source allowlist
                         comments (`<tag>: allow(rule-a, rule-b) — why`).
-                        An allow on line L covers findings on L and L+1,
-                        mirroring the determinism lint's "same line or
-                        the line above" contract.
+                        An allow on line L covers findings on L and L+1
+                        ("same line or the line above").
 """
 from __future__ import annotations
 
@@ -151,8 +149,7 @@ def parse_allow_comments(
     """{covered_lineno: rules} for `// <tag>: allow(a, b) — why` comments.
 
     A comment on line L covers findings reported on L and on L+1 (the
-    "same line or the line above" contract shared with the determinism
-    lint).  When the allow opens a multi-line // rationale block, the
+    "same line or the line above" contract).  When the allow opens a multi-line // rationale block, the
     coverage extends through the block to the first code line after it,
     so the written justification can be longer than one line."""
     pattern = re.compile(re.escape(tag) + r":\s*allow\(([a-z0-9,\s-]+)\)")

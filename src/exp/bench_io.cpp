@@ -36,8 +36,8 @@ BenchOptions parse_bench_options(CliArgs& args) {
 BenchReporter::BenchReporter(const std::string& bench_name,
                              const BenchOptions& options)
     : threads_(options.threads),
-      // elapsed_seconds metadata only; parity tests normalize it out.
-      // determinism-lint: allow(raw-steady-clock)
+      // neatbound-analyze: allow(raw-steady-clock) — elapsed_seconds
+      // metadata only; parity tests normalize it out.
       start_(std::chrono::steady_clock::now()) {
   sinks_.add(std::make_unique<TableSink>(std::cout));
   if (!options.csv_path.empty()) {
@@ -86,7 +86,7 @@ void BenchReporter::set_telemetry_meta(
 void BenchReporter::finish() {
   if (json_ != nullptr) {
     const auto elapsed = std::chrono::duration_cast<std::chrono::duration<double>>(
-        // determinism-lint: allow(raw-steady-clock) — see constructor.
+        // neatbound-analyze: allow(raw-steady-clock) — see constructor.
         std::chrono::steady_clock::now() - start_);
     json_->set_meta_number("threads_requested", static_cast<double>(threads_));
     json_->set_meta_number("elapsed_seconds", elapsed.count());

@@ -61,7 +61,7 @@ class BenchReporter final : public ResultSink {
   SinkSet sinks_;
   JsonSink* json_ = nullptr;  ///< borrowed from sinks_
   unsigned threads_;          ///< as requested (0 = auto), not as clamped
-  // determinism-lint: allow(raw-steady-clock) — elapsed_seconds metadata.
+  // neatbound-analyze: allow(raw-steady-clock) — elapsed_seconds metadata.
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -12,16 +12,8 @@
 //     (no project calls, no contracts, no allocation) must be noexcept
 //     (rule `hot-hygiene`).
 //
-// Under Clang the marker is also emitted into the AST as an annotate
-// attribute so the libclang front end can read it without text
-// matching.  GCC has no `annotate` attribute (and -Werror would turn
-// the resulting -Wattributes warning fatal), so elsewhere the macro
-// compiles to nothing — the analyzer's text front end matches the
-// token itself.
-#if defined(__clang__)
-#define NEATBOUND_HOT __attribute__((annotate("neatbound_hot")))
-#else
+// The macro expands to nothing on every compiler: the analyzer matches
+// the token itself, so the marker never changes generated code.
 #define NEATBOUND_HOT
-#endif
 
 #endif  // NEATBOUND_SUPPORT_HOT_HPP

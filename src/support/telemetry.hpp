@@ -27,8 +27,8 @@
 //      they stay per run (the Chrome trace) and never enter summaries
 //      or checkpoints.
 //
-// steady_clock appears ONLY in this header/its .cpp: the determinism
-// lint (scripts/check_determinism.py, rule raw-steady-clock) enforces
+// steady_clock appears ONLY in this header/its .cpp: the analyzer
+// (scripts/neatbound_analyze.py, rule raw-steady-clock) enforces
 // that everywhere else in src/ and cli/ routes timing through here or
 // carries an explicit rationale.
 #pragma once

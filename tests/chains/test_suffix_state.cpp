@@ -1,7 +1,11 @@
 #include "chains/suffix_state.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
 
+#include "chains/suffix_chain.hpp"
+#include "sim/aggregate.hpp"
 #include "support/contracts.hpp"
 
 namespace neatbound::chains {
@@ -179,6 +183,66 @@ TEST(ClassifySeries, OnceDefinedFollowsTransitionFunction) {
 TEST(SuffixStateSpace, RejectsDeltaZero) {
   EXPECT_THROW(SuffixStateSpace(0), ContractViolation);
 }
+
+// The pipeline test: simulate per-round binomial mining, classify, and
+// compare the visit frequencies with the Eq. (37) stationary law.
+struct PipelineCase {
+  std::uint64_t delta;
+  double honest_trials;
+  double p;
+};
+
+class FrequencyPipeline : public ::testing::TestWithParam<PipelineCase> {};
+
+TEST_P(FrequencyPipeline, EmpiricalMatchesClosedForm) {
+  const auto [delta, trials, p] = GetParam();
+  sim::AggregateConfig config;
+  config.honest_trials = trials;
+  config.adversary_trials = 0.0;
+  config.p = p;
+  config.delta = delta;
+  config.rounds = 400000;
+  config.seed = 321;
+  std::vector<std::uint32_t> trace;
+  (void)sim::run_aggregate_traced(config, trace);
+
+  // H iff the round mined at least one honest block; tally the visits
+  // of every classified round.
+  std::vector<bool> series(trace.size());
+  for (std::size_t t = 0; t < trace.size(); ++t) series[t] = trace[t] >= 1;
+  const SuffixStateSpace space(delta);
+  std::vector<std::uint64_t> visits(space.size(), 0);
+  std::uint64_t classified = 0;
+  for (const auto& state : classify_series(series, delta)) {
+    if (!state.has_value()) continue;
+    ++visits[space.index_of(*state)];
+    ++classified;
+  }
+  ASSERT_GT(classified, 0u);
+
+  const double alpha = 1.0 - std::pow(1.0 - p, trials);
+  const auto pi = stationary_closed_form_vector(space, alpha);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const double frequency =
+        static_cast<double>(visits[i]) / static_cast<double>(classified);
+    worst = std::max(worst, std::fabs(frequency - pi[i]));
+  }
+  // Dependent-sample tolerance: generous 5/sqrt(T) plus a floor.
+  const double tolerance =
+      5.0 / std::sqrt(static_cast<double>(classified)) + 1e-3;
+  EXPECT_LT(worst, tolerance);
+  EXPECT_GT(static_cast<double>(classified),
+            0.9 * static_cast<double>(trace.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, FrequencyPipeline,
+    ::testing::Values(PipelineCase{1, 100, 0.002},
+                      PipelineCase{2, 150, 0.001},
+                      PipelineCase{4, 150, 0.001},
+                      PipelineCase{8, 200, 0.0005},
+                      PipelineCase{3, 50, 0.01}));
 
 }  // namespace
 }  // namespace neatbound::chains

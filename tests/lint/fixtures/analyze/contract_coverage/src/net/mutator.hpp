@@ -1,7 +1,6 @@
 // Fixture: a public mutating method with a non-trivial body and no
 // contract macro must be flagged; its contract-carrying sibling and the
 // single-statement setter must not be.
-// analyze-expect: contract-coverage
 #pragma once
 
 #include <cstdint>
@@ -12,6 +11,7 @@ namespace neatbound::net {
 
 class WindowTracker {
  public:
+  // analyze-expect: contract-coverage
   void advance(std::uint64_t rounds) {
     base_ += rounds;
     width_ += rounds / 2;

@@ -1,7 +1,6 @@
 // Fixture: a NEATBOUND_HOT method that allocates directly, and a hot
 // call into a helper that allocates — both must be flagged, proving the
 // call-graph propagation.
-// analyze-expect: hot-alloc
 #pragma once
 
 #include <cstdint>
@@ -15,6 +14,7 @@ namespace neatbound::sim {
 class HotLoop {
  public:
   NEATBOUND_HOT void step(std::uint64_t round) {
+    // analyze-expect: hot-alloc
     trace_.push_back(round);
     splice_waiting(round);
   }

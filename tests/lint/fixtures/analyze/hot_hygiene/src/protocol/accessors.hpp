@@ -2,7 +2,6 @@
 // is not const, and a hot leaf (no project calls, contracts, throws or
 // allocation) that is not noexcept.  The const-and-noexcept sibling
 // proves the rule stays silent on hygienic code.
-// analyze-expect: hot-hygiene
 #pragma once
 
 #include <cstdint>
@@ -14,8 +13,10 @@ namespace neatbound::protocol {
 
 class HeightTable {
  public:
+  // analyze-expect: hot-hygiene
   NEATBOUND_HOT std::uint64_t height_of(std::size_t i) { return h_[i]; }
 
+  // analyze-expect: hot-hygiene
   NEATBOUND_HOT std::uint64_t tip() const { return t_; }
 
   NEATBOUND_HOT std::uint64_t tip_round() const noexcept { return t_; }

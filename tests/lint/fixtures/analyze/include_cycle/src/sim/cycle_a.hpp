@@ -1,9 +1,9 @@
 // Fixture: three-file include cycle inside one module (so the layering
 // rule stays silent and only the cycle detector speaks).  The finding is
 // anchored at the lexicographically smallest participant — this file.
-// analyze-expect: include-cycle
 #pragma once
 
+// analyze-expect: include-cycle
 #include "sim/cycle_b.hpp"
 
 namespace neatbound::sim {

@@ -1,7 +1,7 @@
 // Fixture: a file including itself is the degenerate cycle.
-// analyze-expect: include-cycle
 #pragma once
 
+// analyze-expect: include-cycle
 #include "sim/self_include.hpp"
 
 namespace neatbound::sim {

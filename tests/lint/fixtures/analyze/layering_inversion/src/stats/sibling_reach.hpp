@@ -1,8 +1,8 @@
 // Fixture: stats and protocol share layer 1 — siblings must not include
 // each other even though neither is "above" the other.
-// analyze-expect: layering
 #pragma once
 
+// analyze-expect: layering
 #include "protocol/block.hpp"
 
 namespace neatbound::stats {

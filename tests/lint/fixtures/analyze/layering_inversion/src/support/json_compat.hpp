@@ -1,8 +1,8 @@
 // Fixture: a layer-0 module including a layer-5 module (the PR 5
 // scenario/json inversion, reconstructed) plus a sibling-layer include.
-// analyze-expect: layering
 #pragma once
 
+// analyze-expect: layering
 #include "scenario/spec.hpp"
 
 namespace neatbound::support {

@@ -2,7 +2,7 @@
 // text inside raw string literals and multi-line block comments must NOT
 // fire.  The old line-oriented stripper mis-lexed both (a raw string
 // could swallow code; a block comment was handled but strings were not).
-// No lint-expect lines: this file must scan clean.
+// No analyze-expect lines: this file must scan clean.
 #include <string>
 
 /* A multi-line block comment mentioning std::random_device and

@@ -7,7 +7,9 @@
 namespace neatbound::sim {
 
 int draw_badly(unsigned seed) {
+  // analyze-expect: rng-stream
   std::mt19937 gen(seed);
+  // analyze-expect: rng-stream
   std::uniform_int_distribution<int> dist(0, 5);
   return dist(gen);
 }

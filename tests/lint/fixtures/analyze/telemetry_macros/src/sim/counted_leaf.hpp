@@ -3,7 +3,6 @@
 // NEATBOUND_COUNT, which the call graph ignores) and is not noexcept,
 // so hot-hygiene must still fire on it; `tock` shows the compliant
 // form and must stay silent.
-// analyze-expect: hot-hygiene
 #pragma once
 
 #include "support/hot.hpp"
@@ -12,6 +11,7 @@
 namespace neatbound::sim {
 
 struct CountedLeaf {
+  // analyze-expect: hot-hygiene
   NEATBOUND_HOT void tick() {
     NEATBOUND_COUNT(kDeliveries);
     ++ticks;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for the analyzer's pure-Python core: the include-graph
-builder / cycle detector and the shared lexer + allowlist parser.  No
-libclang, no compile database — these must pass on a bare Python 3.
+builder / cycle detector and the shared lexer + allowlist parser.  They
+need nothing beyond a bare Python 3.
 
 Run directly (CTest entry `lint/analyze_units`):
     python3 tests/lint/test_analyze_units.py
@@ -100,7 +100,7 @@ class AllowlistParsingTests(unittest.TestCase):
 
     def test_wrong_tag_is_ignored(self):
         covered = self.parse(
-            ["// determinism-lint: allow(unordered-iteration)"])
+            ["// other-lint: allow(unordered-iteration)"])
         self.assertEqual(covered, {})
 
     def test_empty_rule_list_covers_nothing(self):

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "chains/suffix_chain.hpp"
 #include "markov/mixing.hpp"
 #include "markov/stationary.hpp"
 #include "support/contracts.hpp"
@@ -147,6 +148,30 @@ TEST(Mixing, ReportsNonConvergenceOnPeriodicChain) {
   const std::vector<double> pi = {0.5, 0.5};
   const auto r = mixing_time(m, pi, 0.1, /*max_steps=*/100);
   EXPECT_FALSE(r.converged);
+}
+
+TEST(Mixing, SuffixChainMixesWithinTwoDelta) {
+  // The suffix state F_t is a deterministic function of the last 2Δ
+  // rounds' coarse states (an H in the last Δ−1 rounds pins the preceding
+  // gap inside the previous Δ rounds; no H there means HN^{≥Δ} regardless
+  // of older history).  So P^{2Δ} has identical rows and TV reaches ~0
+  // (hence any ε, including 1e-9) within 2Δ steps — mixing is transient,
+  // not geometric.
+  for (const std::uint64_t delta : {1ULL, 2ULL, 4ULL, 8ULL, 16ULL}) {
+    for (const double alpha : {0.05, 0.3, 0.7}) {
+      const chains::SuffixStateSpace space(delta);
+      const auto matrix = chains::build_suffix_chain_matrix(space, alpha);
+      const auto pi = chains::stationary_closed_form_vector(space, alpha);
+      const auto loose = mixing_time(matrix, pi, 1.0 / 8.0, 1 << 16);
+      ASSERT_TRUE(loose.converged);
+      EXPECT_LE(loose.time, 2 * delta)
+          << "delta=" << delta << " alpha=" << alpha;
+      const auto strict = mixing_time(matrix, pi, 1e-9, 1 << 16);
+      ASSERT_TRUE(strict.converged);
+      EXPECT_LE(strict.time, 2 * delta)
+          << "delta=" << delta << " alpha=" << alpha;
+    }
+  }
 }
 
 }  // namespace
