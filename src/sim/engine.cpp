@@ -340,6 +340,7 @@ void ExecutionEngine::deliver_group() {
 
 std::uint32_t ExecutionEngine::split_class(
     std::uint32_t c, std::span<const RecipientRange> covered) {
+  NEATBOUND_COUNT(kClassSplits);
   std::uint32_t s = 0;
   if (free_.empty()) {
     s = static_cast<std::uint32_t>(classes_.size());
@@ -397,6 +398,7 @@ void ExecutionEngine::merge_classes() {
 }
 
 std::uint32_t ExecutionEngine::merge_pair(std::uint32_t a, std::uint32_t b) {
+  NEATBOUND_COUNT(kClassMerges);
   // The larger class survives; the smaller one's members move over.
   const bool keep_a = classes_[a].members.size() >= classes_[b].members.size();
   const std::uint32_t keep = keep_a ? a : b;

@@ -13,7 +13,8 @@ constexpr const char* kCounterNames[] = {
     "adoptions",            "reorgs",
     "calendar_scheduled",   "calendar_grows",
     "ancestry_queries",     "skip_rows_built",
-    "quiet_rounds_skipped",
+    "quiet_rounds_skipped", "class_splits",
+    "class_merges",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
                   kCounterCount,

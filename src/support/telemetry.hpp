@@ -59,6 +59,8 @@ enum class Counter : std::uint8_t {
   kAncestryQueries,        ///< BlockStore skip-table ancestry lookups
   kSkipRowsBuilt,          ///< binary-lifting rows added to the store
   kQuietRoundsSkipped,     ///< rounds committed by the quiet fast path
+  kClassSplits,            ///< view classes split off by a partial delivery
+  kClassMerges,            ///< view-class pairs merged into one
   kCount,
 };
 inline constexpr std::size_t kCounterCount =
