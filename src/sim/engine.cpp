@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iterator>
 #include <numeric>
 
 #include "chains/convergence.hpp"
@@ -21,6 +20,19 @@ std::uint32_t corrupted_count(const EngineConfig& config) {
 
 constexpr std::uint64_t purpose_of(crng::Purpose p) noexcept {
   return static_cast<std::uint64_t>(p);
+}
+
+/// Calls f(lo, hi) on each of `ranges` (ascending, disjoint recipient
+/// ranges) or, with `gaps`, on each gap they leave in [0, n) — possibly
+/// empty — in ascending order; stops once f returns true.
+template <typename Ranges, typename F>
+void for_each_side(const Ranges& ranges, bool gaps, std::uint32_t n, F&& f) {
+  std::uint32_t lo = 0;
+  for (const auto& r : ranges) {
+    if (gaps ? f(lo, r.lo) : f(r.lo, r.hi)) return;
+    lo = r.hi;
+  }
+  if (gaps) f(lo, n);
 }
 }  // namespace
 
@@ -192,8 +204,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   // member), so reserving it keeps ViewClass references stable.
   classes_.reserve(honest_count_);
   classes_.emplace_back();
-  classes_[0].members.resize(honest_count_);
-  std::iota(classes_[0].members.begin(), classes_[0].members.end(), 0U);
+  classes_[0].size = honest_count_;
   live_.push_back(0);
   class_of_.assign(honest_count_, 0);
   covered_.assign(honest_count_, 0);
@@ -214,12 +225,25 @@ protocol::BlockIndex ExecutionEngine::best_honest_tip() const {
   return best_tip_;
 }
 
+void ExecutionEngine::assign_members(std::uint32_t c,
+                                     std::vector<std::uint32_t>& out,
+                                     std::uint32_t value) noexcept {
+  // When `out` is class_of_ itself, each entry is tested before it is
+  // overwritten.
+  std::uint32_t left = classes_[c].size;
+  for (std::uint32_t m = classes_[c].lead; left > 0; ++m) {
+    if (class_of_[m] != c) continue;
+    --left;
+    out[m] = value;
+  }
+}
+
 void ExecutionEngine::note_adoption(std::uint32_t c) {
   const ViewClass& vc = classes_[c];
   const protocol::BlockIndex tip = vc.view.tip();
-  for (const std::uint32_t m : vc.members) tips_scratch_[m] = tip;
+  assign_members(c, tips_scratch_, tip);
   const std::uint64_t height = vc.view.tip_height();
-  const std::uint32_t lead = vc.members.front();
+  const std::uint32_t lead = vc.lead;
   if (height > best_height_ || (height == best_height_ && lead < best_view_)) {
     best_height_ = height;
     best_view_ = lead;
@@ -258,8 +282,8 @@ void ExecutionEngine::record_delivery(std::uint32_t c,
   NEATBOUND_COUNT_ADD(kReorgs, count);
   consistency_.observe_reorg(event.reorg_depth);
   // The first view, in (delivery, ascending recipient) order, to reach
-  // the round's deepest reorg: classes of one group compare first members.
-  const std::uint32_t lead = classes_[c].members.front();
+  // the round's deepest reorg: classes of one group compare leads.
+  const std::uint32_t lead = classes_[c].lead;
   if (event.reorg_depth > round_activity_.max_reorg_depth ||
       (event.reorg_depth == round_activity_.max_reorg_depth &&
        delivery_serial_ == max_reorg_serial_ &&
@@ -298,26 +322,57 @@ void ExecutionEngine::deliver_due(std::uint64_t round) {
   });
   if (!group_.empty()) deliver_group();
   merge_classes();
+  // class_of_ is the only membership record, and every walk over a class
+  // trusts its size and lead: the sizes must partition the honest views,
+  // and each lead must be its class's lowest member.
+  NEATBOUND_INVARIANT(
+      std::accumulate(live_.begin(), live_.end(), std::uint32_t{0},
+                      [this](std::uint32_t sum, std::uint32_t c) {
+                        return sum + classes_[c].size;
+                      }) == honest_count_,
+      "view-class sizes do not add up to the honest view count");
+  NEATBOUND_INVARIANT(
+      std::all_of(live_.begin(), live_.end(),
+                  [this](std::uint32_t c) {
+                    const auto lead = class_of_.begin() + classes_[c].lead;
+                    return *lead == c &&
+                           std::find(class_of_.begin(), lead, c) == lead;
+                  }),
+      "a class lead is not the lowest view of its class");
+  NEATBOUND_INVARIANT(
+      std::all_of(live_.begin(), live_.end(),
+                  [this](std::uint32_t c) {
+                    return std::count(class_of_.begin(), class_of_.end(), c) ==
+                           classes_[c].size;
+                  }),
+      "a class size differs from its views in class_of_");
 }
 
 void ExecutionEngine::deliver_group() {
   ++delivery_serial_;
   const protocol::BlockIndex block = group_block_;
-  // Count covered members per class; neighbouring views mostly share a
-  // class, so the count is kept in a register until the class changes.
-  for (const RecipientRange& r : group_) {
-    std::uint32_t c = class_of_[r.lo];
-    std::uint32_t run = 0;
-    for (std::uint32_t m = r.lo; m < r.hi; ++m) {
-      if (class_of_[m] != c) {
-        covered_[c] += run;
-        c = class_of_[m];
-        run = 0;
-      }
-      ++run;
-    }
-    covered_[c] += run;
+  // Count covered members per class on the smaller side: walk the covered
+  // ranges, or start each class at its size and take off the views in the
+  // gaps, so a broadcast to all but the sender walks one view.
+  // Neighbouring views mostly share a class, so the count is kept in a
+  // register until the class changes.
+  std::uint32_t span = 0;
+  for (const RecipientRange& r : group_) span += r.hi - r.lo;
+  const bool by_gaps = span > honest_count_ - span;
+  if (by_gaps) {
+    for (const std::uint32_t c : live_) covered_[c] = classes_[c].size;
   }
+  for_each_side(group_, by_gaps, honest_count_,
+                [this, by_gaps](std::uint32_t lo, std::uint32_t hi) {
+                  for (std::uint32_t m = lo; m < hi;) {
+                    const std::uint32_t c = class_of_[m];
+                    std::uint32_t run = 0;
+                    for (; m < hi && class_of_[m] == c; ++m) ++run;
+                    covered_[c] = by_gaps ? covered_[c] - run
+                                          : covered_[c] + run;
+                  }
+                  return false;
+                });
   // Classes split off below are appended to live_ and already served.
   const std::size_t live = live_.size();
   for (std::size_t i = 0; i < live; ++i) {
@@ -327,9 +382,8 @@ void ExecutionEngine::deliver_group() {
     covered_[c] = 0;
     // Only a delivery that changes the view needs its own copy; a
     // duplicate is a no-op for the whole class.
-    if (count < classes_[c].members.size() &&
-        classes_[c].view.accepts(block, store_)) {
-      c = split_class(c, group_);
+    if (count < classes_[c].size && classes_[c].view.accepts(block, store_)) {
+      c = split_class(c, group_, count);
     }
     round_activity_.delivered += count;
     NEATBOUND_COUNT_ADD(kDeliveries, count);
@@ -339,7 +393,8 @@ void ExecutionEngine::deliver_group() {
 }
 
 std::uint32_t ExecutionEngine::split_class(
-    std::uint32_t c, std::span<const RecipientRange> covered) {
+    std::uint32_t c, std::span<const RecipientRange> covered,
+    std::uint32_t count) {
   NEATBOUND_COUNT(kClassSplits);
   std::uint32_t s = 0;
   if (free_.empty()) {
@@ -353,26 +408,34 @@ std::uint32_t ExecutionEngine::split_class(
   }
   ViewClass& from = classes_[c];
   ViewClass& to = classes_[s];
-  // Copy-assignment reuses the freed slot's capacity.
+  // Copy-assignment reuses the freed slot's capacity.  The copy is in the
+  // same state as its source; the side that receives the block is marked
+  // changed when the delivery is recorded.
   to.view = from.view;
-  to.changed = true;  // a new class: a merge candidate by definition
-  to.members.clear();
-  merged_members_.clear();
-  // One merge-walk: members and ranges are both ascending.
-  std::size_t k = 0;
-  for (const std::uint32_t m : from.members) {
-    while (k < covered.size() && covered[k].hi <= m) ++k;
-    const bool inside = k < covered.size() && covered[k].lo <= m;
-    // neatbound-analyze: allow(hot-alloc) — member lists reuse slot and
-    // scratch capacity (≤ honest_count_).
-    (inside ? to.members : merged_members_).push_back(m);
-  }
-  from.members.swap(merged_members_);
-  for (const std::uint32_t m : to.members) class_of_[m] = s;
-  // neatbound-analyze: allow(hot-alloc) — capacity settles at the class
-  // maximum (≤ honest_count_).
+  to.changed = from.changed;
+  // The new slot takes the smaller side, found by walking the covered
+  // ranges or the gaps between them from the class's lead on.
+  const bool move_covered = count <= from.size - count;
+  to.size = move_covered ? count : from.size - count;
+  from.size -= to.size;
+  std::uint32_t left = to.size;
+  for_each_side(covered, !move_covered, honest_count_,
+                [&](std::uint32_t lo, std::uint32_t hi) {
+                  for (std::uint32_t m = std::max(lo, from.lead);
+                       m < hi && left > 0; ++m) {
+                    if (class_of_[m] != c) continue;
+                    if (left == to.size) to.lead = m;
+                    class_of_[m] = s;
+                    --left;
+                  }
+                  return left == 0;
+                });
+  // If the lead moved, the class's lowest remaining member lies above it.
+  while (class_of_[from.lead] != c) ++from.lead;
+  // neatbound-analyze: allow(hot-alloc) — capacity settles at the most
+  // live classes (≤ honest_count_).
   live_.push_back(s);
-  return s;
+  return move_covered ? s : c;
 }
 
 void ExecutionEngine::merge_classes() {
@@ -387,7 +450,7 @@ void ExecutionEngine::merge_classes() {
   // pass and still are, so only a changed class can have a twin.  After
   // a merge the survivor keeps looking: it may equal another class too.
   for (std::uint32_t a : merge_worklist_) {
-    if (classes_[a].members.empty()) continue;  // already absorbed
+    if (classes_[a].size == 0) continue;  // already absorbed
     for (std::size_t j = 0; j < live_.size(); ++j) {
       const std::uint32_t b = live_[j];
       if (b == a || !classes_[a].view.same_state(classes_[b].view)) continue;
@@ -399,20 +462,16 @@ void ExecutionEngine::merge_classes() {
 
 std::uint32_t ExecutionEngine::merge_pair(std::uint32_t a, std::uint32_t b) {
   NEATBOUND_COUNT(kClassMerges);
-  // The larger class survives; the smaller one's members move over.
-  const bool keep_a = classes_[a].members.size() >= classes_[b].members.size();
+  // The larger class survives; the smaller one's views are relabelled.
+  const bool keep_a = classes_[a].size >= classes_[b].size;
   const std::uint32_t keep = keep_a ? a : b;
   const std::uint32_t gone = keep_a ? b : a;
-  auto& kept = classes_[keep].members;
-  auto& moved = classes_[gone].members;
-  merged_members_.clear();
-  // neatbound-analyze: allow(hot-alloc) — reused scratch, swapped with the
-  // survivor's list, so capacities circulate.
-  std::merge(kept.begin(), kept.end(), moved.begin(), moved.end(),
-             std::back_inserter(merged_members_));
-  kept.swap(merged_members_);
-  for (const std::uint32_t m : moved) class_of_[m] = keep;
-  moved.clear();
+  assign_members(gone, class_of_, keep);
+  ViewClass& kept = classes_[keep];
+  ViewClass& moved = classes_[gone];
+  kept.size += moved.size;
+  kept.lead = std::min(kept.lead, moved.lead);
+  moved.size = 0;
   live_.erase(std::find(live_.begin(), live_.end(), gone));
   // neatbound-analyze: allow(hot-alloc) — capacity ≤ honest_count_.
   free_.push_back(gone);
@@ -469,10 +528,9 @@ void ExecutionEngine::register_honest_block(std::uint64_t round,
   // The miner adopts its own block immediately (it extends its tip), which
   // sets its view apart from the rest of its class.
   std::uint32_t c = class_of_[miner];
-  const auto& members = classes_[c].members;
-  if (members.size() > 1) {
+  if (classes_[c].size > 1) {
     const RecipientRange self{miner, miner + 1};
-    c = split_class(c, {&self, 1});
+    c = split_class(c, {&self, 1}, 1);
   }
   ++delivery_serial_;
   record_delivery(c, classes_[c].view.deliver(index, store_), 1);

@@ -18,21 +18,24 @@
 // meaningless for adversary-mined blocks sent to a single victim.
 //
 // View classes: honest views with the same known set, tip and orphan
-// buffer share one MinerView and a member list.  Every honest block
-// reaches every honest player within Δ, so views differ only by blocks
-// still in flight, and n views collapse to a handful of classes.  The
-// calendar holds runs — (block, recipients [lo, hi)) — and a run that
-// covers a whole class is one deliver() call; a run that covers part of
-// a class the block would change splits it, copying the view for the
-// covered side; an honest miner's own block splits that miner off.
-// After each round's deliveries, a changed class merges with any class
-// in the same state (MinerView::same_state).  Per-view meaning is kept
-// exactly: honest_tips() holds every view's tip, the best-tip tie rule
-// names the lowest-indexed view, max_reorg_view names the first view in
-// (run, ascending recipient) order, and the per-view counters add the
-// class size.  Only calendar_scheduled (runs, not messages) and
-// ancestry_queries (one longest-chain compare per class) read lower than
-// an engine with one MinerView per player would report.
+// buffer share one MinerView.  Every honest block reaches every honest
+// player within Δ, so views differ only by blocks still in flight, and n
+// views collapse to a handful of classes.  A per-view slot map is the
+// one record of membership; a class keeps only its size and its lowest
+// member, and every walk over a class's views scans the map from that
+// member.  The calendar holds runs — (block, recipients [lo, hi)) — and
+// a run that covers a whole class is one deliver() call; a run that
+// covers part of a class the block would change splits it, copying the
+// view and relabelling whichever side is smaller; an honest miner's own
+// block splits that one view off.  After each round's deliveries, a
+// changed class merges with any class in the same state
+// (MinerView::same_state), relabelling the smaller class.  Per-view
+// meaning is kept exactly: honest_tips() holds every view's tip, the
+// best-tip tie rule names the lowest-indexed view, max_reorg_view names
+// the first view in (run, ascending recipient) order, and the per-view
+// counters add the class size.  Only calendar_scheduled (runs, not
+// messages) and ancestry_queries (one longest-chain compare per class)
+// read lower than an engine with one MinerView per player would report.
 #pragma once
 
 #include <cstdint>
@@ -208,11 +211,13 @@ class ExecutionEngine {
   /// Assembles the RunResult after the final round.
   [[nodiscard]] RunResult finish_run();
 
-  /// Honest views sharing one state (see file comment).
+  /// Honest views sharing one state (see file comment).  Its members are
+  /// the `size` views from `lead` on that class_of_ maps to it.
   struct ViewClass {
     MinerView view;
-    std::vector<std::uint32_t> members;  ///< ascending honest view ids
-    bool changed = false;  ///< changed since the last merge pass
+    std::uint32_t size = 0;  ///< member count (0: a free slot)
+    std::uint32_t lead = 0;  ///< lowest member id
+    bool changed = false;    ///< changed since the last merge pass
   };
 
   /// Recipients [lo, hi).
@@ -229,10 +234,13 @@ class ExecutionEngine {
   /// point of its delivery sequence as run-by-run delivery would give it,
   /// but a class covered by the union needs no split.
   NEATBOUND_HOT void deliver_group();
-  /// Moves the members of class `c` inside `covered` (ascending, disjoint)
-  /// into a new class holding a copy of its view; returns the new class.
+  /// Splits class `c`, `count` of whose members lie inside `covered`
+  /// (ascending, disjoint), into the covered and the uncovered side: a new
+  /// slot takes a copy of the view and the smaller side's members.
+  /// Returns the class now holding the covered side.
   NEATBOUND_HOT std::uint32_t split_class(
-      std::uint32_t c, std::span<const RecipientRange> covered);
+      std::uint32_t c, std::span<const RecipientRange> covered,
+      std::uint32_t count);
   /// Merges every class changed this round into an equal-state class.
   NEATBOUND_HOT void merge_classes();
   /// Merges two equal-state classes; returns the surviving slot.
@@ -255,9 +263,14 @@ class ExecutionEngine {
   /// entries of the dense tip snapshot and the running best-tip maximum,
   /// so honest_tips() and best_honest_tip() are O(1) reads instead of
   /// per-query view scans.  The tie rule (strictly greater height, or
-  /// equal height from a lower-indexed view — the class's first member)
+  /// equal height from a lower-indexed view — the class's lead)
   /// reproduces the old lowest-index-wins scan.
   NEATBOUND_HOT void note_adoption(std::uint32_t c);
+  /// Sets out[m] = value for each member m of class `c` (out is indexed
+  /// by honest view id: tips_scratch_, or class_of_ to relabel the class).
+  NEATBOUND_HOT void assign_members(std::uint32_t c,
+                                    std::vector<std::uint32_t>& out,
+                                    std::uint32_t value) noexcept;
 
   /// Stamps metadata on a freshly mined honest block, stores it, updates
   /// views/metrics and broadcasts it.
@@ -273,7 +286,8 @@ class ExecutionEngine {
   net::DeliveryCalendar calendar_;
   /// Class slots (capacity honest_count_, so references stay valid);
   /// live_ lists the slots in use, free_ the reusable ones, and
-  /// class_of_ maps each honest view to its slot.
+  /// class_of_ maps each honest view to its slot — the only record of
+  /// which views a class holds.
   std::vector<ViewClass> classes_;
   std::vector<std::uint32_t> live_;
   std::vector<std::uint32_t> free_;
@@ -300,14 +314,13 @@ class ExecutionEngine {
   /// The delivery group being collected from the calendar drain.
   std::vector<RecipientRange> group_;
   protocol::BlockIndex group_block_ = protocol::kGenesisIndex;
-  /// Reused scratch: rebuilt member lists and the merge pass's worklist.
-  std::vector<std::uint32_t> merged_members_;
+  /// Reused scratch: the merge pass's worklist.
   std::vector<std::uint32_t> merge_worklist_;
   /// Blocks of the adversary's latest mine_run.
   std::vector<protocol::BlockIndex> mined_run_;
   /// Serial of the delivery being applied (a delivery group or a miner's
   /// own block), and of the one that set round_activity_.max_reorg_depth:
-  /// classes of one group tie-break on their first member.
+  /// classes of one group tie-break on their leads.
   std::uint64_t delivery_serial_ = 0;
   std::uint64_t max_reorg_serial_ = 0;
   // Running maximum over tips_scratch_ (see note_adoption).

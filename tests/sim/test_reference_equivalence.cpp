@@ -3,7 +3,9 @@
 // p, Δ ≤ 6, T ≤ 2000) run every registry strategy over every network
 // model through both, and every RunResult field, every round's
 // RoundActivity and every round's per-view honest tips must agree.  A
-// mismatch prints the first diverging round as a trace slice.
+// mismatch prints the first diverging round as a trace slice.  Hand-built
+// cases add an eclipse publication, dense-grid's n = 160 cell and an
+// adversary whose deliveries cover the larger side of a view class.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
 #include "support/crng.hpp"
+#include "support/telemetry.hpp"
 
 namespace neatbound::sim {
 namespace {
@@ -247,6 +250,91 @@ TEST(ReferenceEquivalence, EclipsePublicationSplitsAndEchoMerges) {
                          [&](protocol::BlockIndex t) { return t == tips[0]; });
   }
   EXPECT_TRUE(merged);
+}
+
+// Dense-grid's cell shape (n = 160, ~95% of rounds active) on a short
+// horizon: classes of ~120 views, where broadcasts to all but the sender
+// take the engine's smaller-side paths for coverage, splits and merges.
+TEST(ReferenceEquivalence, DenseGridCellWithLargeClasses) {
+  EngineConfig config;
+  config.miner_count = 160;
+  config.adversary_fraction = 0.25;
+  config.p = 0.01;
+  config.delta = 4;
+  config.rounds = 400;
+  config.seed = 5;
+  const auto make = [&] {
+    return registry_adversary("strategy", "private-withhold", config);
+  };
+  const reference::ReferenceRun model =
+      reference::run_reference(config, make());
+  expect_equivalent(run_engine(config, make), model,
+                    "strategy+private-withhold " + describe(config));
+}
+
+/// Delivers honest blocks next round to the lower three quarters of the
+/// recipients and Δ rounds later to the rest, so a delivery covers the
+/// larger part of a class and the split relabels the uncovered side.
+/// Mines on the best honest tip and publishes to everyone at once.
+class LowerQuartersFirst final : public Adversary {
+ public:
+  explicit LowerQuartersFirst(std::uint32_t honest) : honest_(honest) {}
+  std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
+                             std::uint32_t recipient,
+                             protocol::BlockIndex) override {
+    return 4 * recipient < 3 * honest_ ? 1 : kDelta;
+  }
+  void act(AdversaryOps& ops) override {
+    const protocol::BlockIndex parent = ops.best_honest_tip();
+    while (ops.remaining_queries() > 0) {
+      if (const auto mined = ops.mine_on(parent)) {
+        ops.publish_to_all(*mined, 1);
+        return;
+      }
+    }
+  }
+  [[nodiscard]] const char* name() const override {
+    return "lower-quarters-first";
+  }
+
+  static constexpr std::uint64_t kDelta = 4;
+
+ private:
+  std::uint32_t honest_;
+};
+
+TEST(ReferenceEquivalence, LargerCoveredSideSplitsAndLeadMoves) {
+  EngineConfig config;
+  config.miner_count = 16;
+  config.adversary_fraction = 0.25;
+  config.delta = LowerQuartersFirst::kDelta;
+  config.p = 0.05;
+  config.rounds = 600;
+  config.seed = 23;
+  const std::uint32_t honest = honest_miner_count(config);
+  const auto make = [&] {
+    return std::make_unique<LowerQuartersFirst>(honest);
+  };
+  const EngineRun engine = run_engine(config, make);
+  const reference::ReferenceRun model =
+      reference::run_reference(config, make());
+  expect_equivalent(engine, model, "lower-quarters-first " + describe(config));
+  // View 0 mining splits it off its class, moving that class's lead.
+  bool view0_mined = false;
+  ExecutionEngine probe(config, make());
+  (void)probe.run([&](const ExecutionEngine& e, std::uint64_t) {
+    const auto miners = e.round_miners();
+    view0_mined |= std::find(miners.begin(), miners.end(), 0U) != miners.end();
+  });
+  EXPECT_TRUE(view0_mined);
+  // A miner's own block accounts for at most one split per honest block;
+  // the rest come from deliveries covering part of a class.
+  const auto& counters = engine.unobserved.telemetry.counters;
+  const auto index = [](telemetry::Counter c) {
+    return static_cast<std::size_t>(c);
+  };
+  EXPECT_GT(counters[index(telemetry::Counter::kClassSplits)],
+            counters[index(telemetry::Counter::kHonestBlocksMined)]);
 }
 
 }  // namespace
