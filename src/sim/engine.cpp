@@ -24,12 +24,16 @@ constexpr std::uint64_t purpose_of(crng::Purpose p) noexcept {
 
 /// Calls f(lo, hi) on each of `ranges` (ascending, disjoint recipient
 /// ranges) or, with `gaps`, on each gap they leave in [0, n) — possibly
-/// empty — in ascending order; stops once f returns true.
+/// empty — in ascending order.
 template <typename Ranges, typename F>
 void for_each_side(const Ranges& ranges, bool gaps, std::uint32_t n, F&& f) {
   std::uint32_t lo = 0;
   for (const auto& r : ranges) {
-    if (gaps ? f(lo, r.lo) : f(r.lo, r.hi)) return;
+    if (gaps) {
+      f(lo, r.lo);
+    } else {
+      f(r.lo, r.hi);
+    }
     lo = r.hi;
   }
   if (gaps) f(lo, n);
@@ -371,7 +375,6 @@ void ExecutionEngine::deliver_group() {
                     covered_[c] = by_gaps ? covered_[c] - run
                                           : covered_[c] + run;
                   }
-                  return false;
                 });
   // Classes split off below are appended to live_ and already served.
   const std::size_t live = live_.size();
@@ -408,34 +411,30 @@ std::uint32_t ExecutionEngine::split_class(
   }
   ViewClass& from = classes_[c];
   ViewClass& to = classes_[s];
-  // Copy-assignment reuses the freed slot's capacity.  The copy is in the
-  // same state as its source; the side that receives the block is marked
-  // changed when the delivery is recorded.
+  // Copy-assignment reuses the freed slot's capacity.
   to.view = from.view;
-  to.changed = from.changed;
-  // The new slot takes the smaller side, found by walking the covered
-  // ranges or the gaps between them from the class's lead on.
-  const bool move_covered = count <= from.size - count;
-  to.size = move_covered ? count : from.size - count;
-  from.size -= to.size;
-  std::uint32_t left = to.size;
-  for_each_side(covered, !move_covered, honest_count_,
-                [&](std::uint32_t lo, std::uint32_t hi) {
-                  for (std::uint32_t m = std::max(lo, from.lead);
-                       m < hi && left > 0; ++m) {
-                    if (class_of_[m] != c) continue;
-                    if (left == to.size) to.lead = m;
-                    class_of_[m] = s;
-                    --left;
-                  }
-                  return left == 0;
-                });
+  to.changed = true;  // a new class: a merge candidate by definition
+  to.size = count;
+  from.size -= count;
+  // The new slot takes the covered side, found by walking the covered
+  // ranges from the class's lead on.
+  std::uint32_t left = count;
+  for (const RecipientRange& r : covered) {
+    for (std::uint32_t m = std::max(r.lo, from.lead); m < r.hi && left > 0;
+         ++m) {
+      if (class_of_[m] != c) continue;
+      if (left == count) to.lead = m;
+      class_of_[m] = s;
+      --left;
+    }
+    if (left == 0) break;
+  }
   // If the lead moved, the class's lowest remaining member lies above it.
   while (class_of_[from.lead] != c) ++from.lead;
   // neatbound-analyze: allow(hot-alloc) — capacity settles at the most
   // live classes (≤ honest_count_).
   live_.push_back(s);
-  return move_covered ? s : c;
+  return s;
 }
 
 void ExecutionEngine::merge_classes() {

@@ -26,8 +26,8 @@
 // member.  The calendar holds runs — (block, recipients [lo, hi)) — and
 // a run that covers a whole class is one deliver() call; a run that
 // covers part of a class the block would change splits it, copying the
-// view and relabelling whichever side is smaller; an honest miner's own
-// block splits that one view off.  After each round's deliveries, a
+// view and relabelling the covered side; an honest miner's own block
+// splits that one view off.  After each round's deliveries, a
 // changed class merges with any class in the same state
 // (MinerView::same_state), relabelling the smaller class.  Per-view
 // meaning is kept exactly: honest_tips() holds every view's tip, the
@@ -236,8 +236,8 @@ class ExecutionEngine {
   NEATBOUND_HOT void deliver_group();
   /// Splits class `c`, `count` of whose members lie inside `covered`
   /// (ascending, disjoint), into the covered and the uncovered side: a new
-  /// slot takes a copy of the view and the smaller side's members.
-  /// Returns the class now holding the covered side.
+  /// slot takes a copy of the view and the covered members.  Returns the
+  /// new slot.
   NEATBOUND_HOT std::uint32_t split_class(
       std::uint32_t c, std::span<const RecipientRange> covered,
       std::uint32_t count);
