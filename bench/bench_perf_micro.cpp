@@ -1,15 +1,20 @@
 // Performance microbenchmarks (google-benchmark): throughput of the
 // components the experiment harnesses lean on — per-round simulation cost,
-// binomial sampling, suffix-chain solves, frontier inversions, LogProb
-// arithmetic.
+// broadcast delay scheduling, binomial sampling, suffix-chain solves,
+// frontier inversions, LogProb arithmetic.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bounds/frontier.hpp"
 #include "chains/convergence.hpp"
 #include "chains/suffix_chain.hpp"
 #include "markov/stationary.hpp"
+#include "net/delivery.hpp"
+#include "scenario/registry.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
@@ -102,6 +107,44 @@ void BM_ExecutionEngineRounds(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ExecutionEngineRounds)->Arg(2000)->Arg(10000);
+
+/// The engine's `schedule` phase without the calendar: one honest_delays
+/// call and the run scan for a broadcast to 120 honest views (n = 160,
+/// ν = 0.25, Δ = 4: the dense-grid shape).  Args pick (network, strategy).
+void BM_BroadcastDelays(benchmark::State& state) {
+  static constexpr std::pair<const char*, const char*> kCells[] = {
+      {"strategy", "private-withhold"},
+      {"strategy", "fork-balancer"},
+      {"uniform", "private-withhold"},
+      {"eclipse", "private-withhold"},
+  };
+  const auto& [network, strategy] =
+      kCells[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(std::string(network) + "+" + strategy);
+  sim::EngineConfig config;
+  config.miner_count = 160;
+  config.adversary_fraction = 0.25;
+  config.delta = 4;
+  const std::unique_ptr<sim::Adversary> adversary =
+      scenario::ScenarioRegistry::builtin().make_adversary(
+          network, {}, strategy, {}, config);
+  const std::uint32_t honest = sim::honest_miner_count(config);
+  std::vector<std::uint64_t> delays(honest);
+  std::uint64_t round = 0;
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    ++round;
+    const auto sender = static_cast<std::uint32_t>(round % honest);
+    adversary->honest_delays(round, sender, round, delays);
+    net::for_each_delay_run(
+        sender, delays,
+        [&runs](std::uint32_t, std::uint32_t, std::uint64_t) { ++runs; });
+  }
+  benchmark::DoNotOptimize(runs);
+  state.counters["runs_per_broadcast"] = benchmark::Counter(
+      static_cast<double>(runs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_BroadcastDelays)->DenseRange(0, 3);
 
 void BM_ConvergenceCounting(benchmark::State& state) {
   crng::Stream rng(crng::Key{3, 0}, 0, 0, crng::Purpose::kGeneric);

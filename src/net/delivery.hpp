@@ -9,8 +9,10 @@
 // enforces by construction.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "protocol/block.hpp"
@@ -145,6 +147,7 @@ class DeliveryCalendar {
         std::uint32_t lo = bucket_at(base_round_)[i].lo;
         while (lo < bucket_at(base_round_)[i].hi) {
           const Entry e = bucket_at(base_round_)[i];
+          NEATBOUND_COUNT(kCalendarRunsDrained);
           fn(DeliveryRun{base_round_, e.block, lo, e.hi});
           lo = e.hi;
         }
@@ -238,25 +241,78 @@ class DeliveryCalendar {
   std::vector<std::vector<Entry>> buckets_;
 };
 
+/// Calls f(lo, hi, delay) once per maximal run [lo, hi) of recipients
+/// that share one raw delay in `delays`, in ascending order.  `sender`
+/// ends a run and is never read.  Scheduling each run in turn gives the
+/// calendar exactly the entries per-recipient calls would, since it
+/// extends an entry by a neighbouring run due the same round.
+template <typename F>
+void for_each_delay_run(std::uint32_t sender,
+                        std::span<const std::uint64_t> delays, F&& f) {
+  const auto n = static_cast<std::uint32_t>(delays.size());
+  for (std::uint32_t lo = 0; lo < n;) {
+    if (lo == sender) {
+      ++lo;
+      continue;
+    }
+    const std::uint64_t delay = delays[lo];
+    const std::uint32_t end = lo < sender && sender < n ? sender : n;
+    const auto hi = static_cast<std::uint32_t>(
+        std::find_if(delays.begin() + lo + 1, delays.begin() + end,
+                     [delay](std::uint64_t d) { return d != delay; }) -
+        delays.begin());
+    f(lo, hi, delay);
+    lo = hi;
+  }
+}
+
+/// out[r] = schedule.delay(round, sender, r, block) for every r ≠ sender
+/// in ascending r; out[sender] is left untouched.  The one loop behind
+/// every DeliverySchedule::delays: called with a `final` schedule, the
+/// delay call is direct and inlines.
+template <typename Schedule>
+void fill_delays(Schedule& schedule, std::uint64_t round,
+                 std::uint32_t sender, protocol::BlockIndex block,
+                 std::span<std::uint64_t> out) {
+  // Two branch-free loops around the sender, so a constant rule
+  // vectorizes.
+  const auto n = static_cast<std::uint32_t>(out.size());
+  const std::uint32_t mid = sender < n ? sender : n;
+  for (std::uint32_t r = 0; r < mid; ++r) {
+    out[r] = schedule.delay(round, sender, r, block);
+  }
+  for (std::uint32_t r = mid + 1; r < n; ++r) {
+    out[r] = schedule.delay(round, sender, r, block);
+  }
+}
+
 /// Chooses per-(message, recipient) delays, within [1, Δ].
 class DeliverySchedule {
  public:
   virtual ~DeliverySchedule() = default;
 
   /// Delay for `block` broadcast by `sender` at `round`, toward `recipient`.
-  /// Must return a value in [1, max_delay()].
+  /// Must return a value in [1, Δ].
   [[nodiscard]] virtual std::uint64_t delay(std::uint64_t round,
                                             std::uint32_t sender,
                                             std::uint32_t recipient,
                                             protocol::BlockIndex block) = 0;
 
-  [[nodiscard]] virtual std::uint64_t max_delay() const noexcept = 0;
+  /// Every recipient's delay for one broadcast: out[r] = delay(round,
+  /// sender, r, block) for every r ≠ sender, out[sender] untouched.  The
+  /// default loops over delay(); the built-in schedules override it with
+  /// fill_delays(*this, ...) so the per-recipient call inlines.
+  virtual void delays(std::uint64_t round, std::uint32_t sender,
+                      protocol::BlockIndex block,
+                      std::span<std::uint64_t> out) {
+    fill_delays(*this, round, sender, block, out);
+  }
 };
 
 /// Synchronous baseline: every message arrives next round.
 class ImmediateDelivery final : public DeliverySchedule {
  public:
-  explicit ImmediateDelivery(std::uint64_t delta) : delta_(delta) {
+  explicit ImmediateDelivery(std::uint64_t delta) {
     NEATBOUND_EXPECTS(delta >= 1, "delta must be >= 1");
   }
   [[nodiscard]] std::uint64_t delay(std::uint64_t, std::uint32_t,
@@ -264,12 +320,11 @@ class ImmediateDelivery final : public DeliverySchedule {
                                     protocol::BlockIndex) override {
     return 1;
   }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex block,
+              std::span<std::uint64_t> out) override {
+    fill_delays(*this, round, sender, block, out);
   }
-
- private:
-  std::uint64_t delta_;
 };
 
 /// Worst-case benign adversary: everything takes the full Δ.
@@ -283,8 +338,10 @@ class MaxDelayDelivery final : public DeliverySchedule {
                                     protocol::BlockIndex) override {
     return delta_;
   }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex block,
+              std::span<std::uint64_t> out) override {
+    fill_delays(*this, round, sender, block, out);
   }
 
  private:
@@ -314,8 +371,10 @@ class CounterUniformDelay final : public DeliverySchedule {
                         crng::Purpose::kNetDelay);
     return 1 + stream.uniform_below(delta_);
   }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex block,
+              std::span<std::uint64_t> out) override {
+    fill_delays(*this, round, sender, block, out);
   }
 
  private:
@@ -341,8 +400,10 @@ class SplitDelivery final : public DeliverySchedule {
                       "miner id out of range");
     return group_of_[sender] == group_of_[recipient] ? 1 : delta_;
   }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex block,
+              std::span<std::uint64_t> out) override {
+    fill_delays(*this, round, sender, block, out);
   }
 
  private:

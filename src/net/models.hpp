@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/delivery.hpp"
@@ -55,8 +56,10 @@ class BurstyDelivery final : public DeliverySchedule {
                                     protocol::BlockIndex) override {
     return in_burst(round) ? delta_ : 1;
   }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex block,
+              std::span<std::uint64_t> out) override {
+    fill_delays(*this, round, sender, block, out);
   }
 
  private:
@@ -98,8 +101,10 @@ class EclipseDelivery final : public DeliverySchedule {
                                     protocol::BlockIndex) override {
     return is_victim(recipient) ? delta_ : 1;
   }
-  [[nodiscard]] std::uint64_t max_delay() const noexcept override {
-    return delta_;
+  void delays(std::uint64_t round, std::uint32_t sender,
+              protocol::BlockIndex block,
+              std::span<std::uint64_t> out) override {
+    fill_delays(*this, round, sender, block, out);
   }
 
  private:

@@ -198,6 +198,16 @@ void register_builtin_networks(ScenarioRegistry& registry) {
         const std::uint64_t burst =
             params.get_uint("burst_length", engine.delta);
         const std::uint64_t phase = params.get_uint("phase", 0);
+        if (period == 0) {
+          throw std::runtime_error(
+              "network model \"bursty\": period must be >= 1");
+        }
+        if (burst > period) {
+          throw std::runtime_error(
+              "network model \"bursty\": burst_length " +
+              std::to_string(burst) + " exceeds period " +
+              std::to_string(period));
+        }
         return std::unique_ptr<net::DeliverySchedule>(
             std::make_unique<net::BurstyDelivery>(engine.delta, period, burst,
                                                   phase));

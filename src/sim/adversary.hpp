@@ -66,18 +66,54 @@ class AdversaryOps {
                               std::uint64_t delay) = 0;
 };
 
+/// out[r] = adversary.honest_delay(round, sender, r, block) for every
+/// r ≠ sender in ascending r; out[sender] is left untouched.  The one
+/// loop behind every honest_delays: called with a `final` strategy, the
+/// honest_delay call is direct and inlines.
+template <typename A>
+void fill_honest_delays(A& adversary, std::uint64_t round,
+                        std::uint32_t sender, protocol::BlockIndex block,
+                        std::span<std::uint64_t> out) {
+  // Two branch-free loops around the sender, so a constant rule
+  // vectorizes.
+  const auto n = static_cast<std::uint32_t>(out.size());
+  const std::uint32_t mid = sender < n ? sender : n;
+  for (std::uint32_t r = 0; r < mid; ++r) {
+    out[r] = adversary.honest_delay(round, sender, r, block);
+  }
+  for (std::uint32_t r = mid + 1; r < n; ++r) {
+    out[r] = adversary.honest_delay(round, sender, r, block);
+  }
+}
+
 /// Strategy interface.  One instance drives the corrupted miners for the
 /// whole execution.
 class Adversary {
  public:
   virtual ~Adversary() = default;
 
-  /// Delay ∈ [1, Δ] for an honest block broadcast this round (capability
-  /// ①).  Called once per (block, recipient); the engine clamps the result
-  /// into [1, Δ] defensively.
+  /// Delay ∈ [1, Δ] for `block`, broadcast by honest `sender` at `round`,
+  /// toward honest `recipient` (capability ①): the delay rule a strategy
+  /// defines.  The engine reads it through honest_delays, once per
+  /// broadcast; the per-recipient reference model in tests/sim reads it
+  /// directly, so the two must agree.  The engine clamps the result into
+  /// [1, Δ] defensively.
   [[nodiscard]] virtual std::uint64_t honest_delay(
       std::uint64_t round, std::uint32_t sender, std::uint32_t recipient,
       protocol::BlockIndex block) = 0;
+
+  /// Every recipient's delay for one honest broadcast at once: the engine
+  /// calls this once per honest block, with out.size() = honest count.
+  /// Must set out[r] = honest_delay(round, sender, r, block) for every
+  /// r ≠ sender and leave out[sender] untouched.  The default loops over
+  /// honest_delay in ascending r, so a wrapper that overrides only
+  /// honest_delay stays correct; built-in strategies override this with
+  /// fill_honest_delays(*this, ...) to drop the per-recipient virtual call.
+  virtual void honest_delays(std::uint64_t round, std::uint32_t sender,
+                             protocol::BlockIndex block,
+                             std::span<std::uint64_t> out) {
+    fill_honest_delays(*this, round, sender, block, out);
+  }
 
   /// Notification that an honest block was mined this round (rushing
   /// adversaries observe it before choosing their own actions).

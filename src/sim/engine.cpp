@@ -213,6 +213,7 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   class_of_.assign(honest_count_, 0);
   covered_.assign(honest_count_, 0);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
+  delays_.resize(honest_count_);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
   round_miners_.reserve(honest_count_);
@@ -269,6 +270,7 @@ void ExecutionEngine::note_adoption(std::uint32_t c) {
 void ExecutionEngine::record_delivery(std::uint32_t c,
                                       const AdoptionEvent& event,
                                       std::uint32_t count) {
+  NEATBOUND_COUNT(kClassDeliveries);
   if (event.duplicate) {
     NEATBOUND_COUNT_ADD(kDuplicateDeliveries, count);
     return;
@@ -482,28 +484,12 @@ void ExecutionEngine::broadcast_honest(std::uint64_t round,
                                        protocol::BlockIndex block) {
   // Scoped per mined block (rare: n·p per round), not per recipient.
   NEATBOUND_PHASE_SCOPE(kSchedule);
-  // Recipients with one delay in a row form one calendar run; scheduling
-  // each run once gives exactly the entries per-recipient calls would
-  // (the calendar coalesces those the same way) at a fraction of the cost.
-  std::uint32_t lo = 0;
-  std::uint64_t run_delay = 0;
-  for (std::uint32_t r = 0; r < honest_count_; ++r) {
-    if (r == sender) {
-      if (lo < r) calendar_.schedule(round + run_delay, lo, r, block);
-      lo = r + 1;
-      continue;
-    }
-    const std::uint64_t d =
-        clamp_delay(adversary_->honest_delay(round, sender, r, block));
-    if (d != run_delay && lo < r) {
-      calendar_.schedule(round + run_delay, lo, r, block);
-      lo = r;
-    }
-    run_delay = d;
-  }
-  if (lo < honest_count_) {
-    calendar_.schedule(round + run_delay, lo, honest_count_, block);
-  }
+  adversary_->honest_delays(round, sender, block, delays_);
+  net::for_each_delay_run(
+      sender, delays_,
+      [&](std::uint32_t lo, std::uint32_t hi, std::uint64_t delay) {
+        calendar_.schedule(round + clamp_delay(delay), lo, hi, block);
+      });
   // The sender itself received the block at `round`; gossip echo from that
   // first receipt (a no-op here since every recipient is already
   // scheduled within Δ, but it keeps the invariant uniform).

@@ -318,6 +318,9 @@ class ExecutionEngine {
   std::vector<std::uint32_t> merge_worklist_;
   /// Blocks of the adversary's latest mine_run.
   std::vector<protocol::BlockIndex> mined_run_;
+  /// Per honest recipient: the raw delays of the broadcast being
+  /// scheduled, filled by one Adversary::honest_delays call.
+  std::vector<std::uint64_t> delays_;
   /// Serial of the delivery being applied (a delivery group or a miner's
   /// own block), and of the one that set round_activity_.max_reorg_depth:
   /// classes of one group tie-break on their leads.

@@ -22,6 +22,13 @@ std::uint64_t ScheduleAdversary::honest_delay(std::uint64_t round,
   return schedule_->delay(round, sender, recipient, block);
 }
 
+void ScheduleAdversary::honest_delays(std::uint64_t round,
+                                      std::uint32_t sender,
+                                      protocol::BlockIndex block,
+                                      std::span<std::uint64_t> out) {
+  schedule_->delays(round, sender, block, out);
+}
+
 void ScheduleAdversary::on_honest_block(std::uint64_t round,
                                         protocol::BlockIndex block) {
   strategy_->on_honest_block(round, block);

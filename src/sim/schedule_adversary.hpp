@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "net/delivery.hpp"
@@ -29,6 +30,9 @@ class ScheduleAdversary final : public Adversary {
   [[nodiscard]] std::uint64_t honest_delay(
       std::uint64_t round, std::uint32_t sender, std::uint32_t recipient,
       protocol::BlockIndex block) override;
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override;
   void on_honest_block(std::uint64_t round,
                        protocol::BlockIndex block) override;
   void act(AdversaryOps& ops) override;

@@ -27,14 +27,6 @@ PrivateWithholdAdversary::PrivateWithholdAdversary()
 PrivateWithholdAdversary::PrivateWithholdAdversary(Options options)
     : options_(options) {}
 
-std::uint64_t PrivateWithholdAdversary::honest_delay(std::uint64_t,
-                                                     std::uint32_t,
-                                                     std::uint32_t,
-                                                     protocol::BlockIndex) {
-  // Slow the honest network as much as the model allows.
-  return ~0ULL;  // clamped to Δ by the engine
-}
-
 void PrivateWithholdAdversary::act(AdversaryOps& ops) {
   const protocol::BlockStore& store = ops.store();
   if (!initialized_) {
@@ -139,17 +131,6 @@ void HonestPartition::sync_branches(const AdversaryOps& ops,
 BalanceAttackAdversary::BalanceAttackAdversary(std::uint32_t honest_count,
                                                std::uint64_t delta)
     : partition_(honest_count), delta_(delta) {}
-
-std::uint64_t BalanceAttackAdversary::honest_delay(std::uint64_t,
-                                                   std::uint32_t,
-                                                   std::uint32_t,
-                                                   protocol::BlockIndex) {
-  // Remark 8.5 of PSS: delay EVERY honest message the full Δ.  Each side
-  // then lags Δ rounds behind even its own chain's growth, which is the
-  // slack window in which the adversary matches the other side's blocks
-  // (the 1/ν − 1/μ ≤ 1/c accounting).
-  return delta_;
-}
 
 void BalanceAttackAdversary::sync_state(const AdversaryOps& ops) {
   const protocol::BlockStore& store = ops.store();
@@ -291,22 +272,6 @@ void SelfishMiningAdversary::act(AdversaryOps& ops) {
 ForkBalancerAdversary::ForkBalancerAdversary(std::uint32_t honest_count,
                                              std::uint64_t delta)
     : partition_(honest_count), delta_(delta) {}
-
-std::uint64_t ForkBalancerAdversary::honest_delay(std::uint64_t,
-                                                  std::uint32_t sender,
-                                                  std::uint32_t recipient,
-                                                  protocol::BlockIndex) {
-  // Keep the halves Δ apart but let each half hear itself fast — the
-  // equivocating siblings only split the network if each side adopts its
-  // own child before the other side's propagates.
-  if (sender >= partition_.honest_count() ||
-      recipient >= partition_.honest_count()) {
-    return delta_;
-  }
-  return partition_.group_of(sender) == partition_.group_of(recipient)
-             ? 1
-             : delta_;
-}
 
 void ForkBalancerAdversary::act(AdversaryOps& ops) {
   const protocol::BlockStore& store = ops.store();

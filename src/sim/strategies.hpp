@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "sim/adversary.hpp"
@@ -49,6 +50,11 @@ class NullAdversary final : public Adversary {
                                            protocol::BlockIndex) override {
     return 1;
   }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
+  }
   void act(AdversaryOps&) override {}
   [[nodiscard]] bool quiet_act_is_noop() const override { return true; }
   [[nodiscard]] const char* name() const override { return "null"; }
@@ -61,6 +67,11 @@ class MaxDelayAdversary final : public Adversary {
                                            std::uint32_t,
                                            protocol::BlockIndex) override {
     return delta_;
+  }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
   }
   void act(AdversaryOps& ops) override;
   /// Quiet rounds only attempt (failing) private-tip queries.
@@ -81,9 +92,17 @@ class PrivateWithholdAdversary final : public Adversary {
   PrivateWithholdAdversary();
   explicit PrivateWithholdAdversary(Options options);
 
+  /// Slow the honest network as much as the model allows.
   [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
                                            std::uint32_t,
-                                           protocol::BlockIndex) override;
+                                           protocol::BlockIndex) override {
+    return ~0ULL;  // clamped to Δ by the engine
+  }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
+  }
   void act(AdversaryOps& ops) override;
   /// Give-up and release decisions depend only on (best height, private
   /// height, withheld stock), all unchanged in a quiet round, and both
@@ -145,10 +164,20 @@ class BalanceAttackAdversary final : public Adversary {
   explicit BalanceAttackAdversary(std::uint32_t honest_count,
                                   std::uint64_t delta);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t round,
-                                           std::uint32_t sender,
-                                           std::uint32_t recipient,
-                                           protocol::BlockIndex block) override;
+  /// Remark 8.5 of PSS: delay EVERY honest message the full Δ.  Each side
+  /// then lags Δ rounds behind even its own chain's growth, which is the
+  /// slack window in which the adversary matches the other side's blocks
+  /// (the 1/ν − 1/μ ≤ 1/c accounting).
+  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t, std::uint32_t,
+                                           std::uint32_t,
+                                           protocol::BlockIndex) override {
+    return delta_;
+  }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
+  }
   void act(AdversaryOps& ops) override;
   /// sync_state is idempotent under unchanged tips, and publication only
   /// follows a successful query or a repair fork already released by the
@@ -191,6 +220,11 @@ class SelfishMiningAdversary final : public Adversary {
                                            protocol::BlockIndex) override {
     return 1;  // selfish mining is usually analyzed on a fast network
   }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
+  }
   void on_honest_block(std::uint64_t round,
                        protocol::BlockIndex block) override;
   void act(AdversaryOps& ops) override;
@@ -215,10 +249,26 @@ class ForkBalancerAdversary final : public Adversary {
   /// rest), exactly like BalanceAttackAdversary's partition.
   ForkBalancerAdversary(std::uint32_t honest_count, std::uint64_t delta);
 
-  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t round,
+  /// Keep the halves Δ apart but let each half hear itself fast — the
+  /// equivocating siblings only split the network if each side adopts its
+  /// own child before the other side's propagates.
+  [[nodiscard]] std::uint64_t honest_delay(std::uint64_t,
                                            std::uint32_t sender,
                                            std::uint32_t recipient,
-                                           protocol::BlockIndex block) override;
+                                           protocol::BlockIndex) override {
+    if (sender >= partition_.honest_count() ||
+        recipient >= partition_.honest_count()) {
+      return delta_;
+    }
+    return partition_.group_of(sender) == partition_.group_of(recipient)
+               ? 1
+               : delta_;
+  }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
+  }
   void act(AdversaryOps& ops) override;
   /// Equivocation pairs advance only on successful queries; branch sync
   /// and pending-pair invalidation are idempotent under unchanged tips.
@@ -261,6 +311,11 @@ class DelaySaturatingWithholder final : public Adversary {
                                            std::uint32_t,
                                            protocol::BlockIndex) override {
     return ~0ULL;  // saturate: clamped to Δ by the engine
+  }
+  void honest_delays(std::uint64_t round, std::uint32_t sender,
+                     protocol::BlockIndex block,
+                     std::span<std::uint64_t> out) override {
+    fill_honest_delays(*this, round, sender, block, out);
   }
   void act(AdversaryOps& ops) override;
   /// The rebase check is idempotent and the overtake release already

@@ -14,7 +14,8 @@ constexpr const char* kCounterNames[] = {
     "calendar_scheduled",   "calendar_grows",
     "ancestry_queries",     "skip_rows_built",
     "quiet_rounds_skipped", "class_splits",
-    "class_merges",
+    "class_merges",         "class_deliveries",
+    "calendar_runs_drained",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
                   kCounterCount,

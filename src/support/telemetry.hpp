@@ -61,6 +61,8 @@ enum class Counter : std::uint8_t {
   kQuietRoundsSkipped,     ///< rounds committed by the quiet fast path
   kClassSplits,            ///< view classes split off by a partial delivery
   kClassMerges,            ///< view-class pairs merged into one
+  kClassDeliveries,        ///< class-level MinerView::deliver calls
+  kCalendarRunsDrained,    ///< runs the calendar drain handed out
   kCount,
 };
 inline constexpr std::size_t kCounterCount =

@@ -248,7 +248,6 @@ TEST(DeliveryCalendar, RejectsFarFutureSchedule) {
 TEST(Schedules, ImmediateAlwaysOne) {
   ImmediateDelivery schedule(8);
   EXPECT_EQ(schedule.delay(0, 0, 1, 0), 1u);
-  EXPECT_EQ(schedule.max_delay(), 8u);
 }
 
 TEST(Schedules, MaxDelayAlwaysDelta) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "scenario/json.hpp"
 #include "sim/engine.hpp"
@@ -107,6 +108,35 @@ TEST(Registry, ComponentParametersReachTheFactories) {
                    "split", params_from(R"({"split_fraction": 0.01})"),
                    engine_config, honest),
                std::runtime_error);
+}
+
+// A bad bursty window is a spec error naming the model and the key, not a
+// contract failure naming a source file.
+TEST(Registry, BurstyRejectsBadWindows) {
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  const sim::EngineConfig engine_config = small_engine();
+  const std::uint32_t honest = sim::honest_miner_count(engine_config);
+  const auto error_of = [&](const char* json) -> std::string {
+    try {
+      (void)registry.make_network("bursty", params_from(json), engine_config,
+                                  honest);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of(R"({"period": 0})"),
+            "network model \"bursty\": period must be >= 1");
+  EXPECT_EQ(error_of(R"({"period": 0, "burst_length": 0})"),
+            "network model \"bursty\": period must be >= 1");
+  EXPECT_EQ(error_of(R"({"period": 4, "burst_length": 5})"),
+            "network model \"bursty\": burst_length 5 exceeds period 4");
+  // The defaults (period 2Δ = 6) bound an explicit burst_length too.
+  EXPECT_EQ(error_of(R"({"burst_length": 7})"),
+            "network model \"bursty\": burst_length 7 exceeds period 6");
+  // The edges of the valid range build.
+  EXPECT_EQ(error_of(R"({"period": 1, "burst_length": 1})"), "no error");
+  EXPECT_EQ(error_of(R"({"period": 5, "burst_length": 0})"), "no error");
 }
 
 TEST(Registry, RejectsUnknownNamesAndParameters) {
