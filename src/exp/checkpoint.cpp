@@ -1,10 +1,9 @@
 #include "exp/checkpoint.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <fstream>
+#include <array>
+#include <ostream>
 #include <stdexcept>
-#include <system_error>
+#include <string_view>
 
 #include "support/json.hpp"
 #include "support/telemetry.hpp"
@@ -12,6 +11,13 @@
 namespace neatbound::exp {
 
 namespace {
+
+using support::exact_double_repr;
+using support::json_path;
+using support::JsonValue;
+using support::read_element;
+using support::read_field;
+using support::reject_unknown_keys;
 
 constexpr const char* kFormatTag = "neatbound-sweep-checkpoint-v1";
 
@@ -38,27 +44,14 @@ constexpr SummaryField kSummaryFields[] = {
     {"violation_exceeds_t", &sim::ExperimentSummary::violation_exceeds_t},
 };
 
-std::string hex_repr(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-std::uint64_t parse_hex(const std::string& text, const std::string& path) {
-  std::uint64_t value = 0;
-  const char* first = text.c_str() + 2;
-  const char* last = text.c_str() + text.size();
-  const auto [end, ec] =
-      text.rfind("0x", 0) == 0 && text.size() == 18
-          ? std::from_chars(first, last, value, 16)
-          : std::from_chars_result{nullptr, std::errc::invalid_argument};
-  if (ec != std::errc{} || end != last) {
-    throw std::runtime_error(path + ": malformed checkpoint fingerprint \"" +
-                             text + "\"");
+/// Every summary field name, for the strict reader's key check.
+constexpr auto kSummaryNames = [] {
+  std::array<std::string_view, std::size(kSummaryFields)> names{};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    names[i] = kSummaryFields[i].name;
   }
-  return value;
-}
+  return names;
+}();
 
 void write_stats(std::ostream& os, const stats::RunningStats& stats) {
   const stats::RunningStatsState state = stats.state();
@@ -67,21 +60,124 @@ void write_stats(std::ostream& os, const stats::RunningStats& stats) {
      << ',' << exact_double_repr(state.max) << ']';
 }
 
-stats::RunningStats read_stats(const support::JsonValue& value,
-                               const std::string& path) {
-  const auto& array = value.as_array();
-  if (array.size() != 5) {
-    throw std::runtime_error(path +
-                             ": summary field must be a 5-element array "
-                             "[count, mean, m2, min, max]");
+void write_checkpoint(std::ostream& os, const SweepCheckpoint& checkpoint) {
+  os << "{\n  \"format\": \"" << kFormatTag << "\",\n  \"fingerprint\": \""
+     << support::format_hash(checkpoint.fingerprint)
+     << "\",\n  \"waves_done\": " << checkpoint.waves_done
+     << ",\n  \"cells\": [";
+  for (std::size_t i = 0; i < checkpoint.cells.size(); ++i) {
+    const CellCheckpoint& cell = checkpoint.cells[i];
+    os << (i == 0 ? "\n" : ",\n") << "    {\"seeds_done\": "
+       << cell.seeds_done << ", \"violations\": " << cell.violations
+       << ", \"stopped\": " << (cell.stopped ? "true" : "false")
+       << ", \"stopped_early\": " << (cell.stopped_early ? "true" : "false")
+       << ",\n     \"summary\": {";
+    bool first = true;
+    for (const SummaryField& field : kSummaryFields) {
+      os << (first ? "\n" : ",\n") << "       \"" << field.name << "\": ";
+      write_stats(os, cell.summary.*field.member);
+      first = false;
+    }
+    // Counters only: phase wall times are nondeterministic and must not
+    // enter the resume state.
+    os << "},\n     \"telemetry\": {\"runs\": "
+       << cell.summary.telemetry.runs << ", \"counters\": [";
+    for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
+      os << (c == 0 ? "" : ", ") << cell.summary.telemetry.counters[c];
+    }
+    os << "]}}";
   }
-  stats::RunningStatsState state;
-  state.count = array[0].as_uint();
-  state.mean = array[1].as_number();
-  state.m2 = array[2].as_number();
-  state.min = array[3].as_number();
-  state.max = array[4].as_number();
-  return stats::RunningStats::from_state(state);
+  os << "\n  ]\n}\n";
+}
+
+/// A `[count, mean, m2, min, max]` array at `where`.
+stats::RunningStats read_stats(const JsonValue::Array& array,
+                               const std::string& where) {
+  if (array.size() != 5) {
+    throw std::runtime_error(
+        where + ": must be a 5-element array [count, mean, m2, min, max]");
+  }
+  const auto number = [&](std::size_t i) {
+    return read_element(array[i], i, where, &JsonValue::as_number);
+  };
+  return stats::RunningStats::from_state(
+      {read_element(array[0], 0, where, &JsonValue::as_uint), number(1),
+       number(2), number(3), number(4)});
+}
+
+CellCheckpoint read_cell(const JsonValue& entry, const std::string& where) {
+  reject_unknown_keys(entry,
+                      {"seeds_done", "violations", "stopped", "stopped_early",
+                       "summary", "telemetry"},
+                      where);
+  CellCheckpoint cell;
+  cell.seeds_done =
+      read_field(entry, "seeds_done", where, &JsonValue::as_uint32);
+  cell.violations = read_field(entry, "violations", where, &JsonValue::as_uint);
+  cell.stopped = read_field(entry, "stopped", where, &JsonValue::as_bool);
+  cell.stopped_early =
+      read_field(entry, "stopped_early", where, &JsonValue::as_bool);
+
+  const std::string summary_where = json_path(where, "summary");
+  const JsonValue& summary = support::require_field(entry, "summary", where);
+  reject_unknown_keys(summary, kSummaryNames, summary_where);
+  for (const SummaryField& field : kSummaryFields) {
+    cell.summary.*field.member = read_stats(
+        read_field(summary, field.name, summary_where, &JsonValue::as_array),
+        json_path(summary_where, field.name));
+  }
+
+  const std::string tel_where = json_path(where, "telemetry");
+  const JsonValue& tel = support::require_field(entry, "telemetry", where);
+  reject_unknown_keys(tel, {"runs", "counters"}, tel_where);
+  cell.summary.telemetry.runs =
+      read_field(tel, "runs", tel_where, &JsonValue::as_uint);
+  const JsonValue::Array& counters =
+      read_field(tel, "counters", tel_where, &JsonValue::as_array);
+  const std::string counters_where = json_path(tel_where, "counters");
+  if (counters.size() != telemetry::kCounterCount) {
+    throw std::runtime_error(
+        counters_where + ": has " + std::to_string(counters.size()) +
+        " entries, want " + std::to_string(telemetry::kCounterCount));
+  }
+  for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
+    cell.summary.telemetry.counters[c] =
+        read_element(counters[c], c, counters_where, &JsonValue::as_uint);
+  }
+  return cell;
+}
+
+SweepCheckpoint read_checkpoint(const JsonValue& document,
+                                std::uint64_t expected_fingerprint) {
+  reject_unknown_keys(document,
+                      {"format", "fingerprint", "waves_done", "cells"}, "");
+  const std::string& format =
+      read_field(document, "format", "", &JsonValue::as_string);
+  if (format != kFormatTag) {
+    throw std::runtime_error("unsupported checkpoint format \"" + format +
+                             "\" (want " + kFormatTag + ")");
+  }
+  SweepCheckpoint checkpoint;
+  checkpoint.fingerprint =
+      read_field(document, "fingerprint", "", &JsonValue::as_hash);
+  if (expected_fingerprint != 0 &&
+      checkpoint.fingerprint != expected_fingerprint) {
+    throw std::runtime_error(
+        "checkpoint fingerprint " +
+        support::format_hash(checkpoint.fingerprint) +
+        " does not match this sweep (" +
+        support::format_hash(expected_fingerprint) +
+        ") — grid, engine parameters, components or adaptive options "
+        "changed");
+  }
+  checkpoint.waves_done =
+      read_field(document, "waves_done", "", &JsonValue::as_uint);
+  const JsonValue::Array& cells =
+      read_field(document, "cells", "", &JsonValue::as_array);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    checkpoint.cells.push_back(read_cell(cells[i], json_path("cells", i)));
+  }
+  return checkpoint;
 }
 
 }  // namespace
@@ -108,103 +204,21 @@ FingerprintBuilder& FingerprintBuilder::integer(std::uint64_t value) {
   return text(std::to_string(value));
 }
 
-std::string exact_double_repr(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
 void save_sweep_checkpoint(const std::string& path,
                            const SweepCheckpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("checkpoint: cannot open " + tmp +
-                               " for writing");
-    }
-    os << "{\n  \"format\": \"" << kFormatTag << "\",\n  \"fingerprint\": \""
-       << hex_repr(checkpoint.fingerprint) << "\",\n  \"waves_done\": "
-       << checkpoint.waves_done << ",\n  \"cells\": [";
-    for (std::size_t i = 0; i < checkpoint.cells.size(); ++i) {
-      const CellCheckpoint& cell = checkpoint.cells[i];
-      os << (i == 0 ? "\n" : ",\n") << "    {\"seeds_done\": "
-         << cell.seeds_done << ", \"violations\": " << cell.violations
-         << ", \"stopped\": " << (cell.stopped ? "true" : "false")
-         << ", \"stopped_early\": " << (cell.stopped_early ? "true" : "false")
-         << ",\n     \"summary\": {";
-      bool first = true;
-      for (const SummaryField& field : kSummaryFields) {
-        os << (first ? "\n" : ",\n") << "       \"" << field.name << "\": ";
-        write_stats(os, cell.summary.*field.member);
-        first = false;
-      }
-      // Counters only: phase wall times are nondeterministic and must
-      // not enter the resume state.
-      os << "},\n     \"telemetry\": {\"runs\": "
-         << cell.summary.telemetry.runs << ", \"counters\": [";
-      for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-        os << (c == 0 ? "" : ", ") << cell.summary.telemetry.counters[c];
-      }
-      os << "]}}";
-    }
-    os << "\n  ]\n}\n";
-    if (!os.flush()) {
-      throw std::runtime_error("checkpoint: write to " + tmp + " failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: cannot rename " + tmp + " to " +
-                             path);
-  }
+  support::write_file_atomically(path, "checkpoint", [&](std::ostream& os) {
+    write_checkpoint(os, checkpoint);
+  });
 }
 
 SweepCheckpoint load_sweep_checkpoint(const std::string& path,
                                       std::uint64_t expected_fingerprint) {
-  const support::JsonValue document = support::load_json_file(path);
-  const std::string format = document.at("format").as_string();
-  if (format != kFormatTag) {
-    throw std::runtime_error(path + ": unsupported checkpoint format \"" +
-                             format + "\" (want " + kFormatTag + ")");
+  try {
+    return read_checkpoint(support::load_json_file(path),
+                           expected_fingerprint);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
   }
-  SweepCheckpoint checkpoint;
-  checkpoint.fingerprint =
-      parse_hex(document.at("fingerprint").as_string(), path);
-  if (expected_fingerprint != 0 &&
-      checkpoint.fingerprint != expected_fingerprint) {
-    throw std::runtime_error(
-        path + ": checkpoint fingerprint " +
-        hex_repr(checkpoint.fingerprint) + " does not match this sweep (" +
-        hex_repr(expected_fingerprint) +
-        ") — grid, engine parameters, components or adaptive options "
-        "changed");
-  }
-  checkpoint.waves_done = document.at("waves_done").as_uint();
-  for (const support::JsonValue& entry : document.at("cells").as_array()) {
-    CellCheckpoint cell;
-    cell.seeds_done = entry.at("seeds_done").as_uint32();
-    cell.violations = entry.at("violations").as_uint();
-    cell.stopped = entry.at("stopped").as_bool();
-    cell.stopped_early = entry.at("stopped_early").as_bool();
-    const support::JsonValue& summary = entry.at("summary");
-    for (const SummaryField& field : kSummaryFields) {
-      cell.summary.*field.member = read_stats(summary.at(field.name), path);
-    }
-    const support::JsonValue& tel = entry.at("telemetry");
-    cell.summary.telemetry.runs = tel.at("runs").as_uint();
-    const auto& counters = tel.at("counters").as_array();
-    if (counters.size() != telemetry::kCounterCount) {
-      throw std::runtime_error(
-          path + ": telemetry counters array has " +
-          std::to_string(counters.size()) + " entries, want " +
-          std::to_string(telemetry::kCounterCount));
-    }
-    for (std::size_t c = 0; c < telemetry::kCounterCount; ++c) {
-      cell.summary.telemetry.counters[c] = counters[c].as_uint();
-    }
-    checkpoint.cells.push_back(cell);
-  }
-  return checkpoint;
 }
 
 }  // namespace neatbound::exp

@@ -3,10 +3,10 @@
 // completed wave instead of recomputing.
 //
 // Exactness contract: every double in the snapshot is serialized with 17
-// significant digits and parsed back with the correctly-rounded strtod,
-// so a resumed accumulator is bit-identical to the in-memory one — the
-// adaptive sweep's "resumed run == uninterrupted run" guarantee hangs on
-// this round trip.
+// significant digits (support::exact_double_repr) and parsed back with
+// the correctly-rounded strtod, so a resumed accumulator is bit-identical
+// to the in-memory one — the adaptive sweep's "resumed run ==
+// uninterrupted run" guarantee hangs on this round trip.
 //
 // A checkpoint is only meaningful for the exact sweep that wrote it, so
 // the document carries a fingerprint over the grid (axis names/values),
@@ -14,9 +14,8 @@
 // the violation depth; load_sweep_checkpoint refuses a mismatch instead
 // of silently resuming the wrong experiment.
 //
-// Writes are atomic-by-rename: the document lands in "<path>.tmp" and is
-// renamed over the target, so a kill mid-write leaves the previous
-// complete checkpoint in place.
+// Writes are atomic-by-rename (support::write_file_atomically), so a kill
+// mid-write leaves the previous complete checkpoint in place.
 #pragma once
 
 #include <cstdint>
@@ -65,14 +64,11 @@ class FingerprintBuilder {
 void save_sweep_checkpoint(const std::string& path,
                            const SweepCheckpoint& checkpoint);
 
-/// Reads a checkpoint back.  Throws std::runtime_error on unreadable or
-/// malformed files, on a format-version mismatch, and — when
-/// `expected_fingerprint` is non-zero — on a fingerprint mismatch.
+/// Reads a checkpoint back, strictly (exact key sets at every level).
+/// Throws std::runtime_error "<path>: <what>" naming the offending key on
+/// unreadable or malformed files, on a format-version mismatch, and —
+/// when `expected_fingerprint` is non-zero — on a fingerprint mismatch.
 [[nodiscard]] SweepCheckpoint load_sweep_checkpoint(
     const std::string& path, std::uint64_t expected_fingerprint = 0);
-
-/// Serializes a double with enough digits (%.17g) that the strict JSON
-/// reader's strtod reproduces the exact bit pattern.  Exposed for tests.
-[[nodiscard]] std::string exact_double_repr(double value);
 
 }  // namespace neatbound::exp

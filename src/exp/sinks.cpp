@@ -6,6 +6,7 @@
 
 #include "support/contracts.hpp"
 #include "support/csv.hpp"
+#include "support/json.hpp"
 
 namespace neatbound::exp {
 
@@ -82,32 +83,9 @@ void CsvSink::finish() {
 
 // --- JsonSink --------------------------------------------------------------
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 std::string json_string(const std::string& text) {
-  return '"' + json_escape(text) + '"';
+  return '"' + support::json_escape(text) + '"';
 }
 
 std::string json_string_array(const std::vector<std::string>& items) {

@@ -127,8 +127,4 @@ class SinkSet final : public ResultSink {
   std::vector<std::unique_ptr<ResultSink>> sinks_;
 };
 
-/// JSON string escaping (quotes, backslashes, control characters), made
-/// public for tests.
-[[nodiscard]] std::string json_escape(const std::string& text);
-
 }  // namespace neatbound::exp

@@ -1,15 +1,10 @@
 #include "scenario/artifact.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "exp/checkpoint.hpp"
 #include "scenario/runner.hpp"
 #include "support/contracts.hpp"
 
@@ -17,130 +12,18 @@ namespace neatbound::scenario {
 
 namespace {
 
-[[noreturn]] void artifact_error(const std::string& what) {
-  throw std::runtime_error("violation artifact: " + what);
-}
+using support::exact_double_repr;
+using support::format_hash;
+using support::json_escape;
+using support::JsonValue;
+using support::read_field;
+using support::reject_unknown_keys;
+using support::require_field;
 
-void reject_unknown_keys(const JsonValue& object,
-                         const std::set<std::string>& known,
-                         const std::string& where) {
-  if (!object.is_object()) artifact_error(where + ": expected a JSON object");
-  for (const auto& [key, value] : object.as_object()) {
-    if (known.count(key) == 0) {
-      artifact_error(where + ": unknown key \"" + key + "\"");
-    }
-  }
-}
-
-const JsonValue& require(const JsonValue& object, const char* key,
-                         const std::string& where) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    artifact_error(where + ": missing key \"" + key + "\"");
-  }
-  return *value;
-}
-
-/// A required field read through the typed accessor `as`; a value of the
-/// wrong kind is refused with the key named.
-template <typename T>
-T require_as(const JsonValue& object, const char* key,
-             const std::string& where, T (JsonValue::*as)() const) {
-  const JsonValue& value = require(object, key, where);
-  try {
-    return (value.*as)();
-  } catch (const std::exception& e) {
-    artifact_error(where + "." + key + ": " + e.what());
-  }
-}
-
-/// A required 32-bit field; a value past 2^32 is refused, never narrowed.
-std::uint32_t require_uint32(const JsonValue& object, const char* key,
-                             const std::string& where) {
-  return require_as(object, key, where, &JsonValue::as_uint32);
-}
-
-std::uint64_t require_uint(const JsonValue& object, const char* key,
-                           const std::string& where) {
-  return require_as(object, key, where, &JsonValue::as_uint);
-}
-
-double require_number(const JsonValue& object, const char* key,
-                      const std::string& where) {
-  return require_as(object, key, where, &JsonValue::as_number);
-}
-
-bool require_bool(const JsonValue& object, const char* key,
-                  const std::string& where) {
-  return require_as(object, key, where, &JsonValue::as_bool);
-}
-
-const std::string& require_string(const JsonValue& object, const char* key,
-                                  const std::string& where) {
-  return require_as(object, key, where, &JsonValue::as_string);
-}
-
-const JsonValue::Array& require_array(const JsonValue& object,
-                                      const char* key,
-                                      const std::string& where) {
-  return require_as(object, key, where, &JsonValue::as_array);
-}
-
-// --- writer helpers ---------------------------------------------------------
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Fixed-width hex for hashes: 64-bit values exceed the double-exact
-/// integer range, so they travel as strings, never JSON numbers.
-std::string hex16(std::uint64_t value) {
-  std::string out = "0x";
-  constexpr const char* kHex = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kHex[(value >> shift) & 0xF];
-  }
-  return out;
-}
-
-std::uint64_t parse_hex16(const std::string& text, const std::string& where) {
-  if (text.size() != 18 || text[0] != '0' || text[1] != 'x') {
-    artifact_error(where + ": expected an 0x + 16-hex-digit hash, got \"" +
-                   text + "\"");
-  }
-  std::uint64_t value = 0;
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    const char c = text[i];
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      artifact_error(where + ": bad hex digit in \"" + text + "\"");
-    }
-  }
-  return value;
+// The reader throws bare messages; parse_artifact and load_artifact_file
+// add the documented "violation artifact: " prefix.
+[[noreturn]] void reject(const std::string& what) {
+  throw std::runtime_error(what);
 }
 
 void write_component(std::ostream& os, const ComponentSpec& component,
@@ -151,7 +34,7 @@ void write_component(std::ostream& os, const ComponentSpec& component,
     if (value.is_bool()) {
       os << (value.as_bool() ? "true" : "false");
     } else if (value.is_number()) {
-      os << exp::exact_double_repr(value.as_number());
+      os << exact_double_repr(value.as_number());
     } else {
       os << '"' << json_escape(value.as_string()) << '"';
     }
@@ -162,108 +45,203 @@ void write_component(std::ostream& os, const ComponentSpec& component,
 // --- reader helpers ---------------------------------------------------------
 
 sim::EngineConfig parse_engine(const JsonValue& engine) {
+  constexpr const char* kWhere = "engine";
   reject_unknown_keys(engine,
                       {"miners", "nu", "delta", "rounds", "p", "seed"},
-                      "engine");
+                      kWhere);
+  const auto uint = [&engine](const char* key) {
+    return read_field(engine, key, kWhere, &JsonValue::as_uint);
+  };
   sim::EngineConfig config;
-  config.miner_count = require_uint32(engine, "miners", "engine");
-  config.adversary_fraction = require_number(engine, "nu", "engine");
-  config.p = require_number(engine, "p", "engine");
-  config.delta = require_uint(engine, "delta", "engine");
-  config.rounds = require_uint(engine, "rounds", "engine");
-  config.seed = require_uint(engine, "seed", "engine");
+  config.miner_count =
+      read_field(engine, "miners", kWhere, &JsonValue::as_uint32);
+  config.adversary_fraction =
+      read_field(engine, "nu", kWhere, &JsonValue::as_number);
+  config.p = read_field(engine, "p", kWhere, &JsonValue::as_number);
+  config.delta = uint("delta");
+  config.rounds = uint("rounds");
+  config.seed = uint("seed");
   try {
     sim::validate_engine_config(config);
   } catch (const std::exception& e) {
-    artifact_error(std::string("engine: ") + e.what());
+    reject(std::string("engine: ") + e.what());
   }
   return config;
 }
 
 sim::OracleConfig parse_oracle_block(const JsonValue& oracle) {
+  constexpr const char* kWhere = "oracle";
   reject_unknown_keys(oracle,
                       {"common_prefix", "common_prefix_t", "growth_window",
                        "growth_min_blocks", "quality_window",
                        "quality_min_ratio", "slice_rounds"},
-                      "oracle");
+                      kWhere);
+  const auto uint = [&oracle](const char* key) {
+    return read_field(oracle, key, kWhere, &JsonValue::as_uint);
+  };
   sim::OracleConfig config;
-  config.common_prefix = require_bool(oracle, "common_prefix", "oracle");
-  config.common_prefix_t = require_uint(oracle, "common_prefix_t", "oracle");
-  config.growth_window = require_uint(oracle, "growth_window", "oracle");
-  config.growth_min_blocks =
-      require_uint(oracle, "growth_min_blocks", "oracle");
-  config.quality_window = require_uint(oracle, "quality_window", "oracle");
+  config.common_prefix =
+      read_field(oracle, "common_prefix", kWhere, &JsonValue::as_bool);
+  config.common_prefix_t = uint("common_prefix_t");
+  config.growth_window = uint("growth_window");
+  config.growth_min_blocks = uint("growth_min_blocks");
+  config.quality_window = uint("quality_window");
   config.quality_min_ratio =
-      require_number(oracle, "quality_min_ratio", "oracle");
-  config.slice_rounds = require_uint(oracle, "slice_rounds", "oracle");
+      read_field(oracle, "quality_min_ratio", kWhere, &JsonValue::as_number);
+  config.slice_rounds = uint("slice_rounds");
   try {
     sim::validate_oracle_config(config);
   } catch (const std::exception& e) {
-    artifact_error(std::string("oracle: ") + e.what());
+    reject(std::string("oracle: ") + e.what());
   }
   return config;
 }
 
-ComponentSpec parse_component(const JsonValue& object, const char* selector,
-                              const std::string& where) {
-  if (!object.is_object()) {
-    artifact_error(where + ": expected a JSON object");
-  }
-  ComponentSpec component;
-  component.kind = require_string(object, selector, where);
-  if (component.kind.empty()) {
-    artifact_error(where + ": \"" + std::string(selector) +
-                   "\" must not be empty");
-  }
-  component.params = Params::from_object(object, {selector});
-  return component;
-}
-
 sim::OracleViolation parse_violation(const JsonValue& violation) {
+  constexpr const char* kWhere = "violation";
   reject_unknown_keys(
       violation,
       {"invariant", "round", "measured", "bound", "view_a", "view_b"},
-      "violation");
+      kWhere);
   sim::OracleViolation out;
-  const std::string& name = require_string(violation, "invariant", "violation");
+  const std::string& name =
+      read_field(violation, "invariant", kWhere, &JsonValue::as_string);
   const auto kind = sim::parse_invariant_name(name);
   if (!kind) {
-    artifact_error("violation: unknown invariant \"" + name + "\"");
+    reject("violation: unknown invariant \"" + name + "\"");
   }
   out.kind = *kind;
-  out.round = require_uint(violation, "round", "violation");
-  out.measured = require_uint(violation, "measured", "violation");
-  out.bound = require_uint(violation, "bound", "violation");
-  out.view_a = require_uint32(violation, "view_a", "violation");
-  out.view_b = require_uint32(violation, "view_b", "violation");
+  out.round = read_field(violation, "round", kWhere, &JsonValue::as_uint);
+  out.measured = read_field(violation, "measured", kWhere, &JsonValue::as_uint);
+  out.bound = read_field(violation, "bound", kWhere, &JsonValue::as_uint);
+  out.view_a = read_field(violation, "view_a", kWhere, &JsonValue::as_uint32);
+  out.view_b = read_field(violation, "view_b", kWhere, &JsonValue::as_uint32);
   if (out.round == 0) {
-    artifact_error("violation.round: rounds are 1-based");
+    reject("violation.round: rounds are 1-based");
   }
   // The record must actually violate its bound — a doctored
   // "non-violation" would replay into a vacuous comparison.
   if (out.kind == sim::InvariantKind::kCommonPrefix) {
     if (out.measured <= out.bound) {
-      artifact_error("violation: common-prefix needs measured > bound");
+      reject("violation: common-prefix needs measured > bound");
     }
   } else if (out.measured >= out.bound) {
-    artifact_error("violation: window invariants need measured < bound");
+    reject("violation: window invariants need measured < bound");
   }
   return out;
 }
 
 sim::ViewSnapshot parse_view(const JsonValue& view, std::size_t index) {
-  const std::string where = "views[" + std::to_string(index) + "]";
+  const std::string where = support::json_path("views", index);
   reject_unknown_keys(view, {"miner", "tip", "height", "hash"}, where);
   sim::ViewSnapshot snapshot;
-  snapshot.miner = require_uint32(view, "miner", where);
-  snapshot.tip = require_uint32(view, "tip", where);
-  snapshot.height = require_uint(view, "height", where);
-  snapshot.hash =
-      parse_hex16(require_string(view, "hash", where), where + ".hash");
+  snapshot.miner = read_field(view, "miner", where, &JsonValue::as_uint32);
+  snapshot.tip = read_field(view, "tip", where, &JsonValue::as_uint32);
+  snapshot.height = read_field(view, "height", where, &JsonValue::as_uint);
+  snapshot.hash = read_field(view, "hash", where, &JsonValue::as_hash);
   if (snapshot.miner != index) {
-    artifact_error(where + ": views must be in miner order (0, 1, ...)");
+    reject(where + ": views must be in miner order (0, 1, ...)");
   }
   return snapshot;
+}
+
+ViolationArtifact read_artifact(const JsonValue& document) {
+  constexpr const char* kWhere = "document";
+  reject_unknown_keys(document,
+                      {"format", "engine", "violation_t", "oracle",
+                       "adversary", "network", "violation", "views", "trace"},
+                      kWhere);
+  const auto member = [&document](const char* key) -> const JsonValue& {
+    return require_field(document, key, kWhere);
+  };
+  const std::string& format =
+      read_field(document, "format", kWhere, &JsonValue::as_string);
+  if (format != kArtifactFormat) {
+    reject("unsupported format \"" + format + "\" (expected \"" +
+           std::string(kArtifactFormat) + "\")");
+  }
+  ViolationArtifact artifact;
+  artifact.engine = parse_engine(member("engine"));
+  artifact.violation_t =
+      read_field(document, "violation_t", kWhere, &JsonValue::as_uint);
+  artifact.oracle = parse_oracle_block(member("oracle"));
+  artifact.adversary =
+      parse_component(member("adversary"), "strategy", nullptr, "adversary");
+  artifact.network =
+      parse_component(member("network"), "model", nullptr, "network");
+  artifact.violation = parse_violation(member("violation"));
+  if (artifact.violation.round > artifact.engine.rounds) {
+    reject("violation.round: " + std::to_string(artifact.violation.round) +
+           " exceeds engine rounds " + std::to_string(artifact.engine.rounds));
+  }
+  const std::uint32_t honest = sim::honest_miner_count(artifact.engine);
+  const std::pair<const char*, std::uint32_t> offending[] = {
+      {"view_a", artifact.violation.view_a},
+      {"view_b", artifact.violation.view_b}};
+  for (const auto& [key, view] : offending) {
+    if (view >= honest) {
+      reject(std::string("violation.") + key + ": view " +
+             std::to_string(view) + " out of honest range (" +
+             std::to_string(honest) + " honest miners)");
+    }
+  }
+
+  const JsonValue::Array& views =
+      read_field(document, "views", kWhere, &JsonValue::as_array);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    artifact.views.push_back(parse_view(views[i], i));
+  }
+  if (artifact.views.size() != honest) {
+    reject("views: expected one snapshot per honest miner (" +
+           std::to_string(honest) + "), got " +
+           std::to_string(artifact.views.size()));
+  }
+
+  const JsonValue::Array& trace =
+      read_field(document, "trace", kWhere, &JsonValue::as_array);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    try {
+      artifact.slice.push_back(sim::round_record_from_json(trace[i]));
+    } catch (const std::exception& e) {
+      reject("trace[" + std::to_string(i) + "]: " + e.what());
+    }
+  }
+  // The slice must be exactly the contiguous window the oracle freezes:
+  // min(round, slice_rounds) records, consecutive, ending at the
+  // violating round.  Anything else is truncation or tampering.
+  const std::uint64_t expected =
+      std::min(artifact.violation.round, artifact.oracle.slice_rounds);
+  if (artifact.slice.size() != expected) {
+    reject("trace: expected " + std::to_string(expected) + " records, got " +
+           std::to_string(artifact.slice.size()));
+  }
+  for (std::size_t i = 0; i < artifact.slice.size(); ++i) {
+    const std::uint64_t want =
+        artifact.violation.round - expected + 1 + i;
+    if (artifact.slice[i].round != want) {
+      reject("trace[" + std::to_string(i) + "]: expected round " +
+             std::to_string(want) + ", got " +
+             std::to_string(artifact.slice[i].round));
+    }
+    if (i > 0) {
+      try {
+        sim::check_record_order(artifact.slice[i - 1], artifact.slice[i]);
+      } catch (const std::exception& e) {
+        reject("trace[" + std::to_string(i) + "]: " + e.what());
+      }
+    }
+  }
+  // The tracker's running maximum at the first violating round is that
+  // round's depth, so the slice must end on the measured value.
+  if (artifact.violation.kind == sim::InvariantKind::kCommonPrefix &&
+      !artifact.slice.empty() &&
+      artifact.slice.back().violation_depth != artifact.violation.measured) {
+    reject("trace: last record has violation_depth " +
+           std::to_string(artifact.slice.back().violation_depth) +
+           ", violation measured " +
+           std::to_string(artifact.violation.measured));
+  }
+  return artifact;
 }
 
 }  // namespace
@@ -292,10 +270,10 @@ void write_artifact(std::ostream& os, const ViolationArtifact& artifact) {
   os << "{\n";
   os << "\"format\":\"" << kArtifactFormat << "\",\n";
   os << "\"engine\":{\"miners\":" << artifact.engine.miner_count
-     << ",\"nu\":" << exp::exact_double_repr(artifact.engine.adversary_fraction)
+     << ",\"nu\":" << exact_double_repr(artifact.engine.adversary_fraction)
      << ",\"delta\":" << u(artifact.engine.delta)
      << ",\"rounds\":" << u(artifact.engine.rounds)
-     << ",\"p\":" << exp::exact_double_repr(artifact.engine.p)
+     << ",\"p\":" << exact_double_repr(artifact.engine.p)
      << ",\"seed\":" << u(artifact.engine.seed) << "},\n";
   os << "\"violation_t\":" << u(artifact.violation_t) << ",\n";
   const sim::OracleConfig& oracle = artifact.oracle;
@@ -306,7 +284,7 @@ void write_artifact(std::ostream& os, const ViolationArtifact& artifact) {
      << ",\"growth_min_blocks\":" << u(oracle.growth_min_blocks)
      << ",\"quality_window\":" << u(oracle.quality_window)
      << ",\"quality_min_ratio\":"
-     << exp::exact_double_repr(oracle.quality_min_ratio)
+     << exact_double_repr(oracle.quality_min_ratio)
      << ",\"slice_rounds\":" << u(oracle.slice_rounds) << "},\n";
   os << "\"adversary\":";
   write_component(os, artifact.adversary, "strategy");
@@ -326,7 +304,7 @@ void write_artifact(std::ostream& os, const ViolationArtifact& artifact) {
     os << (i == 0 ? "\n" : ",\n");
     os << "{\"miner\":" << view.miner << ",\"tip\":" << view.tip
        << ",\"height\":" << u(view.height) << ",\"hash\":\""
-       << hex16(view.hash) << "\"}";
+       << format_hash(view.hash) << "\"}";
   }
   os << "\n],\n";
   os << "\"trace\":[";
@@ -338,141 +316,32 @@ void write_artifact(std::ostream& os, const ViolationArtifact& artifact) {
 
 void write_artifact_file(const std::string& path,
                          const ViolationArtifact& artifact) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) {
-      artifact_error("cannot open " + tmp + " for writing");
-    }
-    write_artifact(os, artifact);
-    os.flush();
-    if (!os) {
-      artifact_error("write to " + tmp + " failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    artifact_error("cannot rename " + tmp + " to " + path);
-  }
+  support::write_file_atomically(
+      path, "violation artifact",
+      [&artifact](std::ostream& os) { write_artifact(os, artifact); });
 }
 
 ViolationArtifact parse_artifact(const JsonValue& document) {
-  reject_unknown_keys(document,
-                      {"format", "engine", "violation_t", "oracle",
-                       "adversary", "network", "violation", "views", "trace"},
-                      "document");
-  const std::string& format = require_string(document, "format", "document");
-  if (format != kArtifactFormat) {
-    artifact_error("unsupported format \"" + format + "\" (expected \"" +
-                   std::string(kArtifactFormat) + "\")");
+  try {
+    return read_artifact(document);
+  } catch (const std::runtime_error& e) {
+    reject(std::string("violation artifact: ") + e.what());
   }
-  ViolationArtifact artifact;
-  artifact.engine = parse_engine(require(document, "engine", "document"));
-  artifact.violation_t = require_uint(document, "violation_t", "document");
-  artifact.oracle =
-      parse_oracle_block(require(document, "oracle", "document"));
-  artifact.adversary = parse_component(
-      require(document, "adversary", "document"), "strategy", "adversary");
-  artifact.network = parse_component(require(document, "network", "document"),
-                                     "model", "network");
-  artifact.violation =
-      parse_violation(require(document, "violation", "document"));
-  if (artifact.violation.round > artifact.engine.rounds) {
-    artifact_error("violation.round: " +
-                   std::to_string(artifact.violation.round) +
-                   " exceeds engine rounds " +
-                   std::to_string(artifact.engine.rounds));
-  }
-  const std::uint32_t honest = sim::honest_miner_count(artifact.engine);
-  const std::pair<const char*, std::uint32_t> offending[] = {
-      {"view_a", artifact.violation.view_a},
-      {"view_b", artifact.violation.view_b}};
-  for (const auto& [key, view] : offending) {
-    if (view >= honest) {
-      artifact_error(std::string("violation.") + key + ": view " +
-                     std::to_string(view) + " out of honest range (" +
-                     std::to_string(honest) + " honest miners)");
-    }
-  }
-
-  std::size_t index = 0;
-  for (const JsonValue& entry : require_array(document, "views", "document")) {
-    artifact.views.push_back(parse_view(entry, index));
-    ++index;
-  }
-  if (artifact.views.size() != honest) {
-    artifact_error("views: expected one snapshot per honest miner (" +
-                   std::to_string(honest) + "), got " +
-                   std::to_string(artifact.views.size()));
-  }
-
-  index = 0;
-  for (const JsonValue& entry : require_array(document, "trace", "document")) {
-    try {
-      artifact.slice.push_back(sim::round_record_from_json(entry));
-    } catch (const std::exception& e) {
-      artifact_error("trace[" + std::to_string(index) + "]: " + e.what());
-    }
-    ++index;
-  }
-  // The slice must be exactly the contiguous window the oracle freezes:
-  // min(round, slice_rounds) records, consecutive, ending at the
-  // violating round.  Anything else is truncation or tampering.
-  const std::uint64_t expected =
-      std::min(artifact.violation.round, artifact.oracle.slice_rounds);
-  if (artifact.slice.size() != expected) {
-    artifact_error("trace: expected " + std::to_string(expected) +
-                   " records, got " + std::to_string(artifact.slice.size()));
-  }
-  for (std::size_t i = 0; i < artifact.slice.size(); ++i) {
-    const std::uint64_t want =
-        artifact.violation.round - expected + 1 + i;
-    if (artifact.slice[i].round != want) {
-      artifact_error("trace[" + std::to_string(i) + "]: expected round " +
-                     std::to_string(want) + ", got " +
-                     std::to_string(artifact.slice[i].round));
-    }
-    if (i > 0) {
-      try {
-        sim::check_record_order(artifact.slice[i - 1], artifact.slice[i]);
-      } catch (const std::exception& e) {
-        artifact_error("trace[" + std::to_string(i) + "]: " + e.what());
-      }
-    }
-  }
-  // The tracker's running maximum at the first violating round is that
-  // round's depth, so the slice must end on the measured value.
-  if (artifact.violation.kind == sim::InvariantKind::kCommonPrefix &&
-      !artifact.slice.empty() &&
-      artifact.slice.back().violation_depth != artifact.violation.measured) {
-    artifact_error("trace: last record has violation_depth " +
-                   std::to_string(artifact.slice.back().violation_depth) +
-                   ", violation measured " +
-                   std::to_string(artifact.violation.measured));
-  }
-  return artifact;
 }
 
 ViolationArtifact parse_artifact(std::string_view text) {
-  JsonValue document;
   try {
-    document = parse_json(text);
-  } catch (const std::exception& e) {
-    artifact_error(e.what());
+    return read_artifact(support::parse_json(text));
+  } catch (const std::runtime_error& e) {
+    reject(std::string("violation artifact: ") + e.what());
   }
-  return parse_artifact(document);
 }
 
 ViolationArtifact load_artifact_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    artifact_error("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
   try {
-    return parse_artifact(std::string_view{buffer.view()});
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string(e.what()) + " [" + path + "]");
+    return read_artifact(support::load_json_file(path));
+  } catch (const std::runtime_error& e) {
+    reject(std::string("violation artifact: ") + e.what() + " [" + path + "]");
   }
 }
 
@@ -529,10 +398,11 @@ ReplayResult replay_artifact(const ViolationArtifact& artifact,
       result.mismatches.push_back(
           "view " + std::to_string(i) + " differs: replay tip " +
           std::to_string(views[i].tip) + " height " +
-          std::to_string(views[i].height) + " hash " + hex16(views[i].hash) +
-          ", artifact tip " + std::to_string(artifact.views[i].tip) +
-          " height " + std::to_string(artifact.views[i].height) + " hash " +
-          hex16(artifact.views[i].hash));
+          std::to_string(views[i].height) + " hash " +
+          format_hash(views[i].hash) + ", artifact tip " +
+          std::to_string(artifact.views[i].tip) + " height " +
+          std::to_string(artifact.views[i].height) + " hash " +
+          format_hash(artifact.views[i].hash));
     }
   }
   const auto& slice = oracle.violation_slice();

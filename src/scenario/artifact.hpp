@@ -73,7 +73,8 @@ void write_artifact_file(const std::string& path,
 
 /// Strict parse (see file comment); throws std::runtime_error naming the
 /// offending key or entry.
-[[nodiscard]] ViolationArtifact parse_artifact(const JsonValue& document);
+[[nodiscard]] ViolationArtifact parse_artifact(
+    const support::JsonValue& document);
 [[nodiscard]] ViolationArtifact parse_artifact(std::string_view text);
 [[nodiscard]] ViolationArtifact load_artifact_file(const std::string& path);
 

@@ -11,10 +11,9 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "scenario/json.hpp"
+#include "support/json.hpp"
 
 namespace neatbound::scenario {
 
@@ -23,11 +22,14 @@ class Params {
   Params() = default;
   /// From a JSON object, minus the keys in `reserved` (the component's
   /// own selector, e.g. "model" or "strategy").  Values must be numbers,
-  /// strings or booleans — nested structure is not a parameter.
-  static Params from_object(const JsonValue& object,
-                            const std::set<std::string>& reserved);
+  /// strings or booleans — nested structure is not a parameter.  `where`
+  /// names the component object ("network") in getter errors.
+  static Params from_object(const support::JsonValue& object,
+                            const std::set<std::string>& reserved,
+                            std::string where = "");
 
-  /// Number lookup with default; throws on a present-but-non-numeric value.
+  /// Typed lookups with a default (support::read_field_or): a value of
+  /// the wrong kind throws "<where>.<name>: JSON: expected …".
   [[nodiscard]] double get_number(const std::string& name,
                                   double default_value) const;
   /// get_number constrained to a non-negative integer.
@@ -38,14 +40,10 @@ class Params {
   [[nodiscard]] bool get_bool(const std::string& name,
                               bool default_value) const;
 
-  [[nodiscard]] bool has(const std::string& name) const;
-  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
-
   /// Every entry in file order — the serialization view the violation
   /// artifact writer (scenario/artifact.hpp) renders back to JSON.
-  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>&
-  entries() const noexcept {
-    return values_;
+  [[nodiscard]] const support::JsonValue::Object& entries() const {
+    return values_.as_object();
   }
 
   /// Canonical "key=value;" rendering of every entry in file order —
@@ -59,9 +57,8 @@ class Params {
                    const std::string& where) const;
 
  private:
-  [[nodiscard]] const JsonValue* lookup(const std::string& name) const;
-
-  std::vector<std::pair<std::string, JsonValue>> values_;
+  support::JsonValue values_ = support::JsonValue::make_object({});
+  std::string where_;
 };
 
 }  // namespace neatbound::scenario

@@ -44,6 +44,56 @@ double stat_aggregate(const stats::RunningStats& stat,
       "max | count)");
 }
 
+/// Expands a section-label template; without a `context` (a syntax
+/// check) every hole reads 0.
+std::string expand_label(const std::string& label_template,
+                         const CellContext* context) {
+  std::string out;
+  for (std::size_t i = 0; i < label_template.size();) {
+    const char c = label_template[i];
+    if (c == '{' && i + 1 < label_template.size() &&
+        label_template[i + 1] == '{') {
+      out += '{';
+      i += 2;
+      continue;
+    }
+    if (c == '}' && i + 1 < label_template.size() &&
+        label_template[i + 1] == '}') {
+      out += '}';
+      i += 2;
+      continue;
+    }
+    if (c != '{') {
+      out += c;
+      ++i;
+      continue;
+    }
+    const std::size_t close = label_template.find('}', i);
+    if (close == std::string::npos) {
+      throw std::runtime_error("report.section_label: unterminated '{' in \"" +
+                               label_template + "\"");
+    }
+    std::string hole = label_template.substr(i + 1, close - i - 1);
+    int decimals = 6;
+    if (const std::size_t colon = hole.find(':');
+        colon != std::string::npos) {
+      const std::string digits = hole.substr(colon + 1);
+      // At most two digits, so the value below cannot overflow.
+      if (digits.empty() || digits.size() > 2 ||
+          digits.find_first_not_of("0123456789") != std::string::npos ||
+          std::stoi(digits) > kMaxReportDecimals) {
+        throw std::runtime_error("report.section_label: bad precision in \"{" +
+                                 hole + "}\" (an integer 0..17)");
+      }
+      decimals = std::stoi(digits);
+      hole = hole.substr(0, colon);
+    }
+    out += format_fixed(context ? context->value(hole) : 0.0, decimals);
+    i = close + 1;
+  }
+  return out;
+}
+
 }  // namespace
 
 CellContext::CellContext(const ScenarioSpec& spec, const exp::SweepCell& cell)
@@ -122,48 +172,11 @@ double CellContext::value(const std::string& name) const {
 
 std::string format_label(const std::string& label_template,
                          const CellContext& context) {
-  std::string out;
-  for (std::size_t i = 0; i < label_template.size();) {
-    const char c = label_template[i];
-    if (c == '{' && i + 1 < label_template.size() &&
-        label_template[i + 1] == '{') {
-      out += '{';
-      i += 2;
-      continue;
-    }
-    if (c == '}' && i + 1 < label_template.size() &&
-        label_template[i + 1] == '}') {
-      out += '}';
-      i += 2;
-      continue;
-    }
-    if (c != '{') {
-      out += c;
-      ++i;
-      continue;
-    }
-    const std::size_t close = label_template.find('}', i);
-    if (close == std::string::npos) {
-      throw std::runtime_error("section label: unterminated '{' in \"" +
-                               label_template + "\"");
-    }
-    std::string hole = label_template.substr(i + 1, close - i - 1);
-    int decimals = 6;
-    if (const std::size_t colon = hole.find(':');
-        colon != std::string::npos) {
-      const std::string digits = hole.substr(colon + 1);
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::runtime_error("section label: bad precision in \"{" +
-                                 hole + "}\"");
-      }
-      decimals = std::stoi(digits);
-      hole = hole.substr(0, colon);
-    }
-    out += format_fixed(context.value(hole), decimals);
-    i = close + 1;
-  }
-  return out;
+  return expand_label(label_template, &context);
+}
+
+void check_section_label(const std::string& label_template) {
+  (void)expand_label(label_template, nullptr);
 }
 
 std::vector<ColumnSpec> default_columns(const ScenarioSpec& spec) {

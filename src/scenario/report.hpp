@@ -22,7 +22,7 @@
 //
 // Section labels are templates: "nu = {nu:2} (bound {bound:3})" replaces
 // each "{name:decimals}" hole with format_fixed(value(name), decimals)
-// (decimals defaults to 6; "{{" and "}}" escape literal braces).
+// (decimals defaults to 6, at most 17; "{{" and "}}" escape braces).
 #pragma once
 
 #include <string>
@@ -56,6 +56,10 @@ class CellContext {
 /// Substitutes "{name:decimals}" holes; see file comment.
 [[nodiscard]] std::string format_label(const std::string& label_template,
                                        const CellContext& context);
+
+/// Checks a template's syntax and hole precisions without resolving a
+/// value, so parse_scenario refuses a bad label before any engine run.
+void check_section_label(const std::string& label_template);
 
 /// The columns a report without an explicit "columns" list gets: every
 /// axis, then the core consistency/quality statistics.  When the spec

@@ -1,69 +1,37 @@
 #include "scenario/spec.hpp"
 
-#include <set>
 #include <stdexcept>
 
+#include "scenario/report.hpp"
 #include "sim/oracle.hpp"
 
 namespace neatbound::scenario {
 
 namespace {
 
-void reject_unknown_keys(const JsonValue& object,
-                         const std::set<std::string>& known,
-                         const std::string& where) {
-  for (const auto& [key, value] : object.as_object()) {
-    if (known.count(key) == 0) {
-      throw std::runtime_error(where + ": unknown key \"" + key + "\"");
-    }
-  }
+using support::JsonValue;
+using support::json_path;
+using support::read_element;
+using support::read_field;
+using support::read_field_or;
+using support::reject_unknown_keys;
+
+/// One block's optional fields: `field(key, &JsonValue::as_…, fallback)`.
+auto optional_fields(const JsonValue& object, std::string_view where) {
+  return [&object, where](const char* key, auto as, auto fallback) {
+    return read_field_or(object, key, where, as, fallback);
+  };
 }
 
-double number_or(const JsonValue& object, const char* key,
-                 double default_value) {
-  const JsonValue* v = object.find(key);
-  return v == nullptr ? default_value : v->as_number();
-}
-
-std::uint64_t uint_or(const JsonValue& object, const char* key,
-                      std::uint64_t default_value) {
-  const JsonValue* v = object.find(key);
-  return v == nullptr ? default_value : v->as_uint();
-}
-
-std::uint32_t uint32_or(const JsonValue& object, const char* key,
-                        std::uint32_t default_value) {
-  const JsonValue* v = object.find(key);
-  return v == nullptr ? default_value : v->as_uint32();
-}
-
-std::string string_or(const JsonValue& object, const char* key,
-                      const std::string& default_value) {
-  const JsonValue* v = object.find(key);
-  return v == nullptr ? default_value : v->as_string();
-}
-
-ComponentSpec parse_component(const JsonValue& object, const char* selector,
-                              const std::string& default_kind,
-                              const std::string& where) {
-  ComponentSpec component;
-  component.kind = string_or(object, selector, default_kind);
-  if (component.kind.empty()) {
-    throw std::runtime_error(where + ": \"" + selector +
-                             "\" must not be empty");
-  }
-  component.params = Params::from_object(object, {selector});
-  return component;
-}
-
-std::vector<AxisSpec> parse_axes(const JsonValue& axes) {
+std::vector<AxisSpec> parse_axes(const JsonValue::Array& axes) {
   std::vector<AxisSpec> out;
-  for (const JsonValue& entry : axes.as_array()) {
-    reject_unknown_keys(entry, {"name", "values"}, "axes entry");
+  for (std::size_t i = 0; i < axes.size(); ++i) {
+    const std::string where = json_path("axes", i);
+    reject_unknown_keys(axes[i], {"name", "values"}, where);
     AxisSpec axis;
-    axis.name = entry.at("name").as_string();
+    axis.name = read_field(axes[i], "name", where, &JsonValue::as_string);
     if (axis.name.empty()) {
-      throw std::runtime_error("axes entry: \"name\" must not be empty");
+      throw std::runtime_error(where + ": \"name\" must not be empty");
     }
     for (const AxisSpec& existing : out) {
       if (existing.name == axis.name) {
@@ -72,13 +40,19 @@ std::vector<AxisSpec> parse_axes(const JsonValue& axes) {
     }
     // Count axes are cast to the engine's integer fields per grid point,
     // so they go through the same checked readers as the engine block.
-    for (const JsonValue& value : entry.at("values").as_array()) {
+    const std::string values_where = json_path(where, "values");
+    const JsonValue::Array& values =
+        read_field(axes[i], "values", where, &JsonValue::as_array);
+    for (std::size_t j = 0; j < values.size(); ++j) {
       if (axis.name == "miners") {
-        axis.values.push_back(static_cast<double>(value.as_uint32()));
+        axis.values.push_back(static_cast<double>(read_element(
+            values[j], j, values_where, &JsonValue::as_uint32)));
       } else if (axis.name == "delta" || axis.name == "rounds") {
-        axis.values.push_back(static_cast<double>(value.as_uint()));
+        axis.values.push_back(static_cast<double>(
+            read_element(values[j], j, values_where, &JsonValue::as_uint)));
       } else {
-        axis.values.push_back(value.as_number());
+        axis.values.push_back(
+            read_element(values[j], j, values_where, &JsonValue::as_number));
       }
     }
     if (axis.values.empty()) {
@@ -91,16 +65,18 @@ std::vector<AxisSpec> parse_axes(const JsonValue& axes) {
 }
 
 AdaptiveSpec parse_adaptive(const JsonValue& adaptive) {
+  constexpr const char* kWhere = "adaptive";
   reject_unknown_keys(
       adaptive,
       {"min_seeds", "batch", "max_seeds", "half_width", "confidence"},
-      "adaptive");
+      kWhere);
+  const auto field = optional_fields(adaptive, kWhere);
   AdaptiveSpec out;
-  out.min_seeds = uint32_or(adaptive, "min_seeds", out.min_seeds);
-  out.batch = uint32_or(adaptive, "batch", out.batch);
-  out.max_seeds = uint32_or(adaptive, "max_seeds", out.max_seeds);
-  out.half_width = number_or(adaptive, "half_width", out.half_width);
-  out.confidence = number_or(adaptive, "confidence", out.confidence);
+  out.min_seeds = field("min_seeds", &JsonValue::as_uint32, out.min_seeds);
+  out.batch = field("batch", &JsonValue::as_uint32, out.batch);
+  out.max_seeds = field("max_seeds", &JsonValue::as_uint32, out.max_seeds);
+  out.half_width = field("half_width", &JsonValue::as_number, out.half_width);
+  out.confidence = field("confidence", &JsonValue::as_number, out.confidence);
   if (out.min_seeds == 0) {
     throw std::runtime_error("adaptive: \"min_seeds\" must be >= 1");
   }
@@ -121,16 +97,20 @@ AdaptiveSpec parse_adaptive(const JsonValue& adaptive) {
 }
 
 OracleSpec parse_oracle(const JsonValue& oracle) {
+  constexpr const char* kWhere = "oracle";
   reject_unknown_keys(oracle,
                       {"invariants", "common_prefix_t", "growth_window",
                        "growth_min_blocks", "quality_window",
                        "quality_min_ratio", "slice_rounds", "max_runs"},
-                      "oracle");
+                      kWhere);
   OracleSpec out;
-  if (const JsonValue* invariants = oracle.find("invariants")) {
+  if (oracle.find("invariants") != nullptr) {
     out.invariants.clear();
-    for (const JsonValue& entry : invariants->as_array()) {
-      std::string name = entry.as_string();
+    const JsonValue::Array& invariants =
+        read_field(oracle, "invariants", kWhere, &JsonValue::as_array);
+    for (std::size_t i = 0; i < invariants.size(); ++i) {
+      std::string name = read_element(invariants[i], i, "oracle.invariants",
+                                      &JsonValue::as_string);
       if (!sim::parse_invariant_name(name)) {
         std::string known;
         for (const std::string& candidate : sim::invariant_names()) {
@@ -152,17 +132,20 @@ OracleSpec parse_oracle(const JsonValue& oracle) {
       throw std::runtime_error("oracle: \"invariants\" must not be empty");
     }
   }
-  if (const JsonValue* t = oracle.find("common_prefix_t")) {
-    out.common_prefix_t = t->as_uint();
+  if (oracle.find("common_prefix_t") != nullptr) {
+    out.common_prefix_t =
+        read_field(oracle, "common_prefix_t", kWhere, &JsonValue::as_uint);
   }
-  out.growth_window = uint_or(oracle, "growth_window", out.growth_window);
+  const auto field = optional_fields(oracle, kWhere);
+  const auto uint = &JsonValue::as_uint;
+  out.growth_window = field("growth_window", uint, out.growth_window);
   out.growth_min_blocks =
-      uint_or(oracle, "growth_min_blocks", out.growth_min_blocks);
-  out.quality_window = uint_or(oracle, "quality_window", out.quality_window);
+      field("growth_min_blocks", uint, out.growth_min_blocks);
+  out.quality_window = field("quality_window", uint, out.quality_window);
   out.quality_min_ratio =
-      number_or(oracle, "quality_min_ratio", out.quality_min_ratio);
-  out.slice_rounds = uint_or(oracle, "slice_rounds", out.slice_rounds);
-  out.max_runs = uint_or(oracle, "max_runs", out.max_runs);
+      field("quality_min_ratio", &JsonValue::as_number, out.quality_min_ratio);
+  out.slice_rounds = field("slice_rounds", uint, out.slice_rounds);
+  out.max_runs = field("max_runs", uint, out.max_runs);
   // Full arming rules (vacuous thresholds, slice bounds) live in
   // sim::validate_oracle_config, applied when the block resolves to an
   // OracleConfig; here only the window/threshold basics that are wrong
@@ -184,23 +167,36 @@ OracleSpec parse_oracle(const JsonValue& oracle) {
 }
 
 ReportSpec parse_report(const JsonValue& report) {
+  constexpr const char* kWhere = "report";
   reject_unknown_keys(report, {"section_by", "section_label", "columns"},
-                      "report");
+                      kWhere);
+  const auto field = optional_fields(report, kWhere);
   ReportSpec out;
-  out.section_by = string_or(report, "section_by", "");
-  out.section_label = string_or(report, "section_label", "");
-  if (const JsonValue* columns = report.find("columns")) {
-    for (const JsonValue& entry : columns->as_array()) {
-      reject_unknown_keys(entry, {"header", "value", "decimals"},
-                          "report column");
-      ColumnSpec column;
-      column.value = entry.at("value").as_string();
-      column.header = string_or(entry, "header", column.value);
-      column.decimals =
-          static_cast<int>(uint_or(entry, "decimals",
-                                   static_cast<std::uint64_t>(3)));
-      out.columns.push_back(std::move(column));
+  out.section_by = field("section_by", &JsonValue::as_string, "");
+  out.section_label = field("section_label", &JsonValue::as_string, "");
+  // A bad hole fails here, before any engine run, not at the first
+  // rendered section.
+  check_section_label(out.section_label);
+  const JsonValue::Array columns =
+      field("columns", &JsonValue::as_array, JsonValue::Array{});
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    const std::string where = json_path("report.columns", i);
+    reject_unknown_keys(columns[i], {"header", "value", "decimals"}, where);
+    const auto column_field = optional_fields(columns[i], where);
+    ColumnSpec column;
+    column.value =
+        read_field(columns[i], "value", where, &JsonValue::as_string);
+    column.header = column_field("header", &JsonValue::as_string, column.value);
+    const std::uint64_t decimals =
+        column_field("decimals", &JsonValue::as_uint, std::uint64_t{3});
+    if (decimals > kMaxReportDecimals) {
+      throw std::runtime_error(
+          json_path(where, "decimals") + ": " + std::to_string(decimals) +
+          " exceeds " + std::to_string(kMaxReportDecimals) +
+          ", the significant digits a double carries");
     }
+    column.decimals = static_cast<int>(decimals);
+    out.columns.push_back(std::move(column));
   }
   if (!out.section_by.empty() && out.section_label.empty()) {
     throw std::runtime_error(
@@ -224,42 +220,63 @@ std::size_t ScenarioSpec::grid_size() const {
   return size;
 }
 
+ComponentSpec parse_component(const JsonValue& object, const char* selector,
+                              const char* default_kind,
+                              const std::string& where) {
+  if (!object.is_object()) {
+    throw std::runtime_error(where + ": expected a JSON object");
+  }
+  ComponentSpec component;
+  component.kind =
+      default_kind == nullptr
+          ? read_field(object, selector, where, &JsonValue::as_string)
+          : read_field_or(object, selector, where, &JsonValue::as_string,
+                          default_kind);
+  if (component.kind.empty()) {
+    throw std::runtime_error(where + ": \"" + selector +
+                             "\" must not be empty");
+  }
+  component.params = Params::from_object(object, {selector}, where);
+  return component;
+}
+
 ScenarioSpec parse_scenario(const JsonValue& document) {
   reject_unknown_keys(document,
                       {"name", "title", "description", "engine", "axes",
                        "hardness", "seeds", "base_seed", "violation_t",
                        "adaptive", "oracle", "adversary", "network", "report",
                        "meta"},
-                      "scenario");
+                      "");
   ScenarioSpec spec;
-  spec.name = document.at("name").as_string();
+  spec.name = read_field(document, "name", "", &JsonValue::as_string);
   if (spec.name.empty()) {
     throw std::runtime_error("scenario: \"name\" must not be empty");
   }
-  spec.title = string_or(document, "title", "");
-  spec.description = string_or(document, "description", "");
+  const auto top = optional_fields(document, "");
+  spec.title = top("title", &JsonValue::as_string, "");
+  spec.description = top("description", &JsonValue::as_string, "");
 
   if (const JsonValue* engine = document.find("engine")) {
-    reject_unknown_keys(*engine,
-                        {"miners", "nu", "delta", "rounds", "p"},
+    reject_unknown_keys(*engine, {"miners", "nu", "delta", "rounds", "p"},
                         "engine");
-    spec.miners = uint32_or(*engine, "miners", spec.miners);
-    spec.nu = number_or(*engine, "nu", spec.nu);
-    spec.delta = uint_or(*engine, "delta", spec.delta);
-    spec.rounds = uint_or(*engine, "rounds", spec.rounds);
-    spec.p = number_or(*engine, "p", spec.p);
+    const auto field = optional_fields(*engine, "engine");
+    spec.miners = field("miners", &JsonValue::as_uint32, spec.miners);
+    spec.nu = field("nu", &JsonValue::as_number, spec.nu);
+    spec.delta = field("delta", &JsonValue::as_uint, spec.delta);
+    spec.rounds = field("rounds", &JsonValue::as_uint, spec.rounds);
+    spec.p = field("p", &JsonValue::as_number, spec.p);
   }
 
-  if (const JsonValue* axes = document.find("axes")) {
-    spec.axes = parse_axes(*axes);
-  }
+  spec.axes = parse_axes(top("axes", &JsonValue::as_array, JsonValue::Array{}));
 
   if (const JsonValue* hardness = document.find("hardness")) {
     reject_unknown_keys(*hardness, {"mode", "c", "multiple"}, "hardness");
-    spec.hardness_mode = string_or(*hardness, "mode", spec.hardness_mode);
-    spec.hardness_c = number_or(*hardness, "c", spec.hardness_c);
+    const auto field = optional_fields(*hardness, "hardness");
+    spec.hardness_mode =
+        field("mode", &JsonValue::as_string, spec.hardness_mode);
+    spec.hardness_c = field("c", &JsonValue::as_number, spec.hardness_c);
     spec.hardness_multiple =
-        number_or(*hardness, "multiple", spec.hardness_multiple);
+        field("multiple", &JsonValue::as_number, spec.hardness_multiple);
   }
   if (spec.hardness_mode != "fixed" && spec.hardness_mode != "c" &&
       spec.hardness_mode != "neat-bound-multiple") {
@@ -273,12 +290,12 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
         "hardness mode \"c\" needs a \"c\" axis or a positive hardness.c");
   }
 
-  spec.seeds = uint32_or(document, "seeds", spec.seeds);
+  spec.seeds = top("seeds", &JsonValue::as_uint32, spec.seeds);
   if (spec.seeds == 0) {
     throw std::runtime_error("scenario: \"seeds\" must be >= 1");
   }
-  spec.base_seed = uint_or(document, "base_seed", spec.base_seed);
-  spec.violation_t = uint_or(document, "violation_t", spec.violation_t);
+  spec.base_seed = top("base_seed", &JsonValue::as_uint, spec.base_seed);
+  spec.violation_t = top("violation_t", &JsonValue::as_uint, spec.violation_t);
 
   if (const JsonValue* adaptive = document.find("adaptive")) {
     spec.adaptive = parse_adaptive(*adaptive);
@@ -310,24 +327,25 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
   }
 
   if (const JsonValue* meta = document.find("meta")) {
-    for (const auto& [key, value] : meta->as_object()) {
-      spec.extra_meta.emplace_back(key, value.as_number());
+    for (const auto& member :
+         read_field(document, "meta", "", &JsonValue::as_object)) {
+      spec.extra_meta.emplace_back(
+          member.first,
+          read_field(*meta, member.first, "meta", &JsonValue::as_number));
     }
   }
   return spec;
 }
 
 ScenarioSpec parse_scenario(std::string_view text) {
-  return parse_scenario(parse_json(text));
+  return parse_scenario(support::parse_json(text));
 }
 
 ScenarioSpec load_scenario_file(const std::string& path) {
   try {
-    return parse_scenario(load_json_file(path));
+    return parse_scenario(support::load_json_file(path));
   } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    if (what.rfind(path, 0) == 0) throw;  // already prefixed by the loader
-    throw std::runtime_error(path + ": " + what);
+    throw std::runtime_error(path + ": " + e.what());
   }
 }
 

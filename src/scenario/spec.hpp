@@ -59,8 +59,8 @@
 #include <string>
 #include <vector>
 
-#include "scenario/json.hpp"
 #include "scenario/params.hpp"
+#include "support/json.hpp"
 
 namespace neatbound::scenario {
 
@@ -74,10 +74,14 @@ struct ComponentSpec {
   Params params;     ///< everything else in the component object
 };
 
+/// The most decimals a report column or section-label hole may ask for:
+/// the significant digits a double carries.
+inline constexpr int kMaxReportDecimals = 17;
+
 struct ColumnSpec {
   std::string header;  ///< table column header (defaults to `value`)
   std::string value;   ///< cell source: axis, derived or "<stat>.<agg>"
-  int decimals = 3;    ///< format_fixed precision
+  int decimals = 3;    ///< format_fixed precision, <= kMaxReportDecimals
 };
 
 /// Sequential-stopping schedule (the "adaptive" block); values mirror
@@ -153,9 +157,18 @@ struct ScenarioSpec {
 };
 
 /// Parses and validates a scenario document; throws std::runtime_error
-/// with a descriptive message on any schema violation.
-[[nodiscard]] ScenarioSpec parse_scenario(const JsonValue& document);
+/// naming the offending key by its path ("engine.rounds: JSON: expected
+/// number, have string"); load_scenario_file prefixes the file's path.
+[[nodiscard]] ScenarioSpec parse_scenario(
+    const support::JsonValue& document);
 [[nodiscard]] ScenarioSpec parse_scenario(std::string_view text);
+
+/// A component object: `selector` names the registry entry (default_kind
+/// when absent, required when null); every other member is a parameter.
+[[nodiscard]] ComponentSpec parse_component(const support::JsonValue& object,
+                                            const char* selector,
+                                            const char* default_kind,
+                                            const std::string& where);
 [[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
 
 }  // namespace neatbound::scenario

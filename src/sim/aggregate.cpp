@@ -101,20 +101,6 @@ AggregateResult run_impl(const AggregateConfig& config,
   return result;
 }
 
-/// The legacy honest-count vector as a RoundTraceSink — the shim that
-/// keeps the old out-param accessor alive on top of the structured API.
-class HonestCountSink final : public RoundTraceSink {
- public:
-  explicit HonestCountSink(std::vector<std::uint32_t>& counts)
-      : counts_(&counts) {}
-  void on_round(const RoundRecord& record) override {
-    counts_->push_back(record.honest_mined);
-  }
-
- private:
-  std::vector<std::uint32_t>* counts_;
-};
-
 }  // namespace
 
 AggregateResult run_aggregate(const AggregateConfig& config) {
@@ -123,14 +109,6 @@ AggregateResult run_aggregate(const AggregateConfig& config) {
 
 AggregateResult run_aggregate_traced(const AggregateConfig& config,
                                      RoundTraceSink& sink) {
-  return run_impl(config, &sink);
-}
-
-AggregateResult run_aggregate_traced(const AggregateConfig& config,
-                                     std::vector<std::uint32_t>& honest_counts) {
-  honest_counts.clear();
-  honest_counts.reserve(config.rounds);
-  HonestCountSink sink(honest_counts);
   return run_impl(config, &sink);
 }
 

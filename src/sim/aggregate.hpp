@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/trace.hpp"
 
@@ -47,11 +46,5 @@ struct AggregateResult {
 /// view/chain fields stay zero.
 [[nodiscard]] AggregateResult run_aggregate_traced(
     const AggregateConfig& config, RoundTraceSink& sink);
-
-/// Legacy accessor, kept as a thin shim over the sink API: fills
-/// `honest_counts` with each round's honest block count (index i =
-/// round i+1).  Memory: 4 bytes per round.
-[[nodiscard]] AggregateResult run_aggregate_traced(
-    const AggregateConfig& config, std::vector<std::uint32_t>& honest_counts);
 
 }  // namespace neatbound::sim

@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <istream>
 #include <ostream>
@@ -104,73 +103,45 @@ std::string to_jsonl_line(const RoundRecord& record) {
 
 namespace {
 
-constexpr const char* kRecordKeys[] = {
-    "round",     "honest_mined", "adversary_mined", "mined_by",
-    "delivered", "adoptions",    "best_height",     "violation_depth",
-};
-
 [[noreturn]] void trace_error(std::size_t line_number,
                               const std::string& what) {
   throw std::runtime_error("trace line " + std::to_string(line_number) +
                            ": " + what);
 }
 
-/// `record[key]` read through the typed accessor `as`; a value of the
-/// wrong kind is refused with the key named.
-template <typename T>
-T read_field(const support::JsonValue& record, const char* key,
-             T (support::JsonValue::*as)() const) {
-  try {
-    return (record.at(key).*as)();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string(key) + ": " + e.what());
-  }
-}
-
 }  // namespace
 
 RoundRecord round_record_from_json(const support::JsonValue& value) {
-  if (!value.is_object()) {
-    throw std::runtime_error("expected a JSON object");
-  }
-  for (const char* key : kRecordKeys) {
-    if (value.find(key) == nullptr) {
-      throw std::runtime_error(std::string("missing key \"") + key + "\"");
-    }
-  }
-  // Every record key is present and the parser rejects duplicates, so a
-  // larger object holds an unknown key.
-  const auto& members = value.as_object();
-  if (members.size() != std::size(kRecordKeys)) {
-    for (const auto& [key, member] : members) {
-      if (std::find(std::begin(kRecordKeys), std::end(kRecordKeys), key) ==
-          std::end(kRecordKeys)) {
-        throw std::runtime_error("unknown key \"" + key + "\"");
-      }
-    }
-  }
   using support::JsonValue;
+  using support::read_field;
+  support::reject_unknown_keys(
+      value,
+      {"round", "honest_mined", "adversary_mined", "mined_by", "delivered",
+       "adoptions", "best_height", "violation_depth"},
+      "");
   RoundRecord record;
-  record.round = read_field(value, "round", &JsonValue::as_uint);
+  record.round = read_field(value, "round", "", &JsonValue::as_uint);
   if (record.round == 0) {
     throw std::runtime_error("round is 1-based, got 0");
   }
   record.honest_mined =
-      read_field(value, "honest_mined", &JsonValue::as_uint32);
+      read_field(value, "honest_mined", "", &JsonValue::as_uint32);
   record.adversary_mined =
-      read_field(value, "adversary_mined", &JsonValue::as_uint32);
-  try {
-    for (const JsonValue& id : value.at("mined_by").as_array()) {
+      read_field(value, "adversary_mined", "", &JsonValue::as_uint32);
+  for (const JsonValue& id :
+       read_field(value, "mined_by", "", &JsonValue::as_array)) {
+    try {
       record.mined_by.push_back(id.as_uint32());
+    } catch (const std::runtime_error& e) {
+      support::throw_at_path("mined_by", e);
     }
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("mined_by: ") + e.what());
   }
-  record.delivered = read_field(value, "delivered", &JsonValue::as_uint32);
-  record.adoptions = read_field(value, "adoptions", &JsonValue::as_uint32);
-  record.best_height = read_field(value, "best_height", &JsonValue::as_uint);
+  record.delivered = read_field(value, "delivered", "", &JsonValue::as_uint32);
+  record.adoptions = read_field(value, "adoptions", "", &JsonValue::as_uint32);
+  record.best_height =
+      read_field(value, "best_height", "", &JsonValue::as_uint);
   record.violation_depth =
-      read_field(value, "violation_depth", &JsonValue::as_uint);
+      read_field(value, "violation_depth", "", &JsonValue::as_uint);
   // Empty mined_by with honest_mined > 0 is the aggregate-engine form
   // (counting-only records, miner identity not modeled).
   if (!record.mined_by.empty() &&

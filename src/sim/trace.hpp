@@ -1,6 +1,6 @@
 // Structured per-round run traces: the bounded event stream behind
-// `neatbound_cli run --trace` and the promotion target for ad-hoc
-// per-round side channels (sim/aggregate's honest-count vector).
+// `neatbound_cli run --trace` and the one per-round side channel (the
+// aggregate engine streams its counting records through it too).
 //
 // A trace is a JSONL stream — one self-contained JSON object per round —
 // so a partial file (bounded writer, interrupted run) is still

@@ -1,7 +1,10 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -61,6 +64,12 @@ namespace {
   throw std::runtime_error(std::string("JSON: expected ") + want + ", have " +
                            got);
 }
+
+/// "<where>: <what>", or just `what` at the top level.
+[[noreturn]] void throw_at(std::string_view where, const std::string& what) {
+  throw std::runtime_error(
+      where.empty() ? what : std::string(where) + ": " + what);
+}
 }  // namespace
 
 bool JsonValue::as_bool() const {
@@ -107,21 +116,26 @@ const JsonValue::Object& JsonValue::as_object() const {
   return object_;
 }
 
+std::uint64_t JsonValue::as_hash() const {
+  const std::string& text = as_string();
+  if (text.size() != 18 || !text.starts_with("0x")) {
+    throw std::runtime_error("expected an 0x + 16-hex-digit hash, got \"" +
+                             text + "\"");
+  }
+  if (text.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
+    throw std::runtime_error("bad hex digit in \"" + text + "\"");
+  }
+  std::uint64_t value = 0;
+  std::from_chars(text.data() + 2, text.data() + text.size(), value, 16);
+  return value;
+}
+
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (!is_object()) return nullptr;
   for (const auto& [name, value] : object_) {
     if (name == key) return &value;
   }
   return nullptr;
-}
-
-const JsonValue& JsonValue::at(std::string_view key) const {
-  const JsonValue* v = find(key);
-  if (v == nullptr) {
-    throw std::runtime_error("JSON: missing key \"" + std::string(key) +
-                             "\"");
-  }
-  return *v;
 }
 
 namespace {
@@ -355,10 +369,95 @@ JsonValue load_json_file(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  try {
-    return parse_json(buffer.str());
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
+  return parse_json(buffer.view());
+}
+
+std::string json_path(std::string_view where, std::string_view key) {
+  return where.empty() ? std::string(key)
+                       : std::string(where) + '.' + std::string(key);
+}
+
+std::string json_path(std::string_view where, std::size_t index) {
+  return std::string(where) + '[' + std::to_string(index) + ']';
+}
+
+void reject_unknown_keys(const JsonValue& object,
+                         std::span<const std::string_view> known,
+                         std::string_view where) {
+  if (!object.is_object()) throw_at(where, "expected a JSON object");
+  for (const auto& [key, value] : object.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw_at(where, "unknown key \"" + key + "\"");
+    }
+  }
+}
+
+const JsonValue& require_field(const JsonValue& object, std::string_view key,
+                               std::string_view where) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) {
+    throw_at(where, "missing key \"" + std::string(key) + "\"");
+  }
+  return *value;
+}
+
+void throw_at_path(const std::string& path, const std::exception& cause) {
+  throw std::runtime_error(path + ": " + cause.what());
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string exact_double_repr(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+std::string format_hash(std::uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof buffer, "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+void write_file_atomically(const std::string& path, std::string_view label,
+                           const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  const std::string prefix = std::string(label) + ": ";
+  {
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os) {
+      throw std::runtime_error(prefix + "cannot open " + tmp +
+                               " for writing");
+    }
+    write(os);
+    if (!os.flush()) {
+      throw std::runtime_error(prefix + "write to " + tmp + " failed");
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error(prefix + "cannot rename " + tmp + " to " + path);
   }
 }
 

@@ -1,19 +1,23 @@
-// Minimal, dependency-free JSON reader shared by the configuration-file
-// consumers (scenario specs, experiment checkpoints).
+// Minimal, dependency-free JSON layer: every file schema in the repo
+// (scenario specs, sweep checkpoints, violation artifacts, round traces)
+// reads through it, and their writers share its primitives.
 //
-// Supports the full JSON value grammar (null, booleans, numbers, strings,
-// arrays, objects) with two deliberate strictures that suit configuration
-// files: duplicate object keys are an error, and object key order is
-// preserved (scenario meta blocks are emitted in file order).  String
-// escapes cover the JSON set; \uXXXX is accepted for ASCII code points
-// only — scenario files are ASCII by construction.
-//
-// Errors throw std::runtime_error with a line:column position.
+// The parser takes the full JSON value grammar with two strictures that
+// suit configuration files: duplicate object keys are an error, and key
+// order is preserved (scenario meta blocks are emitted in file order).
+// String escapes cover the JSON set; \uXXXX is accepted for ASCII code
+// points only.  Parse errors throw std::runtime_error with a line:column
+// position.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,11 +66,12 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
+  /// as_string, additionally required to be a format_hash rendering.
+  [[nodiscard]] std::uint64_t as_hash() const;
 
   /// Object member lookup; nullptr when absent (or not an object).
+  /// require_field is the throwing form.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
-  /// Object member lookup; throws when absent.
-  [[nodiscard]] const JsonValue& at(std::string_view key) const;
 
  private:
   Kind kind_;
@@ -80,7 +85,93 @@ class JsonValue {
 /// Parses one JSON document; trailing non-whitespace is an error.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
-/// Reads and parses a file; errors are prefixed with the path.
+/// Reads and parses a file: "cannot open <path>" when unreadable; parse
+/// errors carry no path, so each reader names the file in its own format.
 [[nodiscard]] JsonValue load_json_file(const std::string& path);
+
+// --- Field reads ------------------------------------------------------------
+// `where` names the enclosing object ("engine", "views[3]"; "" at the top)
+// and errors are std::runtime_error naming "<where>.<key>"; their text is
+// only built on failure, since the trace reader runs these per line.
+
+/// "<where>.<key>" and "<where>[<index>]".
+[[nodiscard]] std::string json_path(std::string_view where,
+                                    std::string_view key);
+[[nodiscard]] std::string json_path(std::string_view where,
+                                    std::size_t index);
+
+/// "<where>: expected a JSON object" / "<where>: unknown key \"k\"".
+void reject_unknown_keys(const JsonValue& object,
+                         std::span<const std::string_view> known,
+                         std::string_view where);
+inline void reject_unknown_keys(const JsonValue& object,
+                                std::initializer_list<std::string_view> known,
+                                std::string_view where) {
+  reject_unknown_keys(object, std::span(known.begin(), known.size()), where);
+}
+
+/// The member `key`; "<where>: missing key \"key\"" when absent.
+[[nodiscard]] const JsonValue& require_field(const JsonValue& object,
+                                             std::string_view key,
+                                             std::string_view where);
+
+/// Rethrows `cause` as "<path>: <cause>": the reads' failure path.
+[[noreturn]] void throw_at_path(const std::string& path,
+                                const std::exception& cause);
+
+/// One of JsonValue's checked accessors (&JsonValue::as_uint, …).
+template <typename T>
+using JsonAccessor = T (JsonValue::*)() const;
+
+/// Required field read through `as`: a wrong kind throws
+/// "<where>.<key>: JSON: expected …".
+template <typename T>
+T read_field(const JsonValue& object, std::string_view key,
+             std::string_view where, JsonAccessor<T> as) {
+  const JsonValue& value = require_field(object, key, where);
+  try {
+    return (value.*as)();
+  } catch (const std::runtime_error& e) {
+    throw_at_path(json_path(where, key), e);
+  }
+}
+
+/// Optional field: `fallback` when absent, else read_field.
+template <typename T>
+std::remove_cvref_t<T> read_field_or(
+    const JsonValue& object, std::string_view key, std::string_view where,
+    JsonAccessor<T> as, std::type_identity_t<std::remove_cvref_t<T>> fallback) {
+  if (object.find(key) == nullptr) return fallback;
+  return read_field(object, key, where, as);
+}
+
+/// Entry `index` of the array at `where`, read through `as`.
+template <typename T>
+T read_element(const JsonValue& element, std::size_t index,
+               std::string_view where, JsonAccessor<T> as) {
+  try {
+    return (element.*as)();
+  } catch (const std::runtime_error& e) {
+    throw_at_path(json_path(where, index), e);
+  }
+}
+
+// --- Writers ----------------------------------------------------------------
+
+/// String-body escaping: quotes, backslashes, control characters.
+[[nodiscard]] std::string json_escape(std::string_view text);
+
+/// %.17g: parse_json's correctly-rounded strtod gets the exact bits back.
+[[nodiscard]] std::string exact_double_repr(double value);
+
+/// "0x" + 16 lowercase hex digits (JsonValue::as_hash is the inverse):
+/// 64-bit hashes exceed the double-exact range, so they travel as strings.
+[[nodiscard]] std::string format_hash(std::uint64_t value);
+
+/// `write` fills "<path>.tmp", which is flushed and renamed over `path`,
+/// so a kill mid-write leaves the previous file whole.  Failures throw
+/// std::runtime_error "<label>: cannot open …" (or write, rename).
+void write_file_atomically(const std::string& path, std::string_view label,
+                           const std::function<void(std::ostream&)>& write);
 
 }  // namespace neatbound::support

@@ -203,17 +203,19 @@ TEST_P(FrequencyPipeline, EmpiricalMatchesClosedForm) {
   config.delta = delta;
   config.rounds = 400000;
   config.seed = 321;
-  std::vector<std::uint32_t> trace;
-  (void)sim::run_aggregate_traced(config, trace);
-
   // H iff the round mined at least one honest block; tally the visits
   // of every classified round.
-  std::vector<bool> series(trace.size());
-  for (std::size_t t = 0; t < trace.size(); ++t) series[t] = trace[t] >= 1;
+  struct HonestSeries final : sim::RoundTraceSink {
+    std::vector<bool> series;
+    void on_round(const sim::RoundRecord& record) override {
+      series.push_back(record.honest_mined >= 1);
+    }
+  } trace;
+  (void)sim::run_aggregate_traced(config, trace);
   const SuffixStateSpace space(delta);
   std::vector<std::uint64_t> visits(space.size(), 0);
   std::uint64_t classified = 0;
-  for (const auto& state : classify_series(series, delta)) {
+  for (const auto& state : classify_series(trace.series, delta)) {
     if (!state.has_value()) continue;
     ++visits[space.index_of(*state)];
     ++classified;
@@ -233,7 +235,7 @@ TEST_P(FrequencyPipeline, EmpiricalMatchesClosedForm) {
       5.0 / std::sqrt(static_cast<double>(classified)) + 1e-3;
   EXPECT_LT(worst, tolerance);
   EXPECT_GT(static_cast<double>(classified),
-            0.9 * static_cast<double>(trace.size()));
+            0.9 * static_cast<double>(trace.series.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

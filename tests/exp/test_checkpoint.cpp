@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -55,16 +54,6 @@ void expect_state_bits(const stats::RunningStats& a,
   EXPECT_TRUE(bits_equal(sa.m2, sb.m2));
   EXPECT_TRUE(bits_equal(sa.min, sb.min));
   EXPECT_TRUE(bits_equal(sa.max, sb.max));
-}
-
-TEST(ExactDoubleRepr, RoundTripsThroughStrtod) {
-  for (const double value :
-       {0.1, 1.0 / 3.0, 2.0 / 7.0, 1e-300, 1.7976931348623157e308,
-        -0.3333333333333333, 123456.789012345678, 5e-324}) {
-    const std::string repr = exact_double_repr(value);
-    EXPECT_TRUE(bits_equal(std::strtod(repr.c_str(), nullptr), value))
-        << repr;
-  }
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsAccumulatorsBitExactly) {

@@ -157,14 +157,6 @@ TEST(CsvSink, WrongRowWidthIsContractViolation) {
   std::remove(path.c_str());
 }
 
-TEST(JsonEscape, EscapesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(JsonSink, WritesDocumentWithMetaSectionsRows) {
   const std::string path = ::testing::TempDir() + "exp_sink.json";
   {

@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "scenario/json.hpp"
 #include "sim/engine.hpp"
+#include "support/json.hpp"
 
 namespace neatbound::scenario {
 namespace {
@@ -23,7 +23,7 @@ sim::EngineConfig small_engine() {
 }
 
 Params params_from(const char* json) {
-  return Params::from_object(parse_json(json), {});
+  return Params::from_object(support::parse_json(json), {});
 }
 
 TEST(Registry, ExposesRequiredComponentCounts) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace neatbound::scenario {
 namespace {
@@ -144,6 +145,71 @@ TEST(Spec, RejectsStructuralMistakes) {
           R"({"name": "x", "axes": [{"name": "nu", "values": [0.1]}],
               "report": {"section_by": "nu"}})"),
       std::runtime_error);
+}
+
+/// The message parse_scenario(text) throws; fails the test if none.
+std::string spec_error(const std::string& text) {
+  try {
+    (void)parse_scenario(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "parse accepted: " << text;
+  return "";
+}
+
+TEST(Spec, WrongKindErrorsNameTheKeyPath) {
+  EXPECT_EQ(spec_error(R"({"name": "x", "engine": {"rounds": "20000"}})"),
+            "engine.rounds: JSON: expected number, have string");
+  EXPECT_EQ(spec_error(R"({"name": "x", "seeds": true})"),
+            "seeds: JSON: expected number, have bool");
+  EXPECT_EQ(spec_error(R"({"name": "x", "axes": [
+                {"name": "nu", "values": [0.1]},
+                {"name": "c", "values": ["2"]}]})"),
+            "axes[1].values[0]: JSON: expected number, have string");
+  EXPECT_EQ(spec_error(R"({"name": "x", "report": {"columns": [
+                {"value": "nu", "decimals": "2"}]}})"),
+            "report.columns[0].decimals: JSON: expected number, have string");
+  EXPECT_EQ(spec_error(R"({"name": "x", "meta": {"extra": "1"}})"),
+            "meta.extra: JSON: expected number, have string");
+  EXPECT_EQ(spec_error(R"({"name": "x", "adversary": 3})"),
+            "adversary: expected a JSON object");
+  EXPECT_EQ(spec_error(R"({"name": "x", "engine": {"minres": 8}})"),
+            "engine: unknown key \"minres\"");
+  EXPECT_EQ(spec_error(R"({"title": "x"})"), "missing key \"name\"");
+}
+
+TEST(Spec, CapsReportPrecisionAtLoad) {
+  // Column decimals: 17 is the most a double carries; past it the value
+  // would print the raw format text, wrap, or be cut by format_fixed's
+  // buffer.
+  const auto column = [](const std::string& decimals) {
+    return R"({"name": "x", "report": {"columns": [{"value": "nu"},
+              {"value": "p", "decimals": )" +
+           decimals + "}]}}";
+  };
+  EXPECT_EQ(parse_scenario(column("17")).report.columns[1].decimals, 17);
+  for (const char* bad : {"18", "100", "2147483648", "4294967296"}) {
+    const std::string what = spec_error(column(bad));
+    EXPECT_EQ(what.rfind("report.columns[1].decimals: ", 0), 0u) << what;
+  }
+  EXPECT_NE(spec_error(column("-1")).find("report.columns[1].decimals"),
+            std::string::npos);
+
+  // Section-label holes: checked when the spec loads, not at the first
+  // rendered section after the whole sweep.
+  const auto label = [](const std::string& text) {
+    return R"({"name": "x", "axes": [{"name": "nu", "values": [0.1]}],
+              "report": {"section_by": "nu", "section_label": ")" +
+           text + R"("}})";
+  };
+  EXPECT_EQ(parse_scenario(label("nu = {nu:17} {{lit}}")).report.section_label,
+            "nu = {nu:17} {{lit}}");
+  for (const char* bad : {"{nu:18}", "{nu:99999999999}", "{nu:}", "{nu:x}",
+                          "{nu:2"}) {
+    const std::string what = spec_error(label(bad));
+    EXPECT_EQ(what.rfind("report.section_label: ", 0), 0u) << what;
+  }
 }
 
 TEST(Spec, ParsesAdaptiveBlock) {

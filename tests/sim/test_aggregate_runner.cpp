@@ -10,6 +10,14 @@
 namespace neatbound::sim {
 namespace {
 
+/// Each round's honest block count, collected from the trace stream.
+struct HonestCounts final : RoundTraceSink {
+  std::vector<std::uint32_t> counts;
+  void on_round(const RoundRecord& record) override {
+    counts.push_back(record.honest_mined);
+  }
+};
+
 AggregateConfig base_config() {
   AggregateConfig config;
   config.honest_trials = 150;
@@ -24,11 +32,11 @@ AggregateConfig base_config() {
 TEST(Aggregate, OnlineCounterMatchesOfflineRecount) {
   // The online opportunity counter must agree exactly with the offline
   // pattern scan on the same trace.
-  std::vector<std::uint32_t> trace;
+  HonestCounts trace;
   const AggregateResult result = run_aggregate_traced(base_config(), trace);
-  EXPECT_EQ(trace.size(), base_config().rounds);
+  EXPECT_EQ(trace.counts.size(), base_config().rounds);
   EXPECT_EQ(result.convergence_opportunities,
-            chains::count_convergence_opportunities(trace,
+            chains::count_convergence_opportunities(trace.counts,
                                                     base_config().delta));
 }
 

@@ -139,19 +139,21 @@ TEST(Telemetry, ChromeTraceExportsParseableDocument) {
   std::ostringstream os;
   write_chrome_trace(os, events, snap);
   const support::JsonValue doc = support::parse_json(os.str());
-  const auto& trace_events = doc.at("traceEvents").as_array();
+  const auto& trace_events =
+      support::require_field(doc, "traceEvents", "").as_array();
   // One process_name metadata record, one "X" per scope, two instant
   // events (counters, phase totals).
   ASSERT_EQ(trace_events.size(), events.size() + 3);
   std::size_t metadata = 0;
   for (const support::JsonValue& event : trace_events) {
-    const std::string& ph = event.at("ph").as_string();
+    const std::string& ph =
+        support::require_field(event, "ph", "").as_string();
     EXPECT_TRUE(ph == "M" || ph == "X" || ph == "I") << ph;
     EXPECT_NE(event.find("name"), nullptr) << ph;
     if (ph == "M") ++metadata;
     if (ph != "X") continue;
     for (const char* key : {"ts", "dur"}) {
-      const double value = event.at(key).as_number();
+      const double value = support::require_field(event, key, "").as_number();
       EXPECT_TRUE(std::isfinite(value) && value >= 0.0)
           << key << " = " << value;
     }
@@ -188,7 +190,8 @@ TEST(Telemetry, ChromeTraceValidWithNoEvents) {
   std::ostringstream os;
   write_chrome_trace(os, {}, TelemetrySnapshot{});
   const support::JsonValue doc = support::parse_json(os.str());
-  EXPECT_EQ(doc.at("traceEvents").as_array().size(), 3u);
+  EXPECT_EQ(support::require_field(doc, "traceEvents", "").as_array().size(),
+            3u);
 }
 
 }  // namespace
