@@ -14,6 +14,7 @@
 #include "chains/suffix_chain.hpp"
 #include "markov/stationary.hpp"
 #include "net/delivery.hpp"
+#include "protocol/block_store.hpp"
 #include "scenario/registry.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/engine.hpp"
@@ -145,6 +146,92 @@ void BM_BroadcastDelays(benchmark::State& state) {
       static_cast<double>(runs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BroadcastDelays)->DenseRange(0, 3);
+
+/// A forked tree shaped like a longest-chain execution: each block
+/// extends the tip, or with probability 0.15 a block up to 5 below it.
+/// parents[i] is block i + 1's parent; hashes[i] is block i's hash.
+struct ForkedTree {
+  std::vector<protocol::BlockIndex> parents;
+  std::vector<protocol::HashValue> hashes{0};
+
+  explicit ForkedTree(std::size_t blocks) {
+    crng::Stream rng(crng::Key{5, 0}, 0, 0, crng::Purpose::kGeneric);
+    std::vector<std::uint32_t> height{0};
+    protocol::BlockIndex tip = protocol::kGenesisIndex;
+    for (std::size_t i = 0; i < blocks; ++i) {
+      protocol::BlockIndex parent = tip;
+      if (rng.bernoulli(0.15)) {
+        for (auto back = rng.uniform_below(6); back > 0 && parent != 0;
+             --back) {
+          parent = parents[parent - 1];
+        }
+      }
+      parents.push_back(parent);
+      hashes.push_back(mix64(i + 1));
+      height.push_back(height[parent] + 1);
+      if (height.back() > height[tip]) {
+        tip = static_cast<protocol::BlockIndex>(i + 1);
+      }
+    }
+  }
+
+  [[nodiscard]] protocol::Block block(std::size_t i) const {
+    protocol::Block b;
+    b.hash = hashes[i + 1];
+    b.parent = parents[i];
+    b.parent_hash = hashes[parents[i]];
+    b.round = i + 1;
+    return b;
+  }
+};
+
+/// BlockStore::add alone: a fresh store grows a 32k-block forked tree.
+void BM_BlockStoreAppend(benchmark::State& state) {
+  const ForkedTree tree(32768);
+  for (auto _ : state) {
+    protocol::BlockStore store;
+    for (std::size_t i = 0; i < tree.parents.size(); ++i) {
+      benchmark::DoNotOptimize(store.add(tree.block(i)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tree.parents.size()));
+}
+BENCHMARK(BM_BlockStoreAppend);
+
+/// BlockStore::common_ancestor on the pairs the consistency metrics ask
+/// about: two tips at one height whose fork point is 1–8 blocks below
+/// them, spread over a 16k-block trunk.
+void BM_CommonAncestor(benchmark::State& state) {
+  protocol::BlockStore store;
+  std::vector<protocol::BlockIndex> trunk{protocol::kGenesisIndex};
+  protocol::HashValue hash = 0;
+  const auto append = [&](protocol::BlockIndex parent) {
+    protocol::Block b;
+    b.hash = mix64(++hash);
+    b.parent = parent;
+    b.parent_hash = store.hash_of(parent);
+    return store.add(b);
+  };
+  for (int h = 1; h <= 16384; ++h) trunk.push_back(append(trunk.back()));
+  crng::Stream rng(crng::Key{6, 0}, 0, 0, crng::Purpose::kGeneric);
+  std::vector<std::pair<protocol::BlockIndex, protocol::BlockIndex>> pairs;
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t depth = 1 + rng.uniform_below(8);
+    const std::uint64_t fork = rng.uniform_below(trunk.size() - depth);
+    protocol::BlockIndex tip = trunk[fork];
+    for (std::uint64_t d = 0; d < depth; ++d) tip = append(tip);
+    pairs.emplace_back(tip, trunk[fork + depth]);
+  }
+  for (auto _ : state) {
+    for (const auto& [a, b] : pairs) {
+      benchmark::DoNotOptimize(store.common_ancestor(a, b));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_CommonAncestor);
 
 void BM_ConvergenceCounting(benchmark::State& state) {
   crng::Stream rng(crng::Key{3, 0}, 0, 0, crng::Purpose::kGeneric);

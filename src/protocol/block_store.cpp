@@ -1,6 +1,7 @@
 #include "protocol/block_store.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/invariant.hpp"
 #include "support/telemetry.hpp"
@@ -12,12 +13,13 @@ BlockStore::BlockStore() {
   parent_hash_.push_back(0);
   parent_.push_back(kGenesisIndex);
   height_.push_back(0);
+  jump_.push_back(kGenesisIndex);
   round_.push_back(0);
   nonce_.push_back(0);
   payload_digest_.push_back(0);
   miner_.push_back(0);
   miner_class_.push_back(MinerClass::kGenesis);
-  by_hash_.emplace(0, kGenesisIndex);
+  rehash_index(16);
 }
 
 Block BlockStore::block(BlockIndex index) const {
@@ -36,87 +38,88 @@ Block BlockStore::block(BlockIndex index) const {
 }
 
 // neatbound-analyze: allow(hot-alloc) — accepted allocation boundary:
-// add() is the append-only SoA growth point; every push_back amortizes
-// geometrically over blocks ever mined, and nothing downstream of it is
-// per-delivery work.  Keep new columns inside this function.
+// add() is the append-only SoA growth point; every push_back and index
+// rehash amortizes geometrically over blocks ever mined, and nothing
+// downstream of it is per-delivery work.  Keep new columns inside this
+// function.
 BlockIndex BlockStore::add(Block block) {
-  const auto parent_it = by_hash_.find(block.parent_hash);
-  NEATBOUND_EXPECTS(parent_it != by_hash_.end(),
-                    "parent block must exist before its child");
-  const BlockIndex parent = parent_it->second;
-  const std::uint32_t height = height_[parent] + 1;
+  const BlockIndex parent = block.parent;
+  NEATBOUND_EXPECTS(parent < hash_.size() && hash_[parent] == block.parent_hash,
+                    "parent index and parent hash must name a stored block");
   NEATBOUND_EXPECTS(block.round >= round_[parent],
                     "child round must not precede parent round");
   const auto index = static_cast<BlockIndex>(hash_.size());
-  // One hash lookup both rejects a duplicate and indexes the new block.
-  const bool fresh = by_hash_.try_emplace(block.hash, index).second;
-  NEATBOUND_EXPECTS(fresh, "duplicate block hash (oracle collision)");
+  NEATBOUND_EXPECTS(index != kEmptySlot, "block index space exhausted");
+  if (2 * (hash_.size() + 1) > slots_.size()) rehash_index(2 * slots_.size());
+  // One probe both rejects a duplicate and finds the new block's slot.
+  Slot& slot = slots_[find_slot(block.hash)];
+  NEATBOUND_EXPECTS(slot.index == kEmptySlot,
+                    "duplicate block hash (oracle collision)");
+  slot = {block.hash, index};
 
+  const BlockIndex pj = jump_[parent];
+  const bool equal_spans =
+      height_[parent] - height_[pj] == height_[pj] - height_[jump_[pj]];
   hash_.push_back(block.hash);
   parent_hash_.push_back(block.parent_hash);
   parent_.push_back(parent);
-  height_.push_back(height);
+  height_.push_back(height_[parent] + 1);
+  jump_.push_back(equal_spans ? jump_[pj] : parent);
   round_.push_back(block.round);
   nonce_.push_back(block.nonce);
   payload_digest_.push_back(block.payload_digest);
   miner_.push_back(block.miner);
   miner_class_.push_back(block.miner_class);
 
-  // Extend the skip table: row k holds the 2^(k+1)-th ancestor, computed
-  // as the 2^k-th ancestor of the 2^k-th ancestor.  Rows the new block is
-  // too shallow for get a genesis pad so every row stays index-aligned;
-  // a row created here is backfilled with genesis, correct because every
-  // earlier block is shallower than 2^(k+1).
-  BlockIndex half_step = parent;  // the 2^k-th ancestor, k starting at 0
-  const std::size_t needed_rows = [&] {
-    std::size_t rows = 0;
-    while ((std::uint64_t{2} << rows) <= height) ++rows;
-    return rows;
-  }();
-  if (skip_.size() < needed_rows) {
-    NEATBOUND_COUNT(kSkipRowsBuilt);
-    skip_.emplace_back(index, kGenesisIndex);
-    NEATBOUND_ENSURES(skip_.size() == needed_rows,
-                      "heights grow by one, so rows appear one at a time");
-  }
-  for (unsigned k = 1; k <= skip_.size(); ++k) {
-    const bool real = (std::uint64_t{1} << k) <= height;
-    const BlockIndex anc = real ? lift(half_step, k - 1) : kGenesisIndex;
-    skip_[k - 1].push_back(anc);
-    half_step = anc;
-  }
-
-  // Column-length lockstep: every SoA column (and every skip row) must
-  // cover exactly the blocks appended so far — a short column would turn
-  // the next *_of read into a silent out-of-bounds.
+  // Column-length lockstep: every SoA column must cover exactly the
+  // blocks appended so far — a short column would turn the next *_of
+  // read into a silent out-of-bounds.
   NEATBOUND_INVARIANT(
       parent_hash_.size() == hash_.size() && parent_.size() == hash_.size() &&
-          height_.size() == hash_.size() && round_.size() == hash_.size() &&
-          nonce_.size() == hash_.size() &&
+          height_.size() == hash_.size() && jump_.size() == hash_.size() &&
+          round_.size() == hash_.size() && nonce_.size() == hash_.size() &&
           payload_digest_.size() == hash_.size() &&
           miner_.size() == hash_.size() &&
-          miner_class_.size() == hash_.size() &&
-          by_hash_.size() == hash_.size(),
+          miner_class_.size() == hash_.size(),
       "SoA columns out of lockstep after add()");
-  NEATBOUND_INVARIANT(
-      std::all_of(skip_.begin(), skip_.end(),
-                  [&](const std::vector<BlockIndex>& row) {
-                    return row.size() == hash_.size();
-                  }),
-      "skip-table row not index-aligned with the SoA columns");
+  NEATBOUND_INVARIANT(2 * hash_.size() <= slots_.size(),
+                      "hash index more than half full");
   NEATBOUND_INVARIANT(height_[index] == height_[parent] + 1,
                       "child height must be parent height + 1");
+  NEATBOUND_INVARIANT(height_[jump_[index]] < height_[index],
+                      "jump must land strictly above the block");
   return index;
 }
 
+std::size_t BlockStore::find_slot(HashValue hash) const noexcept {
+  // Fibonacci hashing: the top bits of hash · 2⁶⁴/φ spread sequential
+  // hashes as well as oracle outputs.  The table is at most half full,
+  // so the probe always meets a free slot.
+  const std::size_t mask = slots_.size() - 1;
+  auto i = static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >>
+                                    slot_shift_);
+  while (slots_[i].index != kEmptySlot && slots_[i].hash != hash) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void BlockStore::rehash_index(std::size_t capacity) {
+  slots_.assign(capacity, Slot{});
+  slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (std::size_t i = 0; i < hash_.size(); ++i) {
+    slots_[find_slot(hash_[i])] = {hash_[i], static_cast<BlockIndex>(i)};
+  }
+}
+
 bool BlockStore::contains_hash(HashValue hash) const noexcept {
-  return by_hash_.find(hash) != by_hash_.end();
+  return slots_[find_slot(hash)].index != kEmptySlot;
 }
 
 BlockIndex BlockStore::index_of(HashValue hash) const {
-  const auto it = by_hash_.find(hash);
-  NEATBOUND_EXPECTS(it != by_hash_.end(), "unknown block hash");
-  return it->second;
+  const Slot& slot = slots_[find_slot(hash)];
+  NEATBOUND_EXPECTS(slot.index != kEmptySlot, "unknown block hash");
+  return slot.index;
 }
 
 BlockIndex BlockStore::ancestor(BlockIndex index, std::uint64_t steps) const {
@@ -131,9 +134,10 @@ BlockIndex BlockStore::ancestor_at_height(BlockIndex index,
   check_index(index);
   NEATBOUND_EXPECTS(target_height <= height_[index],
                     "target height above the block");
-  std::uint64_t diff = height_[index] - target_height;
-  for (unsigned k = 0; diff != 0; ++k, diff >>= 1) {
-    if (diff & 1) index = lift(index, k);
+  // Take the jump unless it overshoots the target, else the parent link.
+  while (height_[index] > target_height) {
+    const BlockIndex jump = jump_[index];
+    index = height_[jump] >= target_height ? jump : parent_[index];
   }
   return index;
 }
@@ -142,22 +146,21 @@ BlockIndex BlockStore::common_ancestor(BlockIndex a, BlockIndex b) const {
   NEATBOUND_COUNT(kAncestryQueries);
   check_index(a);
   check_index(b);
-  // Equalize heights with skip jumps, then binary-search the fork point.
+  // Equalize heights, then climb in lockstep.  At equal heights both
+  // jumps land at one height: unequal jumps are both below the fork
+  // point, so take them; equal ones may overshoot it, so take the parents.
   if (height_[a] > height_[b]) a = ancestor_at_height(a, height_[b]);
   if (height_[b] > height_[a]) b = ancestor_at_height(b, height_[a]);
-  if (a == b) return a;
-  for (unsigned k = static_cast<unsigned>(skip_.size()) + 1; k-- > 0;) {
-    // Equal lifts mean the common ancestor is at or above that level —
-    // don't jump; unequal lifts are both strictly below it — jump.
-    // (Genesis-padded entries compare equal, so overshoots never jump.)
-    const BlockIndex la = lift(a, k);
-    const BlockIndex lb = lift(b, k);
-    if (la != lb) {
-      a = la;
-      b = lb;
+  while (a != b) {
+    if (jump_[a] != jump_[b]) {
+      a = jump_[a];
+      b = jump_[b];
+    } else {
+      a = parent_[a];
+      b = parent_[b];
     }
   }
-  return parent_[a];
+  return a;
 }
 
 std::uint64_t BlockStore::common_prefix_height(BlockIndex a,

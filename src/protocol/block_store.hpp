@@ -9,16 +9,17 @@
 // parallel vector, indexed by BlockIndex.  The simulation hot path
 // (T×n oracle queries, ancestry walks in the consistency metrics) touches
 // only one or two fields per block, so SoA keeps those reads dense in
-// cache instead of striding over whole Block records.  A binary-lifting
-// skip-pointer table (skip_[k][i] = the 2^(k+1)-th ancestor of i) makes
-// ancestor() / common_ancestor() O(log h) pointer hops instead of O(h)
-// parent walks.  The `Block` struct survives as the value type used to
-// *assemble* a block (mining) and as the materialized record `block()`
-// returns for cold paths (tests, validation, demos).
+// cache instead of striding over whole Block records.  One jump-pointer
+// column (Myers' skew-binary scheme, "An applicative random-access
+// stack", IPL 1983) makes ancestor() / common_ancestor() O(log h) hops
+// instead of O(h) parent walks, and costs one O(1) entry per append.  A
+// flat open-addressed table indexes the hashes.  The `Block` struct
+// survives as the value type used to *assemble* a block (mining) and as
+// the materialized record `block()` returns for cold paths (tests,
+// validation, demos).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "protocol/block.hpp"
@@ -78,21 +79,22 @@ class BlockStore {
     return miner_class_[index];
   }
 
-  /// Appends a block whose parent must already exist; fills in height and
-  /// parent index, and indexes the hash.  Returns the new block's index.
-  /// Duplicate hashes are a contract violation (the oracle is collision-
-  /// free at the scales simulated).
+  /// Appends a block under `block.parent`, which must be a stored block
+  /// whose hash is `block.parent_hash`; fills in the height, extends the
+  /// jump column and indexes the hash, all in O(1) amortized.  Returns
+  /// the new block's index.  Duplicate hashes are a contract violation
+  /// (the oracle is collision-free at the scales simulated).
   BlockIndex add(Block block);
 
-  /// Looks up a block by hash; returns nullptr-like sentinel via found flag.
+  /// Looks up a block by hash.
   [[nodiscard]] bool contains_hash(HashValue hash) const noexcept;
   [[nodiscard]] BlockIndex index_of(HashValue hash) const;
 
   /// Walks up from `index` by `steps` parent links, *clamping at genesis*:
   /// when `steps` meets or exceeds the block's height the walk bottoms out
   /// and genesis is returned (never an underflow or an error).  In
-  /// particular ancestor(genesis, k) == genesis for every k.  O(log steps)
-  /// via the skip table.
+  /// particular ancestor(genesis, k) == genesis for every k.  O(log h)
+  /// via the jump column.
   [[nodiscard]] NEATBOUND_HOT BlockIndex ancestor(BlockIndex index,
                                                   std::uint64_t steps) const;
 
@@ -122,28 +124,37 @@ class BlockStore {
   void check_index(BlockIndex index) const {
     NEATBOUND_EXPECTS(index < hash_.size(), "block index out of range");
   }
-  /// The 2^k-th ancestor of `index` (k = 0 is the parent link).  Reads a
-  /// genesis pad entry when 2^k exceeds the block's height.
-  [[nodiscard]] BlockIndex lift(BlockIndex index, unsigned level) const {
-    return level == 0 ? parent_[index] : skip_[level - 1][index];
-  }
+  static constexpr BlockIndex kEmptySlot = ~BlockIndex{0};
+  /// One entry of the hash index; `index == kEmptySlot` marks a free slot.
+  struct Slot {
+    HashValue hash = 0;
+    BlockIndex index = kEmptySlot;
+  };
+
+  /// The slot holding `hash`, or the free slot where probing for it ends.
+  [[nodiscard]] std::size_t find_slot(HashValue hash) const noexcept;
+  /// Rebuilds the hash index at `capacity` slots (a power of two) from
+  /// the hash column.
+  void rehash_index(std::size_t capacity);
 
   // SoA columns, all indexed by BlockIndex and equal in length.
   std::vector<HashValue> hash_;
   std::vector<HashValue> parent_hash_;
   std::vector<BlockIndex> parent_;
   std::vector<std::uint32_t> height_;  ///< ≤ size() − 1, fits 32 bits
+  /// jump_[i] is a proper ancestor of i (genesis for genesis) at a height
+  /// fixed by i's height alone: from parent p it is jump_[jump_[p]] when
+  /// p's two jumps span equal heights, else p.  Every height is then
+  /// reached in O(log h) hops along jumps and parent links.
+  std::vector<BlockIndex> jump_;
   std::vector<std::uint64_t> round_;
   std::vector<std::uint64_t> nonce_;
   std::vector<std::uint64_t> payload_digest_;
   std::vector<std::uint32_t> miner_;
   std::vector<MinerClass> miner_class_;
-  /// skip_[k][i] = 2^(k+1)-th ancestor of i, genesis-padded when the
-  /// block is too shallow.  Row k is created lazily when the first block
-  /// of height ≥ 2^(k+1) is added (at which point every earlier block is
-  /// shallower, so the backfill is all-genesis by construction).
-  std::vector<std::vector<BlockIndex>> skip_;
-  std::unordered_map<HashValue, BlockIndex> by_hash_;
+  /// Linear-probing hash index: power-of-two capacity, at most half full.
+  std::vector<Slot> slots_;
+  unsigned slot_shift_ = 0;  ///< 64 − log2(capacity), for Fibonacci hashing
 };
 
 }  // namespace neatbound::protocol

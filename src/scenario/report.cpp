@@ -45,9 +45,11 @@ double stat_aggregate(const stats::RunningStats& stat,
 }
 
 /// Expands a section-label template; without a `context` (a syntax
-/// check) every hole reads 0.
+/// check) every hole reads 0.  Appends each hole's name to `holes` when
+/// given.
 std::string expand_label(const std::string& label_template,
-                         const CellContext* context) {
+                         const CellContext* context,
+                         std::vector<std::string>* holes = nullptr) {
   std::string out;
   for (std::size_t i = 0; i < label_template.size();) {
     const char c = label_template[i];
@@ -88,6 +90,7 @@ std::string expand_label(const std::string& label_template,
       decimals = std::stoi(digits);
       hole = hole.substr(0, colon);
     }
+    if (holes != nullptr) holes->push_back(hole);
     out += format_fixed(context ? context->value(hole) : 0.0, decimals);
     i = close + 1;
   }
@@ -139,8 +142,13 @@ double CellContext::value(const std::string& name) const {
   if (name == "seeds") return static_cast<double>(cell_.config.seeds);
 
   if (name == "bound" || name == "c" || name == "multiple") {
-    const double bound = bounds::neat_bound_c(engine.adversary_fraction);
-    if (name == "bound") return bound;
+    // The neat bound is defined for nu in (0, 1/2) only, so it is computed
+    // only where the value needs it; parse_scenario refuses a spec whose
+    // "bound" or "multiple" would meet any other nu.
+    const auto bound = [&] {
+      return bounds::neat_bound_c(engine.adversary_fraction);
+    };
+    if (name == "bound") return bound();
     double c;
     if (spec_.hardness_mode == "neat-bound-multiple") {
       // Recompute exactly as the config builder did, so "c" rows print
@@ -149,7 +157,7 @@ double CellContext::value(const std::string& name) const {
                                   ? cell_.point.value("multiple")
                                   : spec_.hardness_multiple;
       if (name == "multiple") return multiple;
-      c = bound * multiple;
+      c = bound() * multiple;
     } else if (spec_.hardness_mode == "c") {
       c = spec_.has_axis("c") ? cell_.point.value("c") : spec_.hardness_c;
     } else {
@@ -157,7 +165,7 @@ double CellContext::value(const std::string& name) const {
       c = 1.0 / (engine.p * static_cast<double>(engine.miner_count) *
                  static_cast<double>(engine.delta));
     }
-    return name == "c" ? c : c / bound;
+    return name == "c" ? c : c / bound();
   }
 
   for (const AxisSpec& axis : spec_.axes) {
@@ -175,8 +183,11 @@ std::string format_label(const std::string& label_template,
   return expand_label(label_template, &context);
 }
 
-void check_section_label(const std::string& label_template) {
-  (void)expand_label(label_template, nullptr);
+std::vector<std::string> section_label_holes(
+    const std::string& label_template) {
+  std::vector<std::string> holes;
+  (void)expand_label(label_template, nullptr, &holes);
+  return holes;
 }
 
 std::vector<ColumnSpec> default_columns(const ScenarioSpec& spec) {

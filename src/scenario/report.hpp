@@ -58,8 +58,10 @@ class CellContext {
                                        const CellContext& context);
 
 /// Checks a template's syntax and hole precisions without resolving a
-/// value, so parse_scenario refuses a bad label before any engine run.
-void check_section_label(const std::string& label_template);
+/// value, so parse_scenario refuses a bad label before any engine run;
+/// returns the hole names in template order.
+[[nodiscard]] std::vector<std::string> section_label_holes(
+    const std::string& label_template);
 
 /// The columns a report without an explicit "columns" list gets: every
 /// axis, then the core consistency/quality statistics.  When the spec

@@ -33,6 +33,7 @@ void apply_overrides(ScenarioSpec& spec, const SpecOverrides& overrides) {
   }
   if (overrides.base_seed) spec.base_seed = *overrides.base_seed;
   if (overrides.violation_t) spec.violation_t = *overrides.violation_t;
+  check_neat_bound_domain(spec);
 }
 
 exp::SweepGrid build_grid(const ScenarioSpec& spec) {

@@ -1,5 +1,6 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "scenario/report.hpp"
@@ -176,7 +177,7 @@ ReportSpec parse_report(const JsonValue& report) {
   out.section_label = field("section_label", &JsonValue::as_string, "");
   // A bad hole fails here, before any engine run, not at the first
   // rendered section.
-  check_section_label(out.section_label);
+  (void)section_label_holes(out.section_label);
   const JsonValue::Array columns =
       field("columns", &JsonValue::as_array, JsonValue::Array{});
   for (std::size_t i = 0; i < columns.size(); ++i) {
@@ -238,6 +239,40 @@ ComponentSpec parse_component(const JsonValue& object, const char* selector,
   }
   component.params = Params::from_object(object, {selector}, where);
   return component;
+}
+
+void check_neat_bound_domain(const ScenarioSpec& spec) {
+  std::vector<double> nus{spec.nu};
+  for (const AxisSpec& axis : spec.axes) {
+    if (axis.name == "nu") nus = axis.values;
+  }
+  const auto bad = std::find_if(nus.begin(), nus.end(), [](double nu) {
+    return !(nu > 0.0 && nu < 0.5);
+  });
+  if (bad == nus.end()) return;
+  const auto fail = [&](const std::string& where, const std::string& what) {
+    throw std::runtime_error(where + ": " + what +
+                             " needs nu in (0, 1/2), have nu = " +
+                             support::exact_double_repr(*bad));
+  };
+  const auto needs_bound = [](const std::string& value) {
+    return value == "bound" || value == "multiple";
+  };
+  if (spec.hardness_mode == "neat-bound-multiple") {
+    fail("hardness", "mode \"neat-bound-multiple\"");
+  }
+  for (std::size_t i = 0; i < spec.report.columns.size(); ++i) {
+    const std::string& value = spec.report.columns[i].value;
+    if (needs_bound(value)) {
+      fail(json_path("report.columns", i), "value \"" + value + "\"");
+    }
+  }
+  for (const std::string& hole :
+       section_label_holes(spec.report.section_label)) {
+    if (needs_bound(hole)) {
+      fail("report.section_label", "hole \"{" + hole + "}\"");
+    }
+  }
 }
 
 ScenarioSpec parse_scenario(const JsonValue& document) {
@@ -325,6 +360,8 @@ ScenarioSpec parse_scenario(const JsonValue& document) {
                                spec.report.section_by + "\" is not an axis");
     }
   }
+
+  check_neat_bound_domain(spec);
 
   if (const JsonValue* meta = document.find("meta")) {
     for (const auto& member :

@@ -171,4 +171,12 @@ struct ScenarioSpec {
                                             const std::string& where);
 [[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
 
+/// Refuses a spec that would evaluate neat_bound_c (defined for nu in
+/// (0, 1/2) only) at any other nu: the hardness mode
+/// "neat-bound-multiple", or a report value or section-label hole
+/// "bound" or "multiple".  The error names the field, so the spec fails
+/// when it loads (parse_scenario, apply_overrides) instead of after the
+/// sweep.
+void check_neat_bound_domain(const ScenarioSpec& spec);
+
 }  // namespace neatbound::scenario

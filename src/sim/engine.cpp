@@ -168,6 +168,7 @@ class ExecutionEngine::Ops final : public AdversaryOps {
     protocol::Block block = protocol::assemble_block(
         engine_.oracle_, engine_.store_.hash_of(parent),
         /*payload_digest=*/draws[1], /*nonce=*/draws[0]);
+    block.parent = parent;
     block.round = round_;
     block.miner_class = protocol::MinerClass::kAdversary;
     block.miner = engine_.honest_count_;  // corrupted ids share one bucket
@@ -534,11 +535,12 @@ void ExecutionEngine::honest_mining_phase(std::uint64_t round) {
     const auto m = static_cast<std::uint32_t>(honest_gaps_.take() - base);
     const crng::Block draws = crng::philox4x64(
         {round, m, purpose_of(crng::Purpose::kHonestBlock), 0}, key_);
-    register_honest_block(
-        round, m,
-        protocol::assemble_block(oracle_, store_.hash_of(tips_scratch_[m]),
-                                 /*payload_digest=*/draws[1],
-                                 /*nonce=*/draws[0]));
+    const protocol::BlockIndex parent = tips_scratch_[m];
+    protocol::Block block = protocol::assemble_block(
+        oracle_, store_.hash_of(parent), /*payload_digest=*/draws[1],
+        /*nonce=*/draws[0]);
+    block.parent = parent;
+    register_honest_block(round, m, std::move(block));
   }
   // neatbound-analyze: allow(hot-alloc) — one amortized append per round
   // into the result metric; geometric growth, not per-miner work.

@@ -20,7 +20,7 @@
 // zero oracle instructions.  When armed, per round with an adoption:
 // common-prefix is an O(n·d) distinct-tip scan over the n honest views
 // plus O(d² log h) for d distinct tips (d is almost always 1–3; each
-// pair is one binary-lifting common_ancestor query), and chain-quality
+// pair is one jump-pointer common_ancestor query), and chain-quality
 // is one O(K) parent walk.  Tips move only by adoption, so a round
 // without one (every quiet round, most rounds of a sparse run) repeats
 // the previous verdicts and skips both passes.  Chain-growth is O(1)

@@ -50,9 +50,12 @@ void TablePrinter::print(std::ostream& os) const {
 
 namespace {
 std::string format_with(const char* spec, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), spec, v);
-  return buf;
+  // Sized from snprintf's count: %f of a large value runs to hundreds of
+  // digits.
+  const int n = std::snprintf(nullptr, 0, spec, v);
+  std::string out(static_cast<std::size_t>(std::max(n, 0)), '\0');
+  std::snprintf(out.data(), out.size() + 1, spec, v);
+  return out;
 }
 }  // namespace
 

@@ -12,10 +12,9 @@ constexpr const char* kCounterNames[] = {
     "orphans_buffered",     "orphans_activated",
     "adoptions",            "reorgs",
     "calendar_scheduled",   "calendar_grows",
-    "ancestry_queries",     "skip_rows_built",
-    "quiet_rounds_skipped", "class_splits",
-    "class_merges",         "class_deliveries",
-    "calendar_runs_drained",
+    "ancestry_queries",     "quiet_rounds_skipped",
+    "class_splits",         "class_merges",
+    "class_deliveries",     "calendar_runs_drained",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
                   kCounterCount,

@@ -56,8 +56,7 @@ enum class Counter : std::uint8_t {
   kReorgs,                 ///< adoptions that abandoned >= 1 block
   kCalendarScheduled,      ///< calendar entries (runs) created
   kCalendarGrows,          ///< calendar ring re-bucketings
-  kAncestryQueries,        ///< BlockStore skip-table ancestry lookups
-  kSkipRowsBuilt,          ///< binary-lifting rows added to the store
+  kAncestryQueries,        ///< BlockStore jump-column ancestry lookups
   kQuietRoundsSkipped,     ///< rounds committed by the quiet fast path
   kClassSplits,            ///< view classes split off by a partial delivery
   kClassMerges,            ///< view-class pairs merged into one

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "protocol/mining.hpp"
 #include "protocol/validation.hpp"
 #include "support/contracts.hpp"
@@ -16,6 +18,7 @@ BlockIndex append(BlockStore& store, BlockIndex parent, HashValue hash,
                   MinerClass who = MinerClass::kHonest) {
   Block b;
   b.hash = hash;
+  b.parent = parent;
   b.parent_hash = store.block(parent).hash;
   b.round = round;
   b.miner_class = who;
@@ -40,18 +43,66 @@ TEST(BlockStore, AddFillsHeightAndParentIndex) {
   EXPECT_EQ(store.index_of(200), b);
 }
 
-TEST(BlockStore, RejectsUnknownParent) {
+TEST(BlockStore, RejectsParentIndexOutOfRange) {
   BlockStore store;
+  const BlockIndex a = append(store, kGenesisIndex, 100);
   Block orphan;
   orphan.hash = 5;
-  orphan.parent_hash = 999;  // never added
+  orphan.parent = a + 1;  // never added
+  orphan.parent_hash = 100;
   EXPECT_THROW((void)store.add(std::move(orphan)), ContractViolation);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(store.contains_hash(5));
+}
+
+TEST(BlockStore, RejectsParentHashMismatch) {
+  BlockStore store;
+  const BlockIndex a = append(store, kGenesisIndex, 100);
+  append(store, kGenesisIndex, 200);
+  Block child;
+  child.hash = 5;
+  child.parent = a;
+  child.parent_hash = 200;  // a stored hash, but not the parent's
+  EXPECT_THROW((void)store.add(std::move(child)), ContractViolation);
+  Block orphan;
+  orphan.hash = 6;
+  orphan.parent_hash = 999;  // never added; parent defaults to genesis
+  EXPECT_THROW((void)store.add(std::move(orphan)), ContractViolation);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_FALSE(store.contains_hash(5));
+  EXPECT_FALSE(store.contains_hash(6));
 }
 
 TEST(BlockStore, RejectsDuplicateHash) {
   BlockStore store;
-  append(store, kGenesisIndex, 100);
+  const BlockIndex a = append(store, kGenesisIndex, 100);
   EXPECT_THROW(append(store, kGenesisIndex, 100), ContractViolation);
+  EXPECT_THROW(append(store, a, 100), ContractViolation);
+  EXPECT_THROW(append(store, a, 0), ContractViolation);  // genesis' hash
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.index_of(100), a);
+}
+
+TEST(BlockStore, HashIndexSurvivesGrowth) {
+  // Hashes that share their low bits, their high bits, or neither, so
+  // every growth step of the index rehashes clustered keys.
+  BlockStore store;
+  std::vector<HashValue> hashes;
+  for (std::uint64_t i = 1; i <= 3000; ++i) {
+    hashes.push_back(i << 40);
+    hashes.push_back(i);
+    hashes.push_back(mix64(i));
+  }
+  BlockIndex tip = kGenesisIndex;
+  for (const HashValue h : hashes) tip = append(store, tip, h);
+  ASSERT_EQ(store.size(), hashes.size() + 1);
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    ASSERT_EQ(store.index_of(hashes[i]), static_cast<BlockIndex>(i + 1));
+  }
+  EXPECT_EQ(store.index_of(0), kGenesisIndex);
+  EXPECT_FALSE(store.contains_hash(std::uint64_t{3001} << 40));
+  EXPECT_FALSE(store.contains_hash(mix64(3001)));
+  EXPECT_THROW((void)store.index_of(3001), ContractViolation);
 }
 
 TEST(BlockStore, RejectsRoundRegression) {
@@ -59,6 +110,7 @@ TEST(BlockStore, RejectsRoundRegression) {
   const BlockIndex a = append(store, kGenesisIndex, 100, /*round=*/5);
   Block child;
   child.hash = 101;
+  child.parent = a;
   child.parent_hash = store.block(a).hash;
   child.round = 3;  // precedes parent
   EXPECT_THROW((void)store.add(std::move(child)), ContractViolation);
@@ -124,6 +176,7 @@ TEST(Validation, AcceptsHonestlyMinedChain) {
     Block mined = assemble_block(oracle, store.block(tip).hash,
                                  /*payload_digest=*/mix64(round),
                                  /*nonce=*/mix64(round + 100));
+    mined.parent = tip;
     mined.round = round;
     tip = store.add(std::move(mined));
   }

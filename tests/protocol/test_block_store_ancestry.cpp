@@ -1,11 +1,13 @@
-// Property tests for the skip-pointer ancestry queries: on randomly grown
-// trees of several shapes, ancestor()/common_ancestor()/is_ancestor()
-// must agree with the naive O(h) parent-walk implementations they
-// replaced, and the documented genesis clamp of ancestor() must hold.
+// Property tests for the jump-column ancestry queries: on randomly grown
+// trees of several shapes, and on a deep trunk whose forks straddle
+// height 2^16, ancestor()/common_ancestor()/is_ancestor() must agree
+// with the naive O(h) parent-walk implementations they replaced, and the
+// documented genesis clamp of ancestor() must hold.
 #include "protocol/block_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -18,12 +20,13 @@ namespace {
 BlockIndex append(BlockStore& store, BlockIndex parent, HashValue hash) {
   Block b;
   b.hash = hash;
+  b.parent = parent;
   b.parent_hash = store.hash_of(parent);
   b.round = store.round_of(parent) + 1;
   return store.add(std::move(b));
 }
 
-// --- naive reference implementations (pre-skip-table semantics) ---------
+// --- naive reference implementations (plain parent walks) --------------
 
 BlockIndex naive_ancestor(const BlockStore& store, BlockIndex index,
                           std::uint64_t steps) {
@@ -137,6 +140,86 @@ TEST(BlockStoreAncestry, AncestorAtHeightWalksToExactHeight) {
   }
   EXPECT_THROW((void)store.ancestor_at_height(kGenesisIndex, 1),
                ContractViolation);
+}
+
+TEST(BlockStoreAncestry, MatchesNaiveOnDeepForks) {
+  // A 70,000-block trunk (crossing 2^16) with branches of depth 1, 7, 8,
+  // 1,000 and 20,000 forking at heights 65,535, 65,536 and the tip.
+  constexpr std::uint64_t kTrunk = 70'000;
+  BlockStore store;
+  HashValue next_hash = 1;
+  std::vector<BlockIndex> trunk{kGenesisIndex};  // trunk[h] has height h
+  for (std::uint64_t h = 1; h <= kTrunk; ++h) {
+    trunk.push_back(append(store, trunk.back(), next_hash++));
+  }
+  struct Branch {
+    std::uint64_t fork_height;
+    std::uint64_t depth;
+    BlockIndex tip;
+  };
+  std::vector<Branch> branches;
+  for (const std::uint64_t fork : {std::uint64_t{65'535},
+                                   std::uint64_t{65'536}, kTrunk}) {
+    for (const std::uint64_t depth : {1, 7, 8, 1'000, 20'000}) {
+      BlockIndex tip = trunk[fork];
+      for (std::uint64_t i = 0; i < depth; ++i) {
+        tip = append(store, tip, next_hash++);
+      }
+      branches.push_back({fork, depth, tip});
+    }
+  }
+
+  // Every pair of tips (branches and the trunk's), against the naive walk
+  // and against the fork heights the tree was built with.
+  std::vector<BlockIndex> tips{trunk.back()};
+  for (const Branch& br : branches) tips.push_back(br.tip);
+  for (std::size_t i = 0; i < tips.size(); ++i) {
+    for (std::size_t j = 0; j < tips.size(); ++j) {
+      ASSERT_EQ(store.common_ancestor(tips[i], tips[j]),
+                naive_common_ancestor(store, tips[i], tips[j]))
+          << "tips " << i << ", " << j;
+    }
+  }
+  crng::Stream rng({23, 0}, 0, 0, crng::Purpose::kGeneric);
+  for (const Branch& br : branches) {
+    ASSERT_EQ(store.height_of(br.tip), br.fork_height + br.depth);
+    // The branch's own blocks against trunk blocks above and below the
+    // fork, and the walks that cross the fork point.
+    for (std::uint64_t d : {std::uint64_t{0}, br.depth / 2, br.depth - 1}) {
+      const BlockIndex on_branch = store.ancestor(br.tip, d);
+      for (const std::uint64_t h :
+           {br.fork_height - 1, br.fork_height,
+            std::min(kTrunk, br.fork_height + 1), kTrunk,
+            std::uint64_t{65'534}, rng.uniform_below(kTrunk + 1)}) {
+        const BlockIndex expected =
+            naive_common_ancestor(store, on_branch, trunk[h]);
+        ASSERT_EQ(store.common_ancestor(on_branch, trunk[h]), expected);
+        ASSERT_EQ(expected, trunk[std::min(h, br.fork_height)]);
+        ASSERT_EQ(store.is_ancestor(trunk[h], on_branch),
+                  h <= br.fork_height);
+      }
+    }
+    // The last two cross back to heights 2^16 and 2^16 − 1.
+    for (const std::uint64_t steps :
+         {br.depth - 1, br.depth, br.depth + 1,
+          br.depth + br.fork_height - 65'536,
+          br.depth + br.fork_height - 65'535,
+          rng.uniform_below(kTrunk + 2 * br.depth)}) {
+      ASSERT_EQ(store.ancestor(br.tip, steps),
+                naive_ancestor(store, br.tip, steps))
+          << "fork " << br.fork_height << " depth " << br.depth
+          << " steps " << steps;
+    }
+  }
+  // Trunk walks from the tip to every height near 2^16 and to random ones.
+  for (std::uint64_t h = 65'530; h <= 65'540; ++h) {
+    ASSERT_EQ(store.ancestor_at_height(trunk.back(), h), trunk[h]);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t from = 1 + rng.uniform_below(kTrunk);
+    const std::uint64_t to = rng.uniform_below(from + 1);
+    ASSERT_EQ(store.ancestor_at_height(trunk[from], to), trunk[to]);
+  }
 }
 
 // --- the documented genesis clamp (regression for the header contract) --

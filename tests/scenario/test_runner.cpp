@@ -387,6 +387,48 @@ TEST(ScenarioRunner, InvalidEngineParametersFailFast) {
   }
 }
 
+TEST(ScenarioRunner, HardnessColumnCRendersAtNuZero) {
+  // "c" needs no neat bound under fixed or c hardness, so nu = 0 renders.
+  // At p = 1e-300, c = 1/(p·n·Δ) ≈ 2.5e299 prints all of its 300
+  // integer digits.
+  const ScenarioSpec fixed = parse_scenario(
+      R"({"name": "x", "engine": {"miners": 4, "nu": 0, "delta": 1,
+          "rounds": 10, "p": 1e-300}, "seeds": 1,
+          "report": {"columns": [{"value": "c", "decimals": 2}]}})");
+  RecordingSink sink;
+  render_report(
+      fixed, run_scenario(fixed, ScenarioRegistry::builtin(), with_threads(1)),
+      sink);
+  const std::string cell = sink.sections.at(0).rows.at(0).at(0);
+  EXPECT_EQ(cell.size(), 303u) << cell;
+  EXPECT_EQ(cell.rfind("2499999", 0), 0u) << cell;
+  EXPECT_EQ(cell.substr(300), ".00");
+
+  const ScenarioSpec c_mode = parse_scenario(
+      R"({"name": "x", "engine": {"miners": 4, "nu": 0, "delta": 1,
+          "rounds": 10}, "hardness": {"mode": "c", "c": 2}, "seeds": 1,
+          "report": {"columns": [{"value": "c", "decimals": 1}]}})");
+  RecordingSink c_sink;
+  render_report(
+      c_mode,
+      run_scenario(c_mode, ScenarioRegistry::builtin(), with_threads(1)),
+      c_sink);
+  EXPECT_EQ(c_sink.sections.at(0).rows.at(0).at(0), "2.0");
+}
+
+TEST(ScenarioRunner, NuOverrideMeetsTheNeatBoundCheck) {
+  ScenarioSpec spec = parse_scenario(kMiniSweep);
+  spec.axes.erase(spec.axes.begin());  // drop the nu axis
+  SpecOverrides overrides;
+  overrides.nu = 0.0;
+  try {
+    apply_overrides(spec, overrides);
+    ADD_FAILURE() << "nu = 0 accepted under neat-bound-multiple";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("hardness: ", 0), 0u) << e.what();
+  }
+}
+
 TEST(ScenarioRunner, UnknownComponentFailsBeforeRunning) {
   const ScenarioSpec spec = parse_scenario(
       R"({"name": "x", "engine": {"miners": 8, "nu": 0.2, "delta": 2,

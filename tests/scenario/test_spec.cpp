@@ -212,6 +212,46 @@ TEST(Spec, CapsReportPrecisionAtLoad) {
   }
 }
 
+TEST(Spec, RefusesNeatBoundValuesOutsideItsDomain) {
+  // neat_bound_c needs nu in (0, 1/2).  At nu = 0 the hardness-derived
+  // "c" is still defined (fixed or c hardness), but "bound", "multiple"
+  // and the neat-bound-multiple hardness are not: refuse those at load,
+  // naming the field, rather than after the sweep.
+  const auto spec = [](const std::string& nu, const std::string& rest) {
+    return R"({"name": "x", "engine": {"nu": )" + nu + "}" + rest + "}";
+  };
+  const auto columns = [](const std::string& value) {
+    return R"(, "report": {"columns": [{"value": "nu"}, {"value": ")" +
+           value + R"("}]})";
+  };
+  EXPECT_EQ(parse_scenario(spec("0", columns("c"))).report.columns[1].value,
+            "c");
+  (void)parse_scenario(spec("0", R"(, "hardness": {"mode": "c", "c": 2})" +
+                                     columns("c")));
+  (void)parse_scenario(spec("0.2", columns("bound")));
+  EXPECT_EQ(spec_error(spec("0", columns("bound"))),
+            "report.columns[1]: value \"bound\" needs nu in (0, 1/2), "
+            "have nu = 0");
+  EXPECT_EQ(spec_error(spec("0", columns("multiple"))),
+            "report.columns[1]: value \"multiple\" needs nu in (0, 1/2), "
+            "have nu = 0");
+  EXPECT_EQ(spec_error(spec(
+                "0", R"(, "hardness": {"mode": "neat-bound-multiple"})")),
+            "hardness: mode \"neat-bound-multiple\" needs nu in (0, 1/2), "
+            "have nu = 0");
+  // A nu axis replaces engine.nu, and every one of its values counts.
+  EXPECT_EQ(
+      spec_error(spec("0.2", R"(, "axes": [{"name": "nu",
+                                           "values": [0.1, 0.5]}],
+                              "report": {"section_by": "nu",
+                                         "section_label": "c > {bound:2}"})")),
+      "report.section_label: hole \"{bound}\" needs nu in (0, 1/2), "
+      "have nu = 0.5");
+  (void)parse_scenario(spec(
+      "0", R"(, "axes": [{"name": "nu", "values": [0.1]}])" +
+               columns("bound")));
+}
+
 TEST(Spec, ParsesAdaptiveBlock) {
   const ScenarioSpec spec = parse_scenario(R"({
     "name": "x",

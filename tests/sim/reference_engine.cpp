@@ -174,6 +174,7 @@ class Model {
         {round, actor, static_cast<std::uint64_t>(purpose), 0}, key_);
     protocol::Block block = protocol::assemble_block(
         oracle_, store_.hash_of(parent), draws[1], draws[0]);
+    block.parent = parent;
     block.round = round;
     block.miner = miner;
     block.miner_class = cls;

@@ -19,6 +19,7 @@ BlockIndex append(BlockStore& store, BlockIndex parent,
                   protocol::MinerClass who = protocol::MinerClass::kHonest) {
   Block b;
   b.hash = hash;
+  b.parent = parent;
   b.parent_hash = store.block(parent).hash;
   b.round = store.block(parent).round + 1;
   b.miner_class = who;

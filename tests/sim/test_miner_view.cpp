@@ -14,6 +14,7 @@ BlockIndex append(BlockStore& store, BlockIndex parent,
                   protocol::HashValue hash) {
   Block b;
   b.hash = hash;
+  b.parent = parent;
   b.parent_hash = store.block(parent).hash;
   b.round = store.block(parent).round + 1;
   return store.add(std::move(b));

@@ -180,7 +180,7 @@ TEST(Oracle, ArmedRunIsBitIdenticalToUnarmed) {
   EXPECT_EQ(armed.store_size, unarmed.store_size);
   // The armed run skips the same quiet rounds as the unarmed one.  The
   // oracle reads through the same instrumented store, so its own
-  // binary-lifting lookups show up in the ancestry-queries diagnostic
+  // jump-pointer lookups show up in the ancestry-queries diagnostic
   // counter; every other counter, the skip counter included, must match
   // exactly.
   const auto ancestry =

@@ -39,6 +39,15 @@ TEST(Format, General) {
 
 TEST(Format, Fixed) { EXPECT_EQ(format_fixed(1.23456, 2), "1.23"); }
 
+TEST(Format, FixedPrintsEveryDigitOfALargeValue) {
+  // 2.5e299 in %f is 300 integer digits, far past any fixed buffer.
+  const std::string s = format_fixed(2.5e299, 2);
+  EXPECT_EQ(s.size(), 303u) << s;
+  EXPECT_EQ(s.rfind("25", 0), 0u) << s;
+  EXPECT_EQ(s.substr(300), ".00");
+  EXPECT_EQ(format_fixed(-1e70, 0).size(), 72u);
+}
+
 TEST(Format, Sci) { EXPECT_EQ(format_sci(12345.0, 2), "1.23e+04"); }
 
 TEST(CsvWriter, WritesAndQuotes) {
