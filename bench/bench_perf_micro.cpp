@@ -18,9 +18,12 @@
 #include "scenario/registry.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/engine.hpp"
+#include "sim/oracle.hpp"
 #include "sim/strategies.hpp"
+#include "sim/trace.hpp"
 #include "support/logprob.hpp"
 #include "support/crng.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -232,6 +235,69 @@ void BM_CommonAncestor(benchmark::State& state) {
                           static_cast<std::int64_t>(pairs.size()));
 }
 BENCHMARK(BM_CommonAncestor);
+
+/// The oracle's common-prefix measurement on one adoption round: n = 40
+/// honest views in k = 1–6 classes (the arg) over a 4k-block trunk.
+/// Classes hold three branch tips forked 1–3 blocks below the trunk's
+/// top, so from k = 4 on classes share tips and the scan deduplicates.
+void BM_OracleCommonPrefix(benchmark::State& state) {
+  constexpr std::uint32_t kViews = 40;
+  const auto classes = static_cast<std::uint32_t>(state.range(0));
+  protocol::BlockStore store;
+  protocol::HashValue hash = 0;
+  const auto append = [&](protocol::BlockIndex parent) {
+    protocol::Block b;
+    b.hash = mix64(++hash);
+    b.parent = parent;
+    b.parent_hash = store.hash_of(parent);
+    return store.add(b);
+  };
+  protocol::BlockIndex trunk = protocol::kGenesisIndex;
+  for (int h = 1; h <= 4096; ++h) trunk = append(trunk);
+  std::vector<protocol::BlockIndex> branches;
+  for (std::uint64_t depth = 1; depth <= 3; ++depth) {
+    protocol::BlockIndex tip = store.ancestor(trunk, depth);
+    for (std::uint64_t d = 0; d <= depth; ++d) tip = append(tip);
+    branches.push_back(tip);
+  }
+  // Class c holds views [c·n/k, (c+1)·n/k); its lead is the first.
+  std::vector<protocol::BlockIndex> tips;
+  std::vector<std::uint32_t> leads;
+  for (std::uint32_t c = 0; c < classes; ++c) {
+    tips.push_back(branches[c % branches.size()]);
+    leads.push_back(c * kViews / classes);
+  }
+  sim::TipDivergenceScan scan;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scan.measure(store, tips, leads));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OracleCommonPrefix)->DenseRange(1, 6);
+
+/// The trace reader's per-line cost: one JSONL round record (the 134-byte
+/// shape a busy observed-mix round writes) through parse_json and the
+/// strict record reader.
+void BM_TraceLineParse(benchmark::State& state) {
+  sim::RoundRecord record;
+  record.round = 123456;
+  record.honest_mined = 2;
+  record.adversary_mined = 1;
+  record.mined_by = {3, 17};
+  record.delivered = 78;
+  record.adoptions = 40;
+  record.best_height = 4567;
+  record.violation_depth = 3;
+  const std::string line = sim::to_jsonl_line(record);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::round_record_from_json(support::parse_json(line)));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_TraceLineParse);
 
 void BM_ConvergenceCounting(benchmark::State& state) {
   crng::Stream rng(crng::Key{3, 0}, 0, 0, crng::Purpose::kGeneric);

@@ -2,7 +2,6 @@
 
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 
 namespace neatbound::exp {
 
@@ -12,7 +11,7 @@ namespace {
 std::string path_flag(CliArgs& args, const std::string& name) {
   std::string path = args.get_string(name, "");
   if (path == "true") {
-    throw std::runtime_error("CliArgs: flag --" + name + " expects a path");
+    args.fail("flag --" + name + " expects a path");
   }
   return path;
 }
@@ -23,10 +22,7 @@ BenchOptions parse_bench_options(CliArgs& args) {
   const std::uint64_t threads = args.get_uint("threads", options.threads);
   // Cap far above any real machine so a fat-fingered value errors instead
   // of wrapping through the unsigned cast (2^32 would become 0 = "auto").
-  if (threads > 4096) {
-    throw std::runtime_error(
-        "CliArgs: flag --threads out of range (max 4096)");
-  }
+  if (threads > 4096) args.fail("flag --threads out of range (max 4096)");
   options.threads = static_cast<unsigned>(threads);
   options.csv_path = path_flag(args, "csv");
   options.json_path = path_flag(args, "json");

@@ -30,7 +30,8 @@ struct BenchOptions {
 };
 
 /// Consumes --threads/--csv/--json from `args` (call before
-/// reject_unconsumed).
+/// reject_unconsumed); a bare --csv/--json or --threads above 4096 fails
+/// through CliArgs::fail.
 [[nodiscard]] BenchOptions parse_bench_options(CliArgs& args);
 
 /// The ResultSink a bench holds: stdout table + optional CSV + optional

@@ -90,7 +90,7 @@ class ExecutionEngine::Ops final : public AdversaryOps {
   }
   [[nodiscard]] std::span<const protocol::BlockIndex> honest_tips()
       const override {
-    return engine_.tips_scratch_;
+    return engine_.honest_tips();
   }
   [[nodiscard]] protocol::BlockIndex best_honest_tip() const override {
     return engine_.best_honest_tip();
@@ -214,6 +214,8 @@ ExecutionEngine::ExecutionEngine(EngineConfig config,
   class_of_.assign(honest_count_, 0);
   covered_.assign(honest_count_, 0);
   tips_scratch_.resize(honest_count_, protocol::kGenesisIndex);
+  class_tips_.push_back(protocol::kGenesisIndex);
+  class_leads_.push_back(0);
   delays_.resize(honest_count_);
   // At most honest_count_ honest blocks per round, so the per-round miner
   // list never reallocates after this.
@@ -231,23 +233,29 @@ protocol::BlockIndex ExecutionEngine::best_honest_tip() const {
   return best_tip_;
 }
 
-void ExecutionEngine::assign_members(std::uint32_t c,
-                                     std::vector<std::uint32_t>& out,
-                                     std::uint32_t value) noexcept {
-  // When `out` is class_of_ itself, each entry is tested before it is
-  // overwritten.
+std::span<const protocol::BlockIndex> ExecutionEngine::honest_tips() const {
+  if (tips_stale_) {
+    for (std::uint32_t m = 0; m < honest_count_; ++m) {
+      tips_scratch_[m] = classes_[class_of_[m]].view.tip();
+    }
+    tips_stale_ = false;
+  }
+  return tips_scratch_;
+}
+
+void ExecutionEngine::relabel(std::uint32_t c, std::uint32_t to) noexcept {
   std::uint32_t left = classes_[c].size;
   for (std::uint32_t m = classes_[c].lead; left > 0; ++m) {
     if (class_of_[m] != c) continue;
     --left;
-    out[m] = value;
+    class_of_[m] = to;
   }
 }
 
 void ExecutionEngine::note_adoption(std::uint32_t c) {
   const ViewClass& vc = classes_[c];
   const protocol::BlockIndex tip = vc.view.tip();
-  assign_members(c, tips_scratch_, tip);
+  tips_stale_ = true;
   const std::uint64_t height = vc.view.tip_height();
   const std::uint32_t lead = vc.lead;
   if (height > best_height_ || (height == best_height_ && lead < best_view_)) {
@@ -262,7 +270,8 @@ void ExecutionEngine::note_adoption(std::uint32_t c) {
   NEATBOUND_INVARIANT(best_height_ == store_.height_of(best_tip_),
                       "best-tip height cache out of lockstep with the store");
   NEATBOUND_INVARIANT(best_view_ < honest_count_ &&
-                          tips_scratch_[best_view_] == best_tip_,
+                          classes_[class_of_[best_view_]].view.tip() ==
+                              best_tip_,
                       "best-tip cache names a tip no view holds");
   NEATBOUND_INVARIANT(best_height_ >= height,
                       "best-tip cache fell behind a fresh adoption");
@@ -305,11 +314,16 @@ std::uint64_t ExecutionEngine::clamp_delay(std::uint64_t d) const noexcept {
   return std::clamp<std::uint64_t>(d, 1, config_.delta);
 }
 
+void ExecutionEngine::grow_echoed(protocol::BlockIndex block) {
+  // Doubling: one resize per doubling of the store, not one per block.
+  // neatbound-analyze: allow(hot-alloc) — amortized O(1) per block ever
+  // mined (not per delivery).
+  echoed_.resize(std::max<std::size_t>(block + 1, 2 * echoed_.size()), false);
+}
+
 void ExecutionEngine::schedule_echo(std::uint64_t first_receipt_round,
                                     protocol::BlockIndex block) {
-  // neatbound-analyze: allow(hot-alloc) — lazy bitset growth, amortized
-  // O(1) per block ever mined (not per delivery).
-  if (echoed_.size() <= block) echoed_.resize(block + 1, false);
+  if (echoed_.size() <= block) grow_echoed(block);
   if (echoed_[block]) return;
   echoed_[block] = true;
   calendar_.schedule(first_receipt_round + config_.delta, 0, honest_count_,
@@ -468,7 +482,7 @@ std::uint32_t ExecutionEngine::merge_pair(std::uint32_t a, std::uint32_t b) {
   const bool keep_a = classes_[a].size >= classes_[b].size;
   const std::uint32_t keep = keep_a ? a : b;
   const std::uint32_t gone = keep_a ? b : a;
-  assign_members(gone, class_of_, keep);
+  relabel(gone, keep);
   ViewClass& kept = classes_[keep];
   ViewClass& moved = classes_[gone];
   kept.size += moved.size;
@@ -494,8 +508,7 @@ void ExecutionEngine::broadcast_honest(std::uint64_t round,
   // The sender itself received the block at `round`; gossip echo from that
   // first receipt (a no-op here since every recipient is already
   // scheduled within Δ, but it keeps the invariant uniform).
-  // neatbound-analyze: allow(hot-alloc) — lazy bitset growth, amortized
-  if (echoed_.size() <= block) echoed_.resize(block + 1, false);
+  if (echoed_.size() <= block) grow_echoed(block);
   echoed_[block] = true;
 }
 
@@ -535,7 +548,7 @@ void ExecutionEngine::honest_mining_phase(std::uint64_t round) {
     const auto m = static_cast<std::uint32_t>(honest_gaps_.take() - base);
     const crng::Block draws = crng::philox4x64(
         {round, m, purpose_of(crng::Purpose::kHonestBlock), 0}, key_);
-    const protocol::BlockIndex parent = tips_scratch_[m];
+    const protocol::BlockIndex parent = classes_[class_of_[m]].view.tip();
     protocol::Block block = protocol::assemble_block(
         oracle_, store_.hash_of(parent), /*payload_digest=*/draws[1],
         /*nonce=*/draws[0]);
@@ -559,9 +572,9 @@ void ExecutionEngine::step_round(std::uint64_t round,
     NEATBOUND_PHASE_SCOPE(kMine);
     honest_mining_phase(round);
   }
-  // tips_scratch_ / best_tip_ are already current: every adoption path
-  // runs through note_adoption, so the adversary and metrics read the
-  // same snapshot the old per-round rescan produced.
+  // best_tip_ is already current: every adoption path runs through
+  // note_adoption, which also marks the per-view snapshot for rebuilding
+  // at its next read.
   if (adversary_queries_ > 0) {
     NEATBOUND_PHASE_SCOPE(kAdversary);
     Ops ops(*this, round, adversary_queries_);
@@ -577,10 +590,14 @@ void ExecutionEngine::step_round(std::uint64_t round,
   {
     NEATBOUND_PHASE_SCOPE(kMetrics);
     class_tips_.clear();
+    class_leads_.clear();
     for (const std::uint32_t c : live_) {
       // neatbound-analyze: allow(hot-alloc) — reused scratch (≤ live
       // classes).
       class_tips_.push_back(classes_[c].view.tip());
+      // neatbound-analyze: allow(hot-alloc) — reused scratch (≤ live
+      // classes).
+      class_leads_.push_back(classes_[c].lead);
     }
     consistency_.observe_round(class_tips_, store_);
   }

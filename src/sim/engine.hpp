@@ -30,12 +30,20 @@
 // splits that one view off.  After each round's deliveries, a
 // changed class merges with any class in the same state
 // (MinerView::same_state), relabelling the smaller class.  Per-view
-// meaning is kept exactly: honest_tips() holds every view's tip, the
+// meaning is kept exactly: honest_tips() returns every view's tip, the
 // best-tip tie rule names the lowest-indexed view, max_reorg_view names
 // the first view in (run, ascending recipient) order, and the per-view
 // counters add the class size.  Only calendar_scheduled (runs, not
 // messages) and ancestry_queries (one longest-chain compare per class)
 // read lower than an engine with one MinerView per player would report.
+//
+// Observers read classes too.  class_tips() and class_leads() give one
+// tip and one lowest member per live class, rebuilt once per stepped
+// round; the consistency tracker and the invariant oracle work from
+// them.  Nothing in the engine keeps a per-view tip array current:
+// honest_tips() materializes one from the class map when a tip has moved
+// since its last read, for the readers that need views one by one
+// (violation snapshots, strategies that split the honest players).
 #pragma once
 
 #include <cstdint>
@@ -160,9 +168,20 @@ class ExecutionEngine {
   }
   [[nodiscard]] protocol::BlockIndex honest_tip(std::uint32_t miner) const;
   [[nodiscard]] protocol::BlockIndex best_honest_tip() const;
-  /// Current tips of all honest miners (valid after run()).
-  [[nodiscard]] std::span<const protocol::BlockIndex> honest_tips() const {
-    return tips_scratch_;
+  /// Current tip of every honest view, indexed by view id.  Rebuilt from
+  /// the class map, O(n), on the first read after a tip moved; what it
+  /// shows is current until the engine next delivers or mines.
+  [[nodiscard]] std::span<const protocol::BlockIndex> honest_tips() const;
+  /// One tip per live view class, and at the same position that class's
+  /// lowest member view, as of the end of the last stepped round (before
+  /// the first: genesis, held by view 0's class).  A committed quiet round
+  /// changes no tip, so these stay valid through it.
+  [[nodiscard]] std::span<const protocol::BlockIndex> class_tips()
+      const noexcept {
+    return class_tips_;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> class_leads() const noexcept {
+    return class_leads_;
   }
 
   // --- per-round activity, for RoundObserver consumers (sim/trace) ---
@@ -259,18 +278,16 @@ class ExecutionEngine {
                                    protocol::BlockIndex block);
   [[nodiscard]] NEATBOUND_HOT std::uint64_t clamp_delay(
       std::uint64_t d) const noexcept;
-  /// Records that class `c` adopted a new tip: refreshes its members'
-  /// entries of the dense tip snapshot and the running best-tip maximum,
-  /// so honest_tips() and best_honest_tip() are O(1) reads instead of
-  /// per-query view scans.  The tie rule (strictly greater height, or
+  /// Records that class `c` adopted a new tip: refreshes the running
+  /// best-tip maximum, so best_honest_tip() is an O(1) read, and marks the
+  /// per-view snapshot stale.  The tie rule (strictly greater height, or
   /// equal height from a lower-indexed view — the class's lead)
   /// reproduces the old lowest-index-wins scan.
   NEATBOUND_HOT void note_adoption(std::uint32_t c);
-  /// Sets out[m] = value for each member m of class `c` (out is indexed
-  /// by honest view id: tips_scratch_, or class_of_ to relabel the class).
-  NEATBOUND_HOT void assign_members(std::uint32_t c,
-                                    std::vector<std::uint32_t>& out,
-                                    std::uint32_t value) noexcept;
+  /// Moves every member of class `c` to slot `to` in class_of_.
+  NEATBOUND_HOT void relabel(std::uint32_t c, std::uint32_t to) noexcept;
+  /// Grows echoed_ to cover `block`, doubling its size.
+  void grow_echoed(protocol::BlockIndex block);
 
   /// Stamps metadata on a freshly mined honest block, stores it, updates
   /// views/metrics and broadcasts it.
@@ -306,11 +323,14 @@ class ExecutionEngine {
   ConsistencyTracker consistency_;
   std::vector<std::uint32_t> honest_counts_;
   std::uint64_t adversary_blocks_total_ = 0;
-  /// Current tip of every honest view, maintained incrementally on each
-  /// adoption (never rescanned).
-  std::vector<protocol::BlockIndex> tips_scratch_;
-  /// One tip per live class: what the consistency tracker observes.
+  /// Per-view tips as of the last honest_tips() read; stale once any
+  /// class adopts (see honest_tips).
+  mutable std::vector<protocol::BlockIndex> tips_scratch_;
+  mutable bool tips_stale_ = false;
+  /// One tip and one lead per live class, in live_ order: what the
+  /// consistency tracker and the observers read.
   std::vector<protocol::BlockIndex> class_tips_;
+  std::vector<std::uint32_t> class_leads_;
   /// The delivery group being collected from the calendar drain.
   std::vector<RecipientRange> group_;
   protocol::BlockIndex group_block_ = protocol::kGenesisIndex;
@@ -326,7 +346,7 @@ class ExecutionEngine {
   /// classes of one group tie-break on their leads.
   std::uint64_t delivery_serial_ = 0;
   std::uint64_t max_reorg_serial_ = 0;
-  // Running maximum over tips_scratch_ (see note_adoption).
+  // Running maximum over the views' tips (see note_adoption).
   protocol::BlockIndex best_tip_ = protocol::kGenesisIndex;
   std::uint64_t best_height_ = 0;
   std::uint32_t best_view_ = 0;

@@ -22,9 +22,12 @@ void ConsistencyTracker::observe_round(
   scratch_.clear();
   std::size_t kept = 0;  // scratch_[0, kept) were tips last call too
   for (const protocol::BlockIndex tip : tips) {
-    // neatbound-analyze: allow(hot-alloc) — lazy stamp-array growth,
-    // amortized O(1) per block ever mined (not per round).
-    if (tip_epoch_.size() <= tip) tip_epoch_.resize(tip + 1, 0);
+    if (tip_epoch_.size() <= tip) {
+      // neatbound-analyze: allow(hot-alloc) — lazy stamp-array growth,
+      // doubling: one resize per doubling of the store, not per new tip.
+      tip_epoch_.resize(std::max<std::size_t>(tip + 1, 2 * tip_epoch_.size()),
+                        0);
+    }
     if (tip_epoch_[tip] == epoch_) continue;
     const bool seen_last_call = tip_epoch_[tip] == epoch_ - 1;
     tip_epoch_[tip] = epoch_;

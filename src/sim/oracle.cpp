@@ -65,6 +65,65 @@ void validate_oracle_config(const OracleConfig& config) {
                     "slice_rounds exceeds the trace record cap");
 }
 
+TipDivergence TipDivergenceScan::measure(
+    const protocol::BlockStore& store,
+    std::span<const protocol::BlockIndex> class_tips,
+    std::span<const std::uint32_t> class_leads) {
+  NEATBOUND_EXPECTS(class_tips.size() == class_leads.size(),
+                    "one lead per class tip");
+  distinct_.clear();
+  for (std::size_t i = 0; i < class_tips.size(); ++i) {
+    const auto same = std::find_if(
+        distinct_.begin(), distinct_.end(),
+        [tip = class_tips[i]](const auto& d) { return d.second == tip; });
+    if (same == distinct_.end()) {
+      distinct_.emplace_back(class_leads[i], class_tips[i]);
+    } else {
+      same->first = std::min(same->first, class_leads[i]);
+    }
+  }
+  // Owners are distinct views, so this is the order of first occurrence.
+  std::sort(distinct_.begin(), distinct_.end());
+  TipDivergence result;
+  for (std::size_t i = 0; i < distinct_.size(); ++i) {
+    for (std::size_t j = i + 1; j < distinct_.size(); ++j) {
+      const auto [owner_a, a] = distinct_[i];
+      const auto [owner_b, b] = distinct_[j];
+      const std::uint64_t common = store.common_prefix_height(a, b);
+      const std::uint64_t deeper =
+          std::max(store.height_of(a), store.height_of(b));
+      if (deeper - common > result.depth) {
+        result = {deeper - common, owner_a, owner_b};
+      }
+    }
+  }
+  return result;
+}
+
+std::uint64_t HonestDepthIndex::honest_in_window(
+    const protocol::BlockStore& store, protocol::BlockIndex tip,
+    std::uint64_t window) {
+  const auto honest = [&store](protocol::BlockIndex block) {
+    return store.miner_class_of(block) == protocol::MinerClass::kHonest ? 1u
+                                                                       : 0u;
+  };
+  if (honest_depth_.empty()) {
+    honest_depth_.push_back(honest(protocol::kGenesisIndex));
+  }
+  // Parents precede their children in the store, so one pass in index
+  // order extends the count.
+  for (auto block = static_cast<protocol::BlockIndex>(honest_depth_.size());
+       block < store.size(); ++block) {
+    honest_depth_.push_back(honest_depth_[store.parent_of(block)] +
+                            honest(block));
+  }
+  const std::uint64_t height = store.height_of(tip);
+  NEATBOUND_EXPECTS(window <= height, "window deeper than the chain");
+  // The window holds the blocks at heights (height − window, height].
+  return honest_depth_[tip] -
+         honest_depth_[store.ancestor_at_height(tip, height - window)];
+}
+
 InvariantOracle::InvariantOracle(OracleConfig config) : config_(config) {
   validate_oracle_config(config_);
   if (config_.growth_window > 0) {
@@ -119,41 +178,10 @@ void InvariantOracle::record_round(const ExecutionEngine& engine,
 
 void InvariantOracle::check_common_prefix(const ExecutionEngine& engine,
                                           std::uint64_t round) {
-  const auto tips = engine.honest_tips();
-  const auto& store = engine.store();
-  // Distinct tips in first-occurrence order, remembering the first view
-  // holding each — the pairwise maximum is order-independent (same
-  // contract as ConsistencyTracker::observe_round), the owners make the
-  // offending pair deterministic.
-  tip_scratch_.clear();
-  tip_owner_scratch_.clear();
-  for (std::uint32_t m = 0; m < tips.size(); ++m) {
-    const protocol::BlockIndex tip = tips[m];
-    if (std::find(tip_scratch_.begin(), tip_scratch_.end(), tip) !=
-        tip_scratch_.end()) {
-      continue;
-    }
-    tip_scratch_.push_back(tip);
-    tip_owner_scratch_.push_back(m);
-  }
-  std::uint64_t divergence = 0;
-  std::size_t arg_i = 0;
-  std::size_t arg_j = 0;
-  for (std::size_t i = 0; i < tip_scratch_.size(); ++i) {
-    for (std::size_t j = i + 1; j < tip_scratch_.size(); ++j) {
-      const std::uint64_t common =
-          store.common_prefix_height(tip_scratch_[i], tip_scratch_[j]);
-      const std::uint64_t deeper = std::max(store.height_of(tip_scratch_[i]),
-                                            store.height_of(tip_scratch_[j]));
-      if (deeper - common > divergence) {
-        divergence = deeper - common;
-        arg_i = i;
-        arg_j = j;
-      }
-    }
-  }
+  const TipDivergence divergence = divergence_scan_.measure(
+      engine.store(), engine.class_tips(), engine.class_leads());
   const std::uint64_t reorg = engine.round_activity().max_reorg_depth;
-  const std::uint64_t depth = std::max(divergence, reorg);
+  const std::uint64_t depth = std::max(divergence.depth, reorg);
   max_round_depth_ = std::max(max_round_depth_, depth);
   if (!config_.common_prefix || violation_.has_value()) return;
   if (depth <= config_.common_prefix_t) return;
@@ -162,9 +190,9 @@ void InvariantOracle::check_common_prefix(const ExecutionEngine& engine,
   violation.round = round;
   violation.measured = depth;
   violation.bound = config_.common_prefix_t;
-  if (divergence >= reorg) {
-    violation.view_a = tip_owner_scratch_[arg_i];
-    violation.view_b = tip_owner_scratch_[arg_j];
+  if (divergence.depth >= reorg) {
+    violation.view_a = divergence.view_a;
+    violation.view_b = divergence.view_b;
   } else {
     // A reorg alone exceeded T: the reorging view is both offenders.
     violation.view_a = engine.round_activity().max_reorg_view;
@@ -199,15 +227,8 @@ void InvariantOracle::check_chain_quality(const ExecutionEngine& engine,
   const std::uint64_t window = config_.quality_window;
   if (violation_.has_value()) return;
   if (engine.best_height() < window) return;  // chain not yet K deep
-  const auto& store = engine.store();
-  protocol::BlockIndex block = engine.best_honest_tip();
-  std::uint64_t honest = 0;
-  for (std::uint64_t i = 0; i < window; ++i) {
-    if (store.miner_class_of(block) == protocol::MinerClass::kHonest) {
-      ++honest;
-    }
-    block = store.parent_of(block);
-  }
+  const std::uint64_t honest = honest_depth_.honest_in_window(
+      engine.store(), engine.best_honest_tip(), window);
   const std::uint64_t required = quality_required(config_);
   if (honest >= required) return;
   OracleViolation violation;

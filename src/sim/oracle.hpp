@@ -18,12 +18,15 @@
 // RoundObserver, attached only when requested, and reads public
 // accessors after the round has executed — an unobserved run executes
 // zero oracle instructions.  When armed, per round with an adoption:
-// common-prefix is an O(n·d) distinct-tip scan over the n honest views
-// plus O(d² log h) for d distinct tips (d is almost always 1–3; each
-// pair is one jump-pointer common_ancestor query), and chain-quality
-// is one O(K) parent walk.  Tips move only by adoption, so a round
-// without one (every quiet round, most rounds of a sparse run) repeats
-// the previous verdicts and skips both passes.  Chain-growth is O(1)
+// common-prefix reads the engine's k view classes, not its n views — an
+// O(k²) distinct-tip dedup plus O(d² log h) for the d ≤ k distinct tips
+// (k and d are almost always 1–3; each pair is one jump-pointer
+// common_ancestor query) — and chain-quality subtracts two entries of a
+// per-block honest-depth count found with one O(log h) ancestor lookup,
+// after extending that count over the blocks mined since the last
+// check.  Tips move only by adoption, so a round without one (every
+// quiet round, most rounds of a sparse run) repeats the previous
+// verdicts and skips both passes.  Chain-growth is O(1)
 // against a ring of W heights, and the slice recorder appends one
 // RoundRecord into a bounded ring, every round.  Nothing here writes to
 // the simulation: an oracle-armed run steps the same rounds as an
@@ -40,8 +43,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -119,6 +124,55 @@ struct ViewSnapshot {
   friend bool operator==(const ViewSnapshot&, const ViewSnapshot&) = default;
 };
 
+/// The common-prefix measurement of one round: the deepest pairwise
+/// divergence among the distinct honest tips, and the first view holding
+/// each tip of the deepest pair (view_a < view_b; both 0 when every view
+/// holds one tip).
+struct TipDivergence {
+  std::uint64_t depth = 0;
+  std::uint32_t view_a = 0;
+  std::uint32_t view_b = 0;
+
+  friend bool operator==(const TipDivergence&, const TipDivergence&) = default;
+};
+
+/// Measures TipDivergence from one tip and one lowest member per view
+/// class (ExecutionEngine::class_tips / class_leads), never touching the
+/// per-view tips.  Classes that share a tip count once, owned by their
+/// lowest lead — the first view holding it — and the distinct tips are
+/// compared in owner order: the order a scan of the views in id order
+/// meets them, so the deepest pair and its views come out as such a scan
+/// finds them.
+class TipDivergenceScan {
+ public:
+  [[nodiscard]] TipDivergence measure(
+      const protocol::BlockStore& store,
+      std::span<const protocol::BlockIndex> class_tips,
+      std::span<const std::uint32_t> class_leads);
+
+ private:
+  /// (owner, tip) per distinct tip; reused every round.
+  std::vector<std::pair<std::uint32_t, protocol::BlockIndex>> distinct_;
+};
+
+/// Counts the honest blocks among the last `window` blocks of a chain as
+/// the difference of two entries of a per-block count of honest blocks
+/// from genesis, which each call first extends over the blocks added to
+/// the store since the last one: O(new blocks + log h) per call instead
+/// of a `window`-long parent walk.  One index serves one store.
+class HonestDepthIndex {
+ public:
+  /// EXPECTS window ≤ height of tip.
+  [[nodiscard]] std::uint64_t honest_in_window(
+      const protocol::BlockStore& store, protocol::BlockIndex tip,
+      std::uint64_t window);
+
+ private:
+  /// Per block: honest blocks on the path genesis..block, both included
+  /// (32 bits, like the block indices that bound them).
+  std::vector<std::uint32_t> honest_depth_;
+};
+
 class InvariantOracle {
  public:
   explicit InvariantOracle(OracleConfig config);
@@ -170,10 +224,8 @@ class InvariantOracle {
   /// Ring of the trailing RoundRecords (slice_rounds capacity);
   /// slice-order materialization happens once, at freeze time.
   std::vector<RoundRecord> record_ring_;
-  /// Distinct-tip scratch of the common-prefix pass (first-occurrence
-  /// order, like ConsistencyTracker), reused every round.
-  std::vector<protocol::BlockIndex> tip_scratch_;
-  std::vector<std::uint32_t> tip_owner_scratch_;
+  TipDivergenceScan divergence_scan_;
+  HonestDepthIndex honest_depth_;
   std::optional<OracleViolation> violation_;
   std::vector<ViewSnapshot> views_;
   std::vector<RoundRecord> slice_;

@@ -1,9 +1,9 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
-#include <stdexcept>
 
 namespace neatbound {
 
@@ -11,7 +11,7 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      throw std::runtime_error("CliArgs: expected --flag, got '" + arg + "'");
+      fail("expected --flag, got '" + arg + "'");
     }
     arg = arg.substr(2);
     const std::size_t eq = arg.find('=');
@@ -46,20 +46,17 @@ std::string CliArgs::get_string(const std::string& name,
 }
 
 double CliArgs::parse_double(const std::string& name,
-                             const std::string& text) {
+                             const std::string& text) const {
   // std::stod parses a prefix, so "0.25,0.3" would silently become 0.25;
   // any unparsed tail is rejected like parse_uint does.
   try {
     std::size_t parsed = 0;
     const double v = std::stod(text, &parsed);
-    if (parsed != text.size()) {
-      throw std::runtime_error("trailing characters");
-    }
-    return v;
+    if (parsed == text.size()) return v;
   } catch (const std::exception&) {
-    throw std::runtime_error("CliArgs: flag --" + name +
-                             " expects a number, got '" + text + "'");
+    // No number or out of range: fails below, like a trailing tail.
   }
+  fail("flag --" + name + " expects a number, got '" + text + "'");
 }
 
 double CliArgs::get_double(const std::string& name, double default_value,
@@ -76,26 +73,22 @@ double CliArgs::get_double(const std::string& name, double default_value,
 }
 
 std::uint64_t CliArgs::parse_uint(const std::string& name,
-                                  const std::string& text) {
+                                  const std::string& text) const {
   // std::stoull wraps negative input instead of failing, so reject a
   // leading '-' up front (skipping the same whitespace set stoull does);
   // parse unsigned directly to keep (INT64_MAX, UINT64_MAX] representable.
   const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
   if (first != std::string::npos && text[first] == '-') {
-    throw std::runtime_error("CliArgs: flag --" + name + " must be >= 0");
+    fail("flag --" + name + " must be >= 0");
   }
   try {
     std::size_t parsed = 0;
     const std::uint64_t v = std::stoull(text, &parsed);
-    if (parsed != text.size()) {
-      throw std::runtime_error("trailing characters");
-    }
-    return v;
+    if (parsed == text.size()) return v;
   } catch (const std::exception&) {
-    throw std::runtime_error("CliArgs: flag --" + name +
-                             " expects an unsigned integer, got '" + text +
-                             "'");
+    // No digits or above 2^64 − 1: fails below, like a trailing tail.
   }
+  fail("flag --" + name + " expects an unsigned integer, got '" + text + "'");
 }
 
 std::uint64_t CliArgs::get_uint(const std::string& name,
@@ -134,8 +127,7 @@ bool CliArgs::get_bool(const std::string& name, bool default_value,
   if (it == values_.end()) return default_value;
   if (it->second == "true" || it->second == "1") return true;
   if (it->second == "false" || it->second == "0") return false;
-  throw std::runtime_error("CliArgs: flag --" + name +
-                           " expects true/false, got '" + it->second + "'");
+  fail("flag --" + name + " expects true/false, got '" + it->second + "'");
 }
 
 bool CliArgs::has(const std::string& name) const {
@@ -174,11 +166,13 @@ bool CliArgs::handle_help(std::ostream& os) const {
 
 void CliArgs::reject_unconsumed() const {
   for (const auto& [name, value] : values_) {
-    if (consumed_.count(name) == 0) {
-      throw std::runtime_error("CliArgs: unknown flag --" + name + "\n" +
-                               usage());
-    }
+    if (consumed_.count(name) == 0) fail("unknown flag --" + name);
   }
+}
+
+void CliArgs::fail(const std::string& message) const {
+  std::cerr << "CliArgs: " << message << '\n' << usage();
+  std::exit(2);
 }
 
 }  // namespace neatbound

@@ -6,8 +6,10 @@
 // help text), so usage output is generated automatically:
 //   * `--help` → handle_help() prints the registered flags and returns
 //     true (callers return 0);
-//   * an unknown flag → reject_unconsumed() throws with the same usage
-//     text appended, so a typo'd invocation shows what would have worked.
+//   * every command-line error — a token that is not a flag, a value of
+//     the wrong type, an unknown flag found by reject_unconsumed() — takes
+//     one path, fail(): the error and the usage text on stderr, then exit
+//     status 2, so a typo'd invocation shows what would have worked.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +24,13 @@ namespace neatbound {
 
 class CliArgs {
  public:
-  /// Parses argv; throws std::runtime_error on malformed input.
+  /// Parses argv; a token that is not a --flag fails (see fail()).
   CliArgs(int argc, const char* const* argv);
 
   /// Typed getters with defaults; record which flags were consumed and
   /// register the flag for usage output.  `help` is an optional one-line
-  /// description shown by --help.
+  /// description shown by --help.  A value that does not parse as the
+  /// type fails (see fail()).
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& default_value,
                                        const std::string& help = "");
@@ -61,10 +64,15 @@ class CliArgs {
   /// flag registry is complete, before reject_unconsumed().
   [[nodiscard]] bool handle_help(std::ostream& os) const;
 
-  /// Throws if any provided flag was never consumed by a getter — catches
-  /// misspelled flags; the message lists the known flags. Call after all
-  /// getters.
+  /// Fails if any provided flag was never consumed by a getter — catches
+  /// misspelled flags.  Call after all getters, so the usage text lists
+  /// every known flag.
   void reject_unconsumed() const;
+
+  /// Prints "CliArgs: <message>" and the usage text to stderr and exits
+  /// with status 2: the one failure path for command-line errors, open
+  /// to callers that check flag values further (exp::parse_bench_options).
+  [[noreturn]] void fail(const std::string& message) const;
 
  private:
   struct FlagInfo {
@@ -75,10 +83,10 @@ class CliArgs {
   };
   void register_flag(const std::string& name, const char* type,
                      std::string default_repr, const std::string& help);
-  [[nodiscard]] static double parse_double(const std::string& name,
-                                           const std::string& text);
-  [[nodiscard]] static std::uint64_t parse_uint(const std::string& name,
-                                                const std::string& text);
+  [[nodiscard]] double parse_double(const std::string& name,
+                                    const std::string& text) const;
+  [[nodiscard]] std::uint64_t parse_uint(const std::string& name,
+                                         const std::string& text) const;
 
   std::map<std::string, std::string> values_;
   /// mutable so the const probe has() can record consumption too.

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,41 +15,36 @@ namespace neatbound::support {
 
 JsonValue JsonValue::make_bool(bool b) {
   JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
+  v.value_ = b;
   return v;
 }
 
 JsonValue JsonValue::make_number(double n) {
   JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = n;
+  v.value_ = n;
   return v;
 }
 
 JsonValue JsonValue::make_string(std::string s) {
   JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
+  v.value_ = std::move(s);
   return v;
 }
 
 JsonValue JsonValue::make_array(Array items) {
   JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.array_ = std::move(items);
+  v.value_ = std::move(items);
   return v;
 }
 
 JsonValue JsonValue::make_object(Object members) {
   JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.object_ = std::move(members);
+  v.value_ = std::move(members);
   return v;
 }
 
 const char* JsonValue::kind_name() const noexcept {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kNull: return "null";
     case Kind::kBool: return "bool";
     case Kind::kNumber: return "number";
@@ -74,12 +70,12 @@ namespace {
 
 bool JsonValue::as_bool() const {
   if (!is_bool()) kind_error("bool", kind_name());
-  return bool_;
+  return std::get<bool>(value_);
 }
 
 double JsonValue::as_number() const {
   if (!is_number()) kind_error("number", kind_name());
-  return number_;
+  return std::get<double>(value_);
 }
 
 std::uint64_t JsonValue::as_uint() const {
@@ -103,17 +99,17 @@ std::uint32_t JsonValue::as_uint32() const {
 
 const std::string& JsonValue::as_string() const {
   if (!is_string()) kind_error("string", kind_name());
-  return string_;
+  return std::get<std::string>(value_);
 }
 
 const JsonValue::Array& JsonValue::as_array() const {
   if (!is_array()) kind_error("array", kind_name());
-  return array_;
+  return std::get<Array>(value_);
 }
 
 const JsonValue::Object& JsonValue::as_object() const {
   if (!is_object()) kind_error("object", kind_name());
-  return object_;
+  return std::get<Object>(value_);
 }
 
 std::uint64_t JsonValue::as_hash() const {
@@ -131,8 +127,9 @@ std::uint64_t JsonValue::as_hash() const {
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  if (!is_object()) return nullptr;
-  for (const auto& [name, value] : object_) {
+  const Object* members = std::get_if<Object>(&value_);
+  if (members == nullptr) return nullptr;
+  for (const auto& [name, value] : *members) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -140,10 +137,33 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 namespace {
 
+/// Elements of the arrays and objects still open, innermost last: each
+/// container is built in one exact-size allocation when it closes,
+/// instead of growing member by member.
+struct ParseStacks {
+  JsonValue::Array items;
+  JsonValue::Object members;
+};
+
+/// Moves stack[first, end) into a vector of exactly that size.
+template <typename T>
+std::vector<T> pop_from(std::vector<T>& stack, std::size_t first) {
+  const auto begin = stack.begin() + static_cast<std::ptrdiff_t>(first);
+  std::vector<T> out(std::make_move_iterator(begin),
+                     std::make_move_iterator(stack.end()));
+  stack.erase(begin, stack.end());
+  return out;
+}
+
 /// Recursive-descent parser over a string_view with line/column tracking.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, ParseStacks& stacks)
+      : text_(text), stacks_(stacks) {
+    // A parse that threw leaves its open containers behind.
+    stacks_.items.clear();
+    stacks_.members.clear();
+  }
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
@@ -220,66 +240,76 @@ class Parser {
 
   JsonValue parse_object() {
     expect('{');
-    JsonValue::Object members;
+    JsonValue::Object& members = stacks_.members;
+    const std::size_t first = members.size();
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return JsonValue::make_object({});
     }
     while (true) {
       skip_whitespace();
       if (peek() != '"') fail("expected object key string");
       std::string key = parse_string();
-      for (const auto& [name, value] : members) {
-        if (name == key) fail("duplicate object key \"" + key + "\"");
+      for (std::size_t i = first; i < members.size(); ++i) {
+        if (members[i].first == key) {
+          fail("duplicate object key \"" + key + "\"");
+        }
       }
       skip_whitespace();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      // Nested containers push and pop above `first` before this returns.
+      JsonValue value = parse_value();
+      members.emplace_back(std::move(key), std::move(value));
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect('}');
-      return JsonValue::make_object(std::move(members));
+      return JsonValue::make_object(pop_from(members, first));
     }
   }
 
   JsonValue parse_array() {
     expect('[');
-    JsonValue::Array items;
+    JsonValue::Array& items = stacks_.items;
+    const std::size_t first = items.size();
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::make_array(std::move(items));
+      return JsonValue::make_array({});
     }
     while (true) {
-      items.push_back(parse_value());
+      JsonValue value = parse_value();
+      items.push_back(std::move(value));
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect(']');
-      return JsonValue::make_array(std::move(items));
+      return JsonValue::make_array(pop_from(items, first));
     }
+  }
+
+  /// Neither the closing quote, an escape nor a control character.
+  static bool is_plain(char c) noexcept {
+    return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
   }
 
   std::string parse_string() {
     expect('"');
     std::string out;
     while (true) {
+      // Take the run of plain characters up to the next special one whole.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && is_plain(text_[pos_])) ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (at_end()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character in string");
       if (at_end()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -353,13 +383,17 @@ class Parser {
   }
 
   std::string_view text_;
+  ParseStacks& stacks_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
-  return Parser(text).parse_document();
+  // The stacks keep their capacity between calls, so a reader parsing
+  // line after line (the trace reader) allocates only what it returns.
+  thread_local ParseStacks stacks;
+  return Parser(text, stacks).parse_document();
 }
 
 JsonValue load_json_file(const std::string& path) {

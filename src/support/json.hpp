@@ -19,6 +19,7 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace neatbound::support {
@@ -30,7 +31,7 @@ class JsonValue {
   using Array = std::vector<JsonValue>;
   using Object = std::vector<std::pair<std::string, JsonValue>>;
 
-  JsonValue() : kind_(Kind::kNull) {}
+  JsonValue() = default;
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double n);
@@ -38,21 +39,23 @@ class JsonValue {
   static JsonValue make_array(Array items);
   static JsonValue make_object(Object members);
 
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  [[nodiscard]] Kind kind() const noexcept {
+    return static_cast<Kind>(value_.index());
+  }
   [[nodiscard]] const char* kind_name() const noexcept;
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
+  [[nodiscard]] bool is_null() const noexcept { return kind() == Kind::kNull; }
+  [[nodiscard]] bool is_bool() const noexcept { return kind() == Kind::kBool; }
   [[nodiscard]] bool is_number() const noexcept {
-    return kind_ == Kind::kNumber;
+    return kind() == Kind::kNumber;
   }
   [[nodiscard]] bool is_string() const noexcept {
-    return kind_ == Kind::kString;
+    return kind() == Kind::kString;
   }
   [[nodiscard]] bool is_array() const noexcept {
-    return kind_ == Kind::kArray;
+    return kind() == Kind::kArray;
   }
   [[nodiscard]] bool is_object() const noexcept {
-    return kind_ == Kind::kObject;
+    return kind() == Kind::kObject;
   }
 
   // Checked accessors; throw std::runtime_error on a kind mismatch.
@@ -74,12 +77,9 @@ class JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
  private:
-  Kind kind_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  // One alternative per Kind, in Kind order, so index() is the kind.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 /// Parses one JSON document; trailing non-whitespace is an error.

@@ -197,14 +197,16 @@ TEST(BenchOptions, ParsesUniformFlags) {
 TEST(BenchOptions, RejectsBarePathFlags) {
   const char* argv[] = {"prog", "--csv"};
   CliArgs args(2, argv);
-  EXPECT_THROW((void)parse_bench_options(args), std::runtime_error);
+  EXPECT_EXIT((void)parse_bench_options(args), ::testing::ExitedWithCode(2),
+              "flag --csv expects a path");
 }
 
 TEST(BenchOptions, RejectsThreadsBeyondUnsignedRange) {
   // 2^32 would wrap to 0 (= auto) through the unsigned cast.
   const char* argv[] = {"prog", "--threads=4294967296"};
   CliArgs args(2, argv);
-  EXPECT_THROW((void)parse_bench_options(args), std::runtime_error);
+  EXPECT_EXIT((void)parse_bench_options(args), ::testing::ExitedWithCode(2),
+              "flag --threads out of range");
 }
 
 TEST(SinkSet, FansOutToAllSinks) {

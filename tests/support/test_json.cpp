@@ -2,15 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace neatbound::support {
 namespace {
+
+/// The message of the std::runtime_error `read` throws ("" if none).
+template <typename Read>
+std::string error_of(Read&& read) {
+  try {
+    read();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a std::runtime_error";
+  return "";
+}
 
 TEST(Json, ParsesScalars) {
   EXPECT_TRUE(parse_json("null").is_null());
@@ -98,16 +112,117 @@ TEST(Json, KindMismatchNamesBothKinds) {
   }
 }
 
-/// The message of the std::runtime_error `read` throws ("" if none).
-template <typename Read>
-std::string error_of(Read&& read) {
-  try {
-    read();
-  } catch (const std::runtime_error& e) {
-    return e.what();
+TEST(Json, OutOfRangeNumbersKeepStrtodSemantics) {
+  // No range error: overflow reads as ±infinity, underflow as +0, and a
+  // negative zero keeps its sign — exactly what strtod returns.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(parse_json("1e999").as_number(), inf);
+  EXPECT_EQ(parse_json("-1e999").as_number(), -inf);
+  for (const char* text : {"-0", "-0.0", "-0e5"}) {
+    const double zero = parse_json(text).as_number();
+    EXPECT_EQ(zero, 0.0) << text;
+    EXPECT_TRUE(std::signbit(zero)) << text;
   }
-  ADD_FAILURE() << "expected a std::runtime_error";
-  return "";
+  const double tiny = parse_json("1e-400").as_number();
+  EXPECT_EQ(tiny, 0.0);
+  EXPECT_FALSE(std::signbit(tiny));
+  // The integer accessor takes -0 as 0 and refuses infinity.
+  EXPECT_EQ(parse_json("-0").as_uint(), 0u);
+  EXPECT_EQ(error_of([] { (void)parse_json("1e999").as_uint(); }),
+            "JSON: expected a non-negative integer, have inf");
+}
+
+TEST(Json, EscapedKeysAreUnescapedBeforeLookupAndDuplicateCheck) {
+  const JsonValue doc =
+      parse_json(R"({"a\"b": 1, "\u0041": 2, "c\\d\/": 3, "plain": 4})");
+  const auto& members = doc.as_object();
+  ASSERT_EQ(members.size(), 4u);
+  EXPECT_EQ(members[0].first, "a\"b");
+  EXPECT_EQ(members[1].first, "A");
+  EXPECT_EQ(members[2].first, "c\\d/");
+  EXPECT_EQ(doc.find("A")->as_number(), 2.0);
+  EXPECT_EQ(doc.find("c\\d/")->as_number(), 3.0);
+  EXPECT_EQ(doc.find("plain")->as_number(), 4.0);
+  EXPECT_EQ(error_of([] { (void)parse_json(R"({"A": 1, "\u0041": 2})"); }),
+            "JSON parse error at 1:18: duplicate object key \"A\"");
+}
+
+TEST(Json, DuplicateKeysAreCheckedPerObject) {
+  // One key in sibling or nested objects is fine; twice in one object is
+  // not, wherever the second copy sits.
+  const JsonValue doc =
+      parse_json(R"({"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]})");
+  EXPECT_EQ(doc.find("a")->find("a")->as_number(), 1.0);
+  EXPECT_EQ(error_of([] { (void)parse_json(R"({"a": 1, "b": 2, "a": 3})"); }),
+            "JSON parse error at 1:21: duplicate object key \"a\"");
+  EXPECT_EQ(error_of([] { (void)parse_json(R"({"x": {"k": 1, "k": 2}})"); }),
+            "JSON parse error at 1:19: duplicate object key \"k\"");
+  EXPECT_EQ(error_of([] { (void)parse_json(R"([{"k": 1}, {"k": 2, "k": 3}])"); }),
+            "JSON parse error at 1:24: duplicate object key \"k\"");
+}
+
+TEST(Json, DeepNestingParses) {
+  // 400 objects, each holding an array holding the next: 800 levels.
+  constexpr int kDepth = 400;
+  std::string text;
+  for (int i = 0; i < kDepth; ++i) text += R"({"k": [)";
+  text += "7";
+  for (int i = 0; i < kDepth; ++i) text += "]}";
+  const JsonValue doc = parse_json(text);
+  const JsonValue* cursor = &doc;
+  for (int i = 0; i < kDepth; ++i) {
+    const auto& items = cursor->find("k")->as_array();
+    ASSERT_EQ(items.size(), 1u);
+    cursor = &items[0];
+  }
+  EXPECT_EQ(cursor->as_number(), 7.0);
+  // Cut anywhere, the same document is an error, not a crash.
+  EXPECT_THROW((void)parse_json(text.substr(0, text.size() - 1)),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_json(text.substr(0, text.size() / 2)),
+               std::runtime_error);
+}
+
+TEST(Json, StringsMixRunsAndEscapes) {
+  const std::string run(300, 'x');
+  EXPECT_EQ(parse_json('"' + run + '"').as_string(), run);
+  EXPECT_EQ(parse_json('"' + run + "\\n" + run + "\\u0041\"").as_string(),
+            run + '\n' + run + 'A');
+  EXPECT_EQ(parse_json(R"("")").as_string(), "");
+  EXPECT_EQ(parse_json(R"("\\\\")").as_string(), "\\\\");
+}
+
+TEST(Json, ErrorTextsArePinned) {
+  // Every grammar error, with its position: the text each reader passes
+  // on to its caller.
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"a\": \"x\ny\"}",
+       "JSON parse error at 2:1: raw control character in string"},
+      {R"("ab\qc")", "JSON parse error at 1:6: invalid escape character"},
+      {R"("abc\u00e9")",
+       "JSON parse error at 1:11: \\u escapes beyond ASCII are not "
+       "supported"},
+      {R"("abc\u12")", "JSON parse error at 1:7: truncated \\u escape"},
+      {R"("abc\u00zz")", "JSON parse error at 1:10: invalid \\u escape digit"},
+      {"[1,]", "JSON parse error at 1:4: invalid value"},
+      {R"({"a" 1})", "JSON parse error at 1:6: expected ':'"},
+      {"01x", "JSON parse error at 1:3: trailing characters after JSON value"},
+      {"-", "JSON parse error at 1:1: invalid value"},
+      {"1.", "JSON parse error at 1:3: digit required after decimal point"},
+      {"1e", "JSON parse error at 1:3: digit required in exponent"},
+      {"1e+", "JSON parse error at 1:4: digit required in exponent"},
+      {R"("unterminated)", "JSON parse error at 1:14: unterminated string"},
+      {R"("abc\)", "JSON parse error at 1:6: unterminated escape"},
+      {R"({"a":1,})", "JSON parse error at 1:8: expected object key string"},
+      {"[1 2]", "JSON parse error at 1:4: expected ']'"},
+      {"nul", "JSON parse error at 1:1: invalid literal"},
+      {"{1: 2}", "JSON parse error at 1:2: expected object key string"},
+      {"1 2", "JSON parse error at 1:3: trailing characters after JSON value"},
+      {"", "JSON parse error at 1:1: unexpected end of input"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(error_of([&] { (void)parse_json(text); }), message) << text;
+  }
 }
 
 TEST(JsonFields, PathsNameKeysAndIndices) {

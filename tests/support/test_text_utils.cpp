@@ -96,11 +96,16 @@ TEST(CliArgs, DefaultsApply) {
   EXPECT_FALSE(args.has("missing"));
 }
 
+/// Every CliArgs error takes one path: the message and the usage text on
+/// stderr, then exit status 2.
+#define EXPECT_CLI_FAILS(statement, stderr_pattern) \
+  EXPECT_EXIT(statement, ::testing::ExitedWithCode(2), stderr_pattern)
+
 TEST(CliArgs, RejectsUnknownFlag) {
   const char* argv[] = {"prog", "--typo=1"};
   CliArgs args(2, argv);
   (void)args.get_uint("rounds", 0);
-  EXPECT_THROW(args.reject_unconsumed(), std::runtime_error);
+  EXPECT_CLI_FAILS(args.reject_unconsumed(), "CliArgs: unknown flag --typo");
 }
 
 TEST(CliArgs, RejectsMalformedNumber) {
@@ -109,16 +114,9 @@ TEST(CliArgs, RejectsMalformedNumber) {
     const std::string flag = std::string("--x=") + text;
     const char* argv[] = {"prog", flag.c_str()};
     CliArgs args(2, argv);
-    try {
-      (void)args.get_double("x", 0.0);
-      ADD_FAILURE() << "accepted '" << text << "'";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("expects a number"),
-                std::string::npos)
-          << e.what();
-    }
-    CliArgs opt_args(2, argv);
-    EXPECT_THROW((void)opt_args.get_opt_double("x"), std::runtime_error)
+    EXPECT_CLI_FAILS((void)args.get_double("x", 0.0), "expects a number")
+        << text;
+    EXPECT_CLI_FAILS((void)args.get_opt_double("x"), "expects a number")
         << text;
   }
   // The exponent forms the example smoke tests pass still parse.
@@ -132,12 +130,12 @@ TEST(CliArgs, RejectsMalformedNumber) {
 TEST(CliArgs, RejectsNegativeUint) {
   const char* argv[] = {"prog", "--x=-5"};
   CliArgs args(2, argv);
-  EXPECT_THROW((void)args.get_uint("x", 0), std::runtime_error);
+  EXPECT_CLI_FAILS((void)args.get_uint("x", 0), "flag --x must be >= 0");
 }
 
 TEST(CliArgs, RejectsNonFlagToken) {
   const char* argv[] = {"prog", "stray"};
-  EXPECT_THROW(CliArgs(2, argv), std::runtime_error);
+  EXPECT_CLI_FAILS(CliArgs(2, argv), "expected --flag, got 'stray'");
 }
 
 // Regression: has() used to leave the flag unconsumed, so probing a flag
@@ -163,8 +161,8 @@ TEST(CliArgs, GetUintAcceptsFullUnsignedRange) {
 TEST(CliArgs, GetUintRejectsOverflowAndGarbage) {
   const char* argv[] = {"prog", "--x=18446744073709551616", "--y=12abc"};
   CliArgs args(3, argv);
-  EXPECT_THROW((void)args.get_uint("x", 0), std::runtime_error);
-  EXPECT_THROW((void)args.get_uint("y", 0), std::runtime_error);
+  EXPECT_CLI_FAILS((void)args.get_uint("x", 0), "expects an unsigned integer");
+  EXPECT_CLI_FAILS((void)args.get_uint("y", 0), "expects an unsigned integer");
 }
 
 TEST(CliArgs, GetUintRejectsNegativeBehindAnyWhitespace) {
@@ -172,8 +170,8 @@ TEST(CliArgs, GetUintRejectsNegativeBehindAnyWhitespace) {
   // too — "\v-2" used to wrap to 18446744073709551614.
   const char* argv[] = {"prog", "--a=\v-2", "--b= \n-7"};
   CliArgs args(3, argv);
-  EXPECT_THROW((void)args.get_uint("a", 0), std::runtime_error);
-  EXPECT_THROW((void)args.get_uint("b", 0), std::runtime_error);
+  EXPECT_CLI_FAILS((void)args.get_uint("a", 0), "must be >= 0");
+  EXPECT_CLI_FAILS((void)args.get_uint("b", 0), "must be >= 0");
 }
 
 TEST(CliArgs, UsageListsRegisteredFlagsWithTypesAndDefaults) {
@@ -227,22 +225,17 @@ TEST(CliArgs, OptionalGettersDistinguishAbsentFromProvided) {
 TEST(CliArgs, OptionalGettersStillValidateValues) {
   const char* argv[] = {"prog", "--rounds=abc", "--nu=xyz"};
   CliArgs args(3, argv);
-  EXPECT_THROW((void)args.get_opt_uint("rounds"), std::runtime_error);
-  EXPECT_THROW((void)args.get_opt_double("nu"), std::runtime_error);
+  EXPECT_CLI_FAILS((void)args.get_opt_uint("rounds"),
+                   "expects an unsigned integer");
+  EXPECT_CLI_FAILS((void)args.get_opt_double("nu"), "expects a number");
 }
 
 TEST(CliArgs, UnknownFlagErrorIncludesUsage) {
   const char* argv[] = {"prog", "--typo=1"};
   CliArgs args(2, argv);
   (void)args.get_uint("rounds", 1000);
-  try {
-    args.reject_unconsumed();
-    FAIL() << "expected an unknown-flag error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("--typo"), std::string::npos) << what;
-    EXPECT_NE(what.find("--rounds <uint>"), std::string::npos) << what;
-  }
+  EXPECT_CLI_FAILS(args.reject_unconsumed(),
+                   "unknown flag --typo\nflags:\n  --rounds <uint>");
 }
 
 TEST(CsvFormatRow, JoinsAndQuotes) {
