@@ -16,7 +16,6 @@
 #include "net/delivery.hpp"
 #include "protocol/block_store.hpp"
 #include "scenario/registry.hpp"
-#include "sim/aggregate.hpp"
 #include "sim/engine.hpp"
 #include "sim/oracle.hpp"
 #include "sim/strategies.hpp"
@@ -77,22 +76,6 @@ void BM_FrontierNuMax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrontierNuMax);
-
-void BM_AggregateEngineRounds(benchmark::State& state) {
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::AggregateConfig config;
-    config.honest_trials = 150;
-    config.adversary_trials = 50;
-    config.p = 0.001;
-    config.delta = 4;
-    config.rounds = static_cast<std::uint64_t>(state.range(0));
-    config.seed = ++seed;
-    benchmark::DoNotOptimize(sim::run_aggregate(config));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AggregateEngineRounds)->Arg(10000)->Arg(100000);
 
 void BM_ExecutionEngineRounds(benchmark::State& state) {
   std::uint64_t seed = 1;

@@ -8,81 +8,30 @@
 #include "markov/stationary.hpp"
 #include "markov/structure.hpp"
 #include "markov/walk.hpp"
-#include "sim/aggregate.hpp"
-#include "stats/large_deviations.hpp"
 
 namespace neatbound::analysis {
 
 ConvergenceRateRow validate_convergence_rate(double n, double delta, double c,
-                                             double nu, std::uint64_t rounds,
-                                             std::uint32_t seeds,
-                                             std::uint64_t base_seed) {
+                                             double nu, std::uint64_t rounds) {
   const auto params = bounds::ProtocolParams::from_c(n, delta, nu, c);
   ConvergenceRateRow row{};
   row.n = n;
   row.delta = delta;
   row.c = c;
   row.nu = nu;
-  row.analytic_rate =
-      chains::convergence_opportunity_probability(
-          params.alpha_bar(), params.alpha1(),
-          static_cast<std::uint64_t>(delta))
-          .linear();
+  const auto d = static_cast<std::uint64_t>(delta);
+  row.analytic_rate = chains::convergence_opportunity_probability(
+                          params.alpha_bar(), params.alpha1(), d)
+                          .linear();
   row.expected_count = row.analytic_rate * static_cast<double>(rounds);
-
-  stats::RunningStats counts;
-  for (std::uint32_t k = 0; k < seeds; ++k) {
-    sim::AggregateConfig config;
-    config.honest_trials = params.honest_trials();
-    config.adversary_trials = params.adversary_trials();
-    config.p = params.p();
-    config.delta = static_cast<std::uint64_t>(delta);
-    config.rounds = rounds;
-    config.seed = base_seed + k;
-    const sim::AggregateResult result = sim::run_aggregate(config);
-    counts.add(static_cast<double>(result.convergence_opportunities));
-  }
-  row.simulated_mean = counts.mean();
-  row.simulated_stderr = counts.stderr_mean();
-  row.ci = stats::mean_interval(counts.mean(), counts.stderr_mean());
-  row.ratio = row.expected_count > 0.0
-                  ? row.simulated_mean / row.expected_count
-                  : 0.0;
-  return row;
-}
-
-AdversaryCountRow validate_adversary_count(double n, double delta, double c,
-                                           double nu, std::uint64_t rounds,
-                                           std::uint32_t seeds,
-                                           std::uint64_t base_seed) {
-  const auto params = bounds::ProtocolParams::from_c(n, delta, nu, c);
-  AdversaryCountRow row{};
-  row.n = n;
-  row.delta = delta;
-  row.c = c;
-  row.nu = nu;
-  row.expected_count =
-      params.adversary_rate() * static_cast<double>(rounds);
-
-  stats::RunningStats counts;
-  for (std::uint32_t k = 0; k < seeds; ++k) {
-    sim::AggregateConfig config;
-    config.honest_trials = params.honest_trials();
-    config.adversary_trials = params.adversary_trials();
-    config.p = params.p();
-    config.delta = static_cast<std::uint64_t>(delta);
-    config.rounds = rounds;
-    config.seed = base_seed + k;
-    counts.add(static_cast<double>(sim::run_aggregate(config).adversary_blocks));
-  }
-  row.simulated_mean = counts.mean();
-  row.simulated_stderr = counts.stderr_mean();
+  const chains::OpportunityLaw law = chains::convergence_opportunity_law(
+      {.honest_trials = params.honest_trials(), .p = params.p()}, d, rounds);
+  row.exact_mean = law.mean();
+  row.exact_sd = law.stddev();
   row.ratio =
-      row.expected_count > 0.0 ? row.simulated_mean / row.expected_count : 0.0;
-  const double trials =
-      static_cast<double>(rounds) * params.adversary_trials();
-  row.tail_exponent_at_10pct =
-      stats::binomial_upper_tail_bound(trials, params.p(), 0.10).log();
+      row.expected_count > 0.0 ? row.exact_mean / row.expected_count : 0.0;
+  row.within_edge = std::fabs(row.exact_mean - row.expected_count) <=
+                    delta * params.alpha1().linear();
   return row;
 }
 

@@ -1,44 +1,27 @@
-// Theory-vs-simulation validation drivers (Eq. 26/27/44 and consistency).
+// Theory-vs-exact validation drivers: the law of C (Eq. 26/44) and the
+// stationary distribution of C_F (Eq. 37).
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "stats/intervals.hpp"
-#include "stats/summary.hpp"
 
 namespace neatbound::analysis {
 
-/// Convergence-opportunity rate: analytic ᾱ^{2Δ}α₁ vs the aggregate
-/// engine's empirical frequency.
+/// Convergence-opportunity count: Eq. (26)'s T·ᾱ^{2Δ}α₁ against the exact
+/// law of C(1, T) from genesis (chains::convergence_opportunity_law).
 struct ConvergenceRateRow {
   double n, delta, c, nu;
   double analytic_rate;   ///< ᾱ^{2Δ}α₁      (Eq. 44)
   double expected_count;  ///< T·ᾱ^{2Δ}α₁    (Eq. 26)
-  double simulated_mean;  ///< mean count across seeds
-  double simulated_stderr;
-  stats::Interval ci;     ///< 95% CI on the mean count
-  double ratio;           ///< simulated / expected
+  double exact_mean;      ///< E[C] under the exact law
+  double exact_sd;        ///< sd[C] under the exact law
+  double ratio;           ///< exact / expected
+  /// |E[C] − T·ᾱ^{2Δ}α₁| ≤ Δ·α₁: the genesis start and the window's
+  /// last Δ rounds are the only difference from the stationary count.
+  bool within_edge;
 };
 
 [[nodiscard]] ConvergenceRateRow validate_convergence_rate(
-    double n, double delta, double c, double nu, std::uint64_t rounds,
-    std::uint32_t seeds, std::uint64_t base_seed = 777);
-
-/// Adversary block count: analytic Tpνn vs simulation (Eq. 27), plus the
-/// Arratia–Gordon tail evaluated at the observed deviation (Eq. 49).
-struct AdversaryCountRow {
-  double n, delta, c, nu;
-  double expected_count;  ///< Tpνn
-  double simulated_mean;
-  double simulated_stderr;
-  double ratio;
-  double tail_exponent_at_10pct;  ///< ln P[A ≥ 1.1·E A] bound per Eq. (49)
-};
-
-[[nodiscard]] AdversaryCountRow validate_adversary_count(
-    double n, double delta, double c, double nu, std::uint64_t rounds,
-    std::uint32_t seeds, std::uint64_t base_seed = 999);
+    double n, double delta, double c, double nu, std::uint64_t rounds);
 
 /// Stationary distribution of the suffix chain: closed form (Eq. 37) vs
 /// numeric solvers vs empirical random-walk visits.

@@ -14,8 +14,10 @@
 //   ‖φ‖_π ≤ 1/sqrt(min π_{F‖P}).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "chains/suffix_chain.hpp"
 #include "support/logprob.hpp"
@@ -63,5 +65,62 @@ struct DetailedStateModel {
 ///   honest_blocks[t+1 .. t+Δ] are all 0 (requires t+Δ < size).
 [[nodiscard]] std::uint64_t count_convergence_opportunities(
     std::span<const std::uint32_t> honest_blocks, std::uint64_t delta);
+
+/// count_convergence_opportunities as an online automaton over one input
+/// per round: N (no honest block), H₁ (exactly one) or H_{≥2}.  Its 2Δ+1
+/// states are
+///   q ∈ [0, Δ]          unarmed, q quiet rounds since the last honest
+///                       block (capped at Δ);
+///   Δ+1+j, j ∈ [0, Δ)   armed: an H₁ after ≥ Δ quiet rounds, then j
+///                       quiet rounds.
+/// The Δ-th quiet round of an armed state completes one opportunity and
+/// falls back to unarmed q = Δ: that H₁ is the next pattern's leading H.
+class OpportunityAutomaton {
+ public:
+  enum class Input : std::uint8_t { kQuiet, kOne, kMany };
+  struct Step {
+    std::size_t next;
+    bool completes;  ///< this round ends a convergence opportunity
+  };
+
+  /// EXPECTS delta >= 1.
+  explicit OpportunityAutomaton(std::uint64_t delta);
+
+  [[nodiscard]] static Input input_of(std::uint32_t honest_blocks) noexcept {
+    return honest_blocks == 0   ? Input::kQuiet
+           : honest_blocks == 1 ? Input::kOne
+                                : Input::kMany;
+  }
+  [[nodiscard]] std::size_t states() const noexcept { return 2 * delta_ + 1; }
+  /// Genesis is the leading H, already quiet for Δ rounds.
+  [[nodiscard]] std::size_t start() const noexcept { return delta_; }
+  [[nodiscard]] Step step(std::size_t state, Input input) const noexcept;
+
+ private:
+  std::size_t delta_;
+};
+
+/// The exact law of C(1, T) from genesis: P[C = first + k] = pmf[k].
+/// Each round drops at most kOpportunityLawCutoff of count mass at each
+/// end of the support, so Σ pmf ≥ 1 − 2·T·kOpportunityLawCutoff.
+struct OpportunityLaw {
+  std::uint64_t first = 0;
+  std::vector<double> pmf;
+
+  [[nodiscard]] double mass() const noexcept;
+  [[nodiscard]] double mean() const noexcept;
+  [[nodiscard]] double stddev() const noexcept;
+  /// P[C ≤ x].
+  [[nodiscard]] double cdf(double x) const noexcept;
+};
+
+inline constexpr double kOpportunityLawCutoff = 1e-30;
+
+/// Dynamic program over (automaton state, count) with the per-round
+/// input probabilities of `model`: O(Δ·T·√T) once the support is
+/// trimmed.  EXPECTS delta >= 1 and p in (0, 1).
+[[nodiscard]] OpportunityLaw convergence_opportunity_law(
+    const DetailedStateModel& model, std::uint64_t delta,
+    std::uint64_t rounds);
 
 }  // namespace neatbound::chains

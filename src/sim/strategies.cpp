@@ -81,14 +81,21 @@ HonestPartition::HonestPartition(std::uint32_t honest_count)
                     "a chain split needs at least two honest miners");
 }
 
-protocol::BlockIndex HonestPartition::group_tip(const AdversaryOps& ops,
-                                                std::uint8_t group) const {
+std::array<protocol::BlockIndex, 2> HonestPartition::group_tips(
+    const AdversaryOps& ops) const {
   const auto tips = ops.honest_tips();
   const protocol::BlockStore& store = ops.store();
-  protocol::BlockIndex best = protocol::kGenesisIndex;
+  std::array<protocol::BlockIndex, 2> best = {protocol::kGenesisIndex,
+                                              protocol::kGenesisIndex};
+  const std::uint64_t genesis = store.height_of(protocol::kGenesisIndex);
+  std::array<std::uint64_t, 2> height = {genesis, genesis};
   for (std::uint32_t m = 0; m < tips.size(); ++m) {
-    if (group_of(m) != group) continue;
-    if (store.height_of(tips[m]) > store.height_of(best)) best = tips[m];
+    const std::uint8_t g = group_of(m);
+    const std::uint64_t h = store.height_of(tips[m]);
+    if (h > height[g]) {
+      best[g] = tips[m];
+      height[g] = h;
+    }
   }
   return best;
 }
@@ -105,8 +112,9 @@ void HonestPartition::sync_branches(const AdversaryOps& ops,
                                     protocol::BlockIndex branch[2],
                                     std::uint64_t reset_margin) const {
   const protocol::BlockStore& store = ops.store();
+  const std::array<protocol::BlockIndex, 2> tips = group_tips(ops);
   for (const std::uint8_t g : {std::uint8_t{0}, std::uint8_t{1}}) {
-    const protocol::BlockIndex gt = group_tip(ops, g);
+    const protocol::BlockIndex gt = tips[g];
     // Honest miners of side g extended our branch: follow them.  A branch
     // hopelessly behind what the group actually mines on (they deserted)
     // is re-anchored on their chain.

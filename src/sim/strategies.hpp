@@ -34,6 +34,7 @@
 //                          persistent lead.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -139,10 +140,11 @@ class HonestPartition {
   [[nodiscard]] std::uint8_t group_of(std::uint32_t miner) const noexcept {
     return miner < split_ ? 0 : 1;
   }
-  /// Tip of the best chain a group works on: the highest tip among the
-  /// group's miners.
-  [[nodiscard]] protocol::BlockIndex group_tip(const AdversaryOps& ops,
-                                               std::uint8_t group) const;
+  /// Tip of the best chain each group works on, in one pass over the
+  /// honest tips: the highest tip among the group's miners, the first
+  /// one in miner order on a tie (genesis while none is higher).
+  [[nodiscard]] std::array<protocol::BlockIndex, 2> group_tips(
+      const AdversaryOps& ops) const;
   void publish_to_group(AdversaryOps& ops, protocol::BlockIndex block,
                         std::uint8_t group) const;
   /// Refreshes the two tracked branch tips from honest progress: follow a

@@ -142,10 +142,7 @@ RoundRecord round_record_from_json(const support::JsonValue& value) {
       read_field(value, "best_height", "", &JsonValue::as_uint);
   record.violation_depth =
       read_field(value, "violation_depth", "", &JsonValue::as_uint);
-  // Empty mined_by with honest_mined > 0 is the aggregate-engine form
-  // (counting-only records, miner identity not modeled).
-  if (!record.mined_by.empty() &&
-      record.mined_by.size() != record.honest_mined) {
+  if (record.mined_by.size() != record.honest_mined) {
     throw std::runtime_error("mined_by length disagrees with honest_mined");
   }
   // A view only switches tips on a delivery or on mining its own block.

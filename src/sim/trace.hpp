@@ -1,6 +1,5 @@
 // Structured per-round run traces: the bounded event stream behind
-// `neatbound_cli run --trace` and the one per-round side channel (the
-// aggregate engine streams its counting records through it too).
+// `neatbound_cli run --trace` and the one per-round side channel.
 //
 // A trace is a JSONL stream — one self-contained JSON object per round —
 // so a partial file (bounded writer, interrupted run) is still
@@ -36,8 +35,7 @@ struct RoundRecord {
   std::uint64_t round = 0;            ///< 1-based engine round
   std::uint32_t honest_mined = 0;     ///< honest blocks mined this round
   std::uint32_t adversary_mined = 0;  ///< adversary blocks mined this round
-  /// Honest miner ids in mining order; one per honest block for engine
-  /// traces, empty for aggregate-model traces (identity not modeled).
+  /// Honest miner ids in mining order, one per honest block.
   std::vector<std::uint32_t> mined_by;
   std::uint32_t delivered = 0;        ///< calendar deliveries applied
   std::uint32_t adoptions = 0;        ///< tip changes across all views
@@ -63,9 +61,9 @@ struct TraceBounds {
 /// Throws std::invalid_argument on malformed input or A > B.
 [[nodiscard]] TraceBounds parse_trace_rounds(const std::string& text);
 
-/// Consumer of per-round records.  The engine-side tracer and the
-/// aggregate engine both feed this, so every structured per-round stream
-/// in the repo shares one schema and one bounded writer.
+/// Consumer of per-round records.  The engine-side tracer feeds this, so
+/// every structured per-round stream in the repo shares one schema and
+/// one bounded writer.
 class RoundTraceSink {
  public:
   virtual ~RoundTraceSink() = default;
@@ -107,10 +105,10 @@ class BoundedTraceWriter final : public RoundTraceSink {
 
 /// The inverse of to_jsonl_line at single-record granularity: strict
 /// parse of one already-decoded JSON value (exactly the RoundRecord
-/// keys, integer fields, round >= 1, mined_by length honest_mined or
-/// empty, adoptions <= delivered + honest_mined).  Throws
-/// std::runtime_error naming the offending key (a value of the wrong
-/// kind reads "<key>: JSON: ...") but without line context —
+/// keys, integer fields, round >= 1, mined_by length honest_mined,
+/// adoptions <= delivered + honest_mined).  Throws std::runtime_error
+/// naming the offending key (a value of the wrong kind reads
+/// "<key>: JSON: ...") but without line context —
 /// read_trace_jsonl and the violation-artifact reader
 /// (scenario/artifact.hpp) wrap it to name the offending line or slice
 /// entry.

@@ -32,7 +32,17 @@ LogProb Binomial::cdf(std::uint64_t k) const {
 
 LogProb Binomial::sf(std::uint64_t k) const {
   if (k == 0) return LogProb::one();
-  return cdf(k - 1).complement();
+  const double kd = static_cast<double>(k);
+  if (kd <= mean()) return cdf(k - 1).complement();
+  // Past the mean the terms fall monotonically: sum the tail itself, so a
+  // tail far below 1e-16 keeps its relative precision.
+  LogProb total = LogProb::zero();
+  for (double i = kd; i <= n_; i += 1.0) {
+    const LogProb term = pmf(i);
+    total += term;
+    if (term.log() < total.log() - 40.0) break;
+  }
+  return total;
 }
 
 LogProb Binomial::prob_zero() const { return pow_one_minus(p_, n_); }

@@ -66,7 +66,6 @@ enum class Purpose : std::uint64_t {
   kAdversaryGap = 3,    ///< gaps between adversary query successes
   kAdversaryBlock = 4,  ///< per-success adversary block draws
   kNetDelay = 5,        ///< per-message delivery delays
-  kAggregate = 6,       ///< sim/aggregate.cpp per-round binomials
   kWalk = 7,            ///< markov/walk.cpp step draws
   kGeneric = 8,         ///< free-form Streams (tests, tools)
 };

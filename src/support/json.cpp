@@ -221,8 +221,19 @@ class Parser {
     if (at_end()) fail("unexpected end of input");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level costs parser stack: refuse a hostile depth instead
+        // of overflowing it.
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue::make_bool(true);
@@ -385,6 +396,7 @@ class Parser {
   std::string_view text_;
   ParseStacks& stacks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 // position.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -82,7 +83,13 @@ class JsonValue {
       value_;
 };
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting parse_json accepts.  Every reader's
+/// documents nest a few levels; the cap keeps a hostile one from
+/// exhausting the stack of the recursive parser.
+inline constexpr std::size_t kMaxJsonDepth = 1024;
+
+/// Parses one JSON document; trailing non-whitespace and nesting deeper
+/// than kMaxJsonDepth are errors.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Reads and parses a file: "cannot open <path>" when unreadable; parse

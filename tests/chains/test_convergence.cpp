@@ -5,6 +5,7 @@
 
 #include "stats/distributions.hpp"
 #include "support/contracts.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::chains {
 namespace {
@@ -139,6 +140,129 @@ TEST(CountOpportunities, EmptySeries) {
 TEST(CountOpportunities, AllQuiet) {
   const std::vector<std::uint32_t> counts(20, 0);
   EXPECT_EQ(count_convergence_opportunities(counts, 3), 0u);
+}
+
+// --- the exact law of C ---------------------------------------------------
+
+/// C over `counts` by the automaton, one step per round.
+std::uint64_t automaton_count(std::span<const std::uint32_t> counts,
+                              std::uint64_t delta) {
+  const OpportunityAutomaton automaton(delta);
+  std::size_t state = automaton.start();
+  std::uint64_t count = 0;
+  for (const std::uint32_t h : counts) {
+    const auto step = automaton.step(state, OpportunityAutomaton::input_of(h));
+    state = step.next;
+    count += step.completes ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(OpportunityAutomaton, MatchesCountOnRandomSeries) {
+  crng::Stream rng({2718, 0}, 0, 0, crng::Purpose::kGeneric);
+  std::uint64_t total = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t delta = 1 + rng.uniform_below(5);
+    // Mostly quiet rounds, so opportunities are common.
+    const double quiet = 0.5 + 0.45 * rng.uniform();
+    std::vector<std::uint32_t> counts(rng.uniform_below(300));
+    for (std::uint32_t& h : counts) {
+      h = rng.bernoulli(quiet) ? 0 : 1 + static_cast<std::uint32_t>(
+                                             rng.uniform_below(3));
+    }
+    const std::uint64_t expected =
+        count_convergence_opportunities(counts, delta);
+    ASSERT_EQ(automaton_count(counts, delta), expected)
+        << "trial " << trial << " delta " << delta;
+    total += expected;
+  }
+  EXPECT_GT(total, 2000u);  // the series exercise the counting path
+}
+
+TEST(OpportunityLaw, EqualsBruteForceEnumeration) {
+  // Every sequence of T rounds over {N, H₁, H₂}, weighted by its
+  // probability and counted by the one definition of C.
+  const DetailedStateModel model{.honest_trials = 4, .p = 0.2};
+  const double probs[3] = {
+      model.prob_n().linear(), model.prob_one().linear(),
+      model.prob_some().linear() - model.prob_one().linear()};
+  for (const std::uint64_t delta : {1ULL, 2ULL, 3ULL}) {
+    for (std::uint64_t rounds = 0; rounds <= 9; ++rounds) {
+      std::vector<double> brute(rounds + 1, 0.0);
+      std::vector<std::uint32_t> counts(rounds);
+      std::uint64_t sequences = 1;
+      for (std::uint64_t t = 0; t < rounds; ++t) sequences *= 3;
+      for (std::uint64_t code = 0; code < sequences; ++code) {
+        double weight = 1.0;
+        std::uint64_t rest = code;
+        for (std::uint32_t& h : counts) {
+          h = static_cast<std::uint32_t>(rest % 3);
+          weight *= probs[h];
+          rest /= 3;
+        }
+        brute[count_convergence_opportunities(counts, delta)] += weight;
+      }
+      const OpportunityLaw law =
+          convergence_opportunity_law(model, delta, rounds);
+      for (std::uint64_t k = 0; k <= rounds; ++k) {
+        const double exact = k >= law.first && k - law.first < law.pmf.size()
+                                 ? law.pmf[k - law.first]
+                                 : 0.0;
+        EXPECT_NEAR(exact, brute[k], 1e-12)
+            << "delta " << delta << " T " << rounds << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(OpportunityLaw, MeanIsEq26UpToTheEdges) {
+  // Round t counts with probability ᾱ^{t+Δ}α₁ for t < Δ (genesis is the
+  // leading H), ᾱ^{2Δ}α₁ in the bulk, and 0 in the last Δ rounds.
+  const DetailedStateModel model{.honest_trials = 150, .p = 0.001};
+  const double abar = model.prob_n().linear();
+  const double alpha1 = model.prob_one().linear();
+  for (const std::uint64_t delta : {1ULL, 2ULL, 4ULL}) {
+    const std::uint64_t rounds = 5000;
+    const OpportunityLaw law = convergence_opportunity_law(model, delta, rounds);
+    EXPECT_NEAR(law.mass(), 1.0, 1e-12);
+    const double d = static_cast<double>(delta);
+    const double rate =
+        convergence_opportunity_probability(model.prob_n(), model.prob_one(),
+                                            delta)
+            .linear();
+    double head = 0.0;
+    for (std::uint64_t t = 0; t < delta; ++t) {
+      head += std::pow(abar, static_cast<double>(t) + d) * alpha1;
+    }
+    const double exact =
+        head + (static_cast<double>(rounds) - 2.0 * d) * rate;
+    EXPECT_NEAR(law.mean(), exact, 1e-9 * exact);
+    EXPECT_LE(std::fabs(law.mean() - static_cast<double>(rounds) * rate),
+              d * alpha1);
+  }
+}
+
+TEST(OpportunityLaw, CdfAndTrimmedSupport) {
+  const DetailedStateModel model{.honest_trials = 150, .p = 0.001};
+  const OpportunityLaw law = convergence_opportunity_law(model, 2, 20000);
+  // The count window is trimmed to the ~1e-30 core, far narrower than T.
+  EXPECT_GT(law.first, 0u);
+  EXPECT_LT(law.pmf.size(), 2000u);
+  EXPECT_NEAR(law.mass(), 1.0, 1e-12);
+  EXPECT_EQ(law.cdf(static_cast<double>(law.first) - 1.0), 0.0);
+  EXPECT_NEAR(law.cdf(1e9), law.mass(), 0.0);
+  const double median_side = law.cdf(law.mean());
+  EXPECT_GT(median_side, 0.4);
+  EXPECT_LT(median_side, 0.6);
+}
+
+TEST(OpportunityLaw, RejectsDegenerateInputs) {
+  EXPECT_THROW((void)convergence_opportunity_law(
+                   {.honest_trials = 10, .p = 0.0}, 2, 10),
+               ContractViolation);
+  EXPECT_THROW((void)convergence_opportunity_law(
+                   {.honest_trials = 10, .p = 0.1}, 0, 10),
+               ContractViolation);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "chains/suffix_chain.hpp"
-#include "sim/aggregate.hpp"
 #include "support/contracts.hpp"
+#include "support/crng.hpp"
 
 namespace neatbound::chains {
 namespace {
@@ -184,7 +184,7 @@ TEST(SuffixStateSpace, RejectsDeltaZero) {
   EXPECT_THROW(SuffixStateSpace(0), ContractViolation);
 }
 
-// The pipeline test: simulate per-round binomial mining, classify, and
+// The pipeline test: draw per-round honest mining, classify, and
 // compare the visit frequencies with the Eq. (37) stationary law.
 struct PipelineCase {
   std::uint64_t delta;
@@ -196,33 +196,24 @@ class FrequencyPipeline : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(FrequencyPipeline, EmpiricalMatchesClosedForm) {
   const auto [delta, trials, p] = GetParam();
-  sim::AggregateConfig config;
-  config.honest_trials = trials;
-  config.adversary_trials = 0.0;
-  config.p = p;
-  config.delta = delta;
-  config.rounds = 400000;
-  config.seed = 321;
-  // H iff the round mined at least one honest block; tally the visits
-  // of every classified round.
-  struct HonestSeries final : sim::RoundTraceSink {
-    std::vector<bool> series;
-    void on_round(const sim::RoundRecord& record) override {
-      series.push_back(record.honest_mined >= 1);
-    }
-  } trace;
-  (void)sim::run_aggregate_traced(config, trace);
+  // H iff the round mined at least one honest block: Bernoulli(α) per
+  // round.  Tally the visits of every classified round.
+  const double alpha = 1.0 - std::pow(1.0 - p, trials);
+  crng::Stream rng({321, delta}, 0, 0, crng::Purpose::kGeneric);
+  std::vector<bool> series(400000);
+  for (std::size_t t = 0; t < series.size(); ++t) {
+    series[t] = rng.bernoulli(alpha);
+  }
   const SuffixStateSpace space(delta);
   std::vector<std::uint64_t> visits(space.size(), 0);
   std::uint64_t classified = 0;
-  for (const auto& state : classify_series(trace.series, delta)) {
+  for (const auto& state : classify_series(series, delta)) {
     if (!state.has_value()) continue;
     ++visits[space.index_of(*state)];
     ++classified;
   }
   ASSERT_GT(classified, 0u);
 
-  const double alpha = 1.0 - std::pow(1.0 - p, trials);
   const auto pi = stationary_closed_form_vector(space, alpha);
   double worst = 0.0;
   for (std::size_t i = 0; i < space.size(); ++i) {
@@ -235,7 +226,7 @@ TEST_P(FrequencyPipeline, EmpiricalMatchesClosedForm) {
       5.0 / std::sqrt(static_cast<double>(classified)) + 1e-3;
   EXPECT_LT(worst, tolerance);
   EXPECT_GT(static_cast<double>(classified),
-            0.9 * static_cast<double>(trace.series.size()));
+            0.9 * static_cast<double>(series.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

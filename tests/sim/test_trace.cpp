@@ -1,8 +1,8 @@
 // Trace-layer tests: --trace-rounds parsing, the bounded JSONL writer,
 // reader strictness (the schema is a contract — `neatbound_cli validate`
 // applies this reader to trace files), writer↔reader round-trips,
-// observer purity (a traced run's RunResult is bit-identical to an
-// untraced run), and the aggregate engine's sink stream.
+// and observer purity (a traced run's RunResult is bit-identical to an
+// untraced run).
 #include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/aggregate.hpp"
 #include "sim/strategies.hpp"
 #include "support/telemetry.hpp"
 
@@ -170,19 +169,17 @@ TEST(TraceJsonl, ReaderRejectsSchemaDrift) {
   reject(edited("\"best_height\":11", "\"best_height\":-1") + "\n",
          "best_height");
   reject(edited("[3,7]", "[\"a\",7]") + "\n", "mined_by");
-  // A non-empty mined_by must have honest_mined entries...
+  // mined_by must have honest_mined entries, an empty one included.
   reject(
       "{\"round\":1,\"honest_mined\":2,\"adversary_mined\":0,"
       "\"mined_by\":[1],\"delivered\":0,\"adoptions\":0,"
       "\"best_height\":0,\"violation_depth\":0}\n",
       "mined_by");
-  // ...but an empty one with honest_mined > 0 is the documented
-  // aggregate-engine form (miner identity not modeled).
-  std::istringstream aggregate_style(
+  reject(
       "{\"round\":1,\"honest_mined\":2,\"adversary_mined\":0,"
       "\"mined_by\":[],\"delivered\":0,\"adoptions\":0,"
-      "\"best_height\":0,\"violation_depth\":0}\n");
-  EXPECT_EQ(read_trace_jsonl(aggregate_style).size(), 1u);
+      "\"best_height\":0,\"violation_depth\":0}\n",
+      "mined_by");
   // 32-bit counters past 2^32, which a bare cast would truncate back to
   // a well-formed record.
   reject(
@@ -304,62 +301,6 @@ TEST(RoundTracer, RecordsAreConsistentWithTheRun) {
   EXPECT_EQ(honest_total, result.honest_blocks_total);
   EXPECT_EQ(sink.records.back().best_height, result.chain.best_height);
   EXPECT_EQ(sink.records.back().violation_depth, result.violation_depth);
-}
-
-TEST(AggregateTrace, SinkAndPlainRunAgree) {
-  AggregateConfig config;
-  config.honest_trials = 30.0;
-  config.adversary_trials = 10.0;
-  config.p = 0.01;
-  config.delta = 2;
-  config.rounds = 2000;
-  config.seed = 99;
-
-  CollectingSink sink;
-  const AggregateResult via_sink = run_aggregate_traced(config, sink);
-  const AggregateResult plain = run_aggregate(config);
-
-  EXPECT_EQ(plain.honest_blocks, via_sink.honest_blocks);
-  EXPECT_EQ(plain.convergence_opportunities,
-            via_sink.convergence_opportunities);
-
-  ASSERT_EQ(sink.records.size(), config.rounds);
-  for (std::size_t i = 0; i < sink.records.size(); ++i) {
-    EXPECT_EQ(sink.records[i].round, i + 1);
-    EXPECT_TRUE(sink.records[i].mined_by.empty());
-  }
-}
-
-TEST(AggregateTrace, SerializesThroughBoundedWriterAndReadsBack) {
-  // The aggregate stream and the engine stream share one schema and one
-  // writer; the strict reader must accept the aggregate form (empty
-  // mined_by even in honest-mining rounds) end to end.
-  AggregateConfig config;
-  config.honest_trials = 30.0;
-  config.adversary_trials = 10.0;
-  config.p = 0.01;
-  config.delta = 2;
-  config.rounds = 500;
-  config.seed = 99;
-
-  std::ostringstream os;
-  BoundedTraceWriter writer(os, TraceBounds{});
-  const AggregateResult result = run_aggregate_traced(config, writer);
-
-  std::istringstream is(os.str());
-  const std::vector<RoundRecord> readback = read_trace_jsonl(is);
-  ASSERT_EQ(readback.size(), config.rounds);
-  std::uint64_t honest_total = 0;
-  bool saw_honest_round = false;
-  for (const RoundRecord& record : readback) {
-    honest_total += record.honest_mined;
-    saw_honest_round |= record.honest_mined > 0;
-    EXPECT_TRUE(record.mined_by.empty());
-  }
-  EXPECT_EQ(honest_total, result.honest_blocks);
-  // The config mines often enough that the reader exercised the
-  // honest_mined > 0, empty-mined_by path.
-  EXPECT_TRUE(saw_honest_round);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "stats/large_deviations.hpp"
 #include "support/contracts.hpp"
 
 namespace neatbound::stats {
@@ -27,6 +28,19 @@ TEST(Binomial, CdfComplementsSf) {
   const Binomial b(20, 0.1);
   for (std::uint64_t k : {0ULL, 1ULL, 3ULL, 10ULL}) {
     EXPECT_NEAR(b.cdf(k).linear() + b.sf(k + 1).linear(), 1.0, 1e-10);
+  }
+}
+
+TEST(Binomial, DeepUpperTailKeepsItsPrecision) {
+  // Far past the mean the tail is far below 1 − cdf's rounding error, so
+  // it must sit between its first term and the Chernoff–KL bound.
+  for (const double trials : {5e6, 5e7}) {
+    const Binomial b(trials, 0.00125);
+    const auto k = static_cast<std::uint64_t>(std::ceil(1.1 * b.mean()));
+    const LogProb tail = b.sf(k);
+    EXPECT_GE(tail.log(), b.pmf(static_cast<double>(k)).log());
+    EXPECT_LE(tail.log(),
+              binomial_upper_tail_bound(trials, 0.00125, 0.1).log());
   }
 }
 

@@ -223,6 +223,22 @@ TEST(Json, ErrorTextsArePinned) {
   for (const auto& [text, message] : cases) {
     EXPECT_EQ(error_of([&] { (void)parse_json(text); }), message) << text;
   }
+  const std::string too_deep(kMaxJsonDepth + 1, '[');
+  EXPECT_EQ(error_of([&] { (void)parse_json(too_deep); }),
+            "JSON parse error at 1:1025: nesting deeper than 1024 levels");
+}
+
+TEST(Json, HostileNestingIsAnErrorNotACrash) {
+  // 100,000 open brackets would overflow the recursive parser's stack
+  // without the depth cap; the cap's own depth still parses.
+  EXPECT_THROW((void)parse_json(std::string(100000, '[')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"k":)";
+  EXPECT_THROW((void)parse_json(objects), std::runtime_error);
+  const JsonValue deepest = parse_json(std::string(kMaxJsonDepth, '[') +
+                                       std::string(kMaxJsonDepth, ']'));
+  EXPECT_EQ(deepest.as_array().size(), 1u);
 }
 
 TEST(JsonFields, PathsNameKeysAndIndices) {
