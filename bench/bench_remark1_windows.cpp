@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "analysis/tables.hpp"
+#include "exp/bench_io.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -14,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace neatbound;
   CliArgs args(argc, argv);
   const double delta = args.get_double("delta", 1e13);
+  const exp::BenchOptions io = exp::parse_bench_options(args);
   if (args.handle_help(std::cout)) return 0;
   args.reject_unconsumed();
 
@@ -22,19 +24,21 @@ int main(int argc, char** argv) {
             << "# paper values: row 1 -> [1e-63, 0.5-1e-7], 1+5e-5;"
                " row 2 -> [1e-18, 0.5-1e-9], 1+2e-3\n";
 
-  TablePrinter table({"delta1", "delta2", "log10(nu_lo)", "0.5 - nu_hi",
-                      "factor - 1", "c_thresh(nu=1/4)", "2mu/ln(mu/nu)",
-                      "overhead"});
+  exp::BenchReporter report("bench_remark1_windows", io);
+  report.set_meta_number("delta", delta);
+  report.begin_section("", {"delta1", "delta2", "log10(nu_lo)",
+                            "0.5 - nu_hi", "factor - 1", "c_thresh(nu=1/4)",
+                            "2mu/ln(mu/nu)", "overhead"});
   for (const auto& row : analysis::remark1_rows(delta)) {
-    table.add_row({format_fixed(row.d1, 4), format_fixed(row.d2, 4),
-                   format_fixed(row.window.log10_nu_lo, 2),
-                   format_sci(row.window.half_minus_hi, 2),
-                   format_sci(row.window.factor_minus_one, 2),
-                   format_fixed(row.c_threshold, 9),
-                   format_fixed(row.c_neat, 9),
-                   format_sci(row.c_threshold / row.c_neat - 1.0, 2)});
+    report.add_row({format_fixed(row.d1, 4), format_fixed(row.d2, 4),
+                    format_fixed(row.window.log10_nu_lo, 2),
+                    format_sci(row.window.half_minus_hi, 2),
+                    format_sci(row.window.factor_minus_one, 2),
+                    format_fixed(row.c_threshold, 9),
+                    format_fixed(row.c_neat, 9),
+                    format_sci(row.c_threshold / row.c_neat - 1.0, 2)});
   }
-  table.print(std::cout);
+  report.finish();
   std::cout << "\nreading: over each window, consistency needs c only "
                "(factor-1) above the neat bound 2mu/ln(mu/nu).\n";
   return 0;

@@ -106,6 +106,16 @@ OpportunityAutomaton::Step OpportunityAutomaton::step(
   return {state + 1, false};
 }
 
+OpportunityAutomaton::Step OpportunityAutomaton::step_quiet(
+    std::size_t state, std::uint64_t quiet) const noexcept {
+  // Compared as gaps, so a long stretch cannot overflow state + quiet.
+  if (state <= delta_) {
+    return {quiet >= delta_ - state ? delta_ : state + quiet, false};
+  }
+  if (quiet >= 2 * delta_ + 1 - state) return {delta_, true};
+  return {state + quiet, false};
+}
+
 double OpportunityLaw::mass() const noexcept {
   double total = 0.0;
   for (const double x : pmf) total += x;

@@ -95,6 +95,12 @@ class OpportunityAutomaton {
   /// Genesis is the leading H, already quiet for Δ rounds.
   [[nodiscard]] std::size_t start() const noexcept { return delta_; }
   [[nodiscard]] Step step(std::size_t state, Input input) const noexcept;
+  /// `quiet` kQuiet steps at once, in O(1): quiet input saturates, so an
+  /// unarmed state moves to min(q + quiet, Δ), and an armed state j
+  /// completes once and lands on q = Δ if j + quiet ≥ Δ, else moves to
+  /// armed j + quiet.
+  [[nodiscard]] Step step_quiet(std::size_t state,
+                                std::uint64_t quiet) const noexcept;
 
  private:
   std::size_t delta_;

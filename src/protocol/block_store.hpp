@@ -12,11 +12,17 @@
 // cache instead of striding over whole Block records.  One jump-pointer
 // column (Myers' skew-binary scheme, "An applicative random-access
 // stack", IPL 1983) makes ancestor() / common_ancestor() O(log h) hops
-// instead of O(h) parent walks, and costs one O(1) entry per append.  A
-// flat open-addressed table indexes the hashes.  The `Block` struct
+// instead of O(h) parent walks, and costs one O(1) entry per append.
+//
+// The store keeps only what a run reads: seven columns, about 33 B per
+// block.  add() checks a block's parent hash against the parent's stored
+// hash and then drops it with the nonce and payload digest; nothing looks
+// a block up by hash, so there is no hash index and hash uniqueness is
+// not a store contract (tests/sim/block_records checks it, with H.ver, on
+// the reference model's whole records).  The `Block` struct
 // survives as the value type used to *assemble* a block (mining) and as
 // the materialized record `block()` returns for cold paths (tests,
-// validation, demos).
+// demos).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +43,8 @@ class BlockStore {
   [[nodiscard]] std::size_t size() const noexcept { return hash_.size(); }
 
   /// Materialized copy of one block record — a convenience for cold paths
-  /// (tests, chain validation, demos).  Hot paths should read the field
+  /// (tests, demos).  Only the stored fields are filled: parent_hash,
+  /// nonce and payload_digest read zero.  Hot paths should read the field
   /// they need through the *_of accessors below.
   [[nodiscard]] Block block(BlockIndex index) const;
 
@@ -45,10 +52,6 @@ class BlockStore {
   [[nodiscard]] HashValue hash_of(BlockIndex index) const {
     check_index(index);
     return hash_[index];
-  }
-  [[nodiscard]] HashValue parent_hash_of(BlockIndex index) const {
-    check_index(index);
-    return parent_hash_[index];
   }
   [[nodiscard]] BlockIndex parent_of(BlockIndex index) const {
     check_index(index);
@@ -62,14 +65,6 @@ class BlockStore {
     check_index(index);
     return round_[index];
   }
-  [[nodiscard]] std::uint64_t nonce_of(BlockIndex index) const {
-    check_index(index);
-    return nonce_[index];
-  }
-  [[nodiscard]] std::uint64_t payload_digest_of(BlockIndex index) const {
-    check_index(index);
-    return payload_digest_[index];
-  }
   [[nodiscard]] std::uint32_t miner_of(BlockIndex index) const {
     check_index(index);
     return miner_[index];
@@ -80,15 +75,10 @@ class BlockStore {
   }
 
   /// Appends a block under `block.parent`, which must be a stored block
-  /// whose hash is `block.parent_hash`; fills in the height, extends the
-  /// jump column and indexes the hash, all in O(1) amortized.  Returns
-  /// the new block's index.  Duplicate hashes are a contract violation
-  /// (the oracle is collision-free at the scales simulated).
+  /// whose hash is `block.parent_hash` and whose round does not exceed
+  /// the block's; fills in the height and extends the jump column, in
+  /// O(1) amortized.  Returns the new block's index.
   BlockIndex add(Block block);
-
-  /// Looks up a block by hash.
-  [[nodiscard]] bool contains_hash(HashValue hash) const noexcept;
-  [[nodiscard]] BlockIndex index_of(HashValue hash) const;
 
   /// Walks up from `index` by `steps` parent links, *clamping at genesis*:
   /// when `steps` meets or exceeds the block's height the walk bottoms out
@@ -124,22 +114,8 @@ class BlockStore {
   void check_index(BlockIndex index) const {
     NEATBOUND_EXPECTS(index < hash_.size(), "block index out of range");
   }
-  static constexpr BlockIndex kEmptySlot = ~BlockIndex{0};
-  /// One entry of the hash index; `index == kEmptySlot` marks a free slot.
-  struct Slot {
-    HashValue hash = 0;
-    BlockIndex index = kEmptySlot;
-  };
-
-  /// The slot holding `hash`, or the free slot where probing for it ends.
-  [[nodiscard]] std::size_t find_slot(HashValue hash) const noexcept;
-  /// Rebuilds the hash index at `capacity` slots (a power of two) from
-  /// the hash column.
-  void rehash_index(std::size_t capacity);
-
   // SoA columns, all indexed by BlockIndex and equal in length.
   std::vector<HashValue> hash_;
-  std::vector<HashValue> parent_hash_;
   std::vector<BlockIndex> parent_;
   std::vector<std::uint32_t> height_;  ///< ≤ size() − 1, fits 32 bits
   /// jump_[i] is a proper ancestor of i (genesis for genesis) at a height
@@ -148,13 +124,8 @@ class BlockStore {
   /// reached in O(log h) hops along jumps and parent links.
   std::vector<BlockIndex> jump_;
   std::vector<std::uint64_t> round_;
-  std::vector<std::uint64_t> nonce_;
-  std::vector<std::uint64_t> payload_digest_;
   std::vector<std::uint32_t> miner_;
   std::vector<MinerClass> miner_class_;
-  /// Linear-probing hash index: power-of-two capacity, at most half full.
-  std::vector<Slot> slots_;
-  unsigned slot_shift_ = 0;  ///< 64 − log2(capacity), for Fibonacci hashing
 };
 
 }  // namespace neatbound::protocol

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "chains/convergence.hpp"
 #include "protocol/mining.hpp"
 #include "support/contracts.hpp"
 #include "support/invariant.hpp"
@@ -37,6 +36,13 @@ void for_each_side(const Ranges& ranges, bool gaps, std::uint32_t n, F&& f) {
     lo = r.hi;
   }
   if (gaps) f(lo, n);
+}
+
+/// `config` once validate_engine_config accepts it, so the engine rejects
+/// a bad config before any member is built from it.
+const EngineConfig& validated(const EngineConfig& config) {
+  validate_engine_config(config);
+  return config;
 }
 }  // namespace
 
@@ -186,13 +192,14 @@ class ExecutionEngine::Ops final : public AdversaryOps {
 
 ExecutionEngine::ExecutionEngine(EngineConfig config,
                                  std::unique_ptr<Adversary> adversary)
-    : config_(config),
+    : config_(validated(config)),
       honest_count_(honest_miner_count(config)),
       adversary_queries_(corrupted_count(config)),
       oracle_(mix64(config.seed ^ 0x5bd1e995u)),
       calendar_(config.miner_count),
-      adversary_(std::move(adversary)) {
-  validate_engine_config(config);
+      adversary_(std::move(adversary)),
+      opportunities_(config.delta),
+      opportunity_state_(opportunities_.start()) {
   NEATBOUND_EXPECTS(adversary_ != nullptr, "an adversary is required");
   key_ = engine_rng_key(config);
   honest_gaps_ = GapCursor(key_, crng::Purpose::kHonestGap, config.p);
@@ -555,9 +562,12 @@ void ExecutionEngine::honest_mining_phase(std::uint64_t round) {
     block.parent = parent;
     register_honest_block(round, m, std::move(block));
   }
-  // neatbound-analyze: allow(hot-alloc) — one amortized append per round
-  // into the result metric; geometric growth, not per-miner work.
-  honest_counts_.push_back(round_activity_.honest_mined);
+  const std::uint32_t mined = round_activity_.honest_mined;
+  honest_blocks_total_ += mined;
+  const chains::OpportunityAutomaton::Step step = opportunities_.step(
+      opportunity_state_, chains::OpportunityAutomaton::input_of(mined));
+  opportunity_state_ = step.next;
+  convergence_opportunities_ += step.completes ? 1 : 0;
 }
 
 void ExecutionEngine::step_round(std::uint64_t round,
@@ -637,9 +647,10 @@ std::uint64_t ExecutionEngine::skip_quiet_rounds(std::uint64_t round,
   // which the skip-vs-noskip differential battery pins per strategy.
   round_activity_ = {};
   round_miners_.clear();
-  // neatbound-analyze: allow(hot-alloc) — reserved to `rounds` in
-  // run(); this append never reallocates.
-  honest_counts_.insert(honest_counts_.end(), skipped, 0);
+  const chains::OpportunityAutomaton::Step step =
+      opportunities_.step_quiet(opportunity_state_, skipped);
+  opportunity_state_ = step.next;
+  convergence_opportunities_ += step.completes ? 1 : 0;
   consistency_.observe_rounds_unchanged(skipped);
   NEATBOUND_COUNT_ADD(kQuietRoundsSkipped, skipped);
   return stop;
@@ -647,14 +658,9 @@ std::uint64_t ExecutionEngine::skip_quiet_rounds(std::uint64_t round,
 
 RunResult ExecutionEngine::finish_run() {
   RunResult result;
-  result.honest_counts = honest_counts_;
-  result.honest_blocks_total = 0;
-  for (const std::uint32_t c : honest_counts_) {
-    result.honest_blocks_total += c;
-  }
+  result.honest_blocks_total = honest_blocks_total_;
   result.adversary_blocks_total = adversary_blocks_total_;
-  result.convergence_opportunities =
-      chains::count_convergence_opportunities(honest_counts_, config_.delta);
+  result.convergence_opportunities = convergence_opportunities_;
   result.max_reorg_depth = consistency_.max_reorg_depth();
   result.max_divergence = consistency_.max_divergence();
   result.disagreement_rounds = consistency_.disagreement_rounds();
@@ -668,7 +674,6 @@ RunResult ExecutionEngine::finish_run() {
 RunResult ExecutionEngine::run(const RoundObserver& observer) {
   NEATBOUND_EXPECTS(!ran_, "run() may be called once");
   ran_ = true;
-  honest_counts_.reserve(config_.rounds);
   // Telemetry registers are thread_local and reset here, so the snapshot
   // taken by finish_run covers exactly this run, on whichever worker
   // thread executed it.

@@ -52,6 +52,7 @@
 #include <span>
 #include <vector>
 
+#include "chains/convergence.hpp"
 #include "net/delivery.hpp"
 #include "protocol/block_store.hpp"
 #include "protocol/hash.hpp"
@@ -114,10 +115,15 @@ struct RoundActivity {
   std::uint32_t max_reorg_view = 0;
 };
 
+/// What one run reports.  The engine keeps no per-round series: the
+/// per-round honest block counts are read through a RoundObserver
+/// (round_activity().honest_mined), and C is counted online.
 struct RunResult {
-  std::vector<std::uint32_t> honest_counts;  ///< blocks honest miners mined, per round
-  std::uint64_t honest_blocks_total = 0;
+  std::uint64_t honest_blocks_total = 0;     ///< mined by honest players
   std::uint64_t adversary_blocks_total = 0;  ///< mined (published or not)
+  /// C (Eq. 26/44) over rounds 1..T: what count_convergence_opportunities
+  /// gives on the run's per-round honest block counts, counted as the
+  /// rounds pass by stepping chains::OpportunityAutomaton.
   std::uint64_t convergence_opportunities = 0;
   std::uint64_t max_reorg_depth = 0;
   std::uint64_t max_divergence = 0;
@@ -321,7 +327,12 @@ class ExecutionEngine {
   /// honouring the quiet-act contract.
   bool quiet_eligible_ = false;
   ConsistencyTracker consistency_;
-  std::vector<std::uint32_t> honest_counts_;
+  /// C counted online: the automaton over each round's honest block
+  /// count, its state, and the opportunities completed so far.
+  chains::OpportunityAutomaton opportunities_;
+  std::size_t opportunity_state_;
+  std::uint64_t convergence_opportunities_ = 0;
+  std::uint64_t honest_blocks_total_ = 0;
   std::uint64_t adversary_blocks_total_ = 0;
   /// Per-view tips as of the last honest_tips() read; stale once any
   /// class adopts (see honest_tips).

@@ -85,44 +85,6 @@ bool Stream::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::uint64_t Stream::binomial_inversion(std::uint64_t n, double p) {
-  // BINV: walk the pmf from k = 0, subtracting from a uniform variate.
-  // Expected iterations ≈ np + 1; only called for np ≤ kInversionCutoff.
-  const double q = 1.0 - p;
-  const double s = p / q;
-  double f = std::exp(static_cast<double>(n) * std::log1p(-p));  // q^n
-  double u = uniform();
-  std::uint64_t k = 0;
-  while (u > f && k < n) {
-    u -= f;
-    ++k;
-    f *= s * (static_cast<double>(n - k + 1) / static_cast<double>(k));
-  }
-  return k;
-}
-
-std::uint64_t Stream::binomial(std::uint64_t n, double p) {
-  NEATBOUND_EXPECTS(p >= 0.0 && p <= 1.0, "binomial requires p in [0,1]");
-  if (n == 0 || p == 0.0) return 0;
-  if (p == 1.0) return n;
-  // Exploit symmetry so the inversion walks the short tail.
-  if (p > 0.5) return n - binomial(n, 1.0 - p);
-  // Split into chunks whose mean stays below the inversion cutoff; each
-  // split is exact (Binomial(a+b, p) =d Binomial(a, p) + Binomial(b, p)).
-  const double max_trials_fp = kInversionCutoff / p;
-  const std::uint64_t max_trials =
-      max_trials_fp >= static_cast<double>(n)
-          ? n
-          : static_cast<std::uint64_t>(max_trials_fp);
-  std::uint64_t total = 0;
-  std::uint64_t remaining = n;
-  while (remaining > max_trials) {
-    total += binomial_inversion(max_trials, p);
-    remaining -= max_trials;
-  }
-  return total + binomial_inversion(remaining, p);
-}
-
 std::uint64_t Stream::geometric_failures(double p) {
   NEATBOUND_EXPECTS(p > 0.0 && p <= 1.0,
                     "geometric_failures requires p in (0,1]");

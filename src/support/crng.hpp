@@ -88,10 +88,10 @@ using Block = std::array<std::uint64_t, 4>;
 }
 
 /// Sequential adapter over one (key, a, b, purpose) counter subspace, for
-/// distributions whose draw count is data-dependent (rejection sampling,
-/// BINV inversion).  Consumes lanes of slot 0, 1, 2, ... in order; two
-/// Streams on the same subspace produce identical sequences, and Streams
-/// on different subspaces are independent.
+/// distributions whose draw count is data-dependent (rejection sampling)
+/// and for free-form draws in tests and tools.  Consumes lanes of slot 0,
+/// 1, 2, ... in order; two Streams on the same subspace produce identical
+/// sequences, and Streams on different subspaces are independent.
 class Stream {
  public:
   Stream(Key key, std::uint64_t a, std::uint64_t b, Purpose purpose) noexcept
@@ -110,23 +110,10 @@ class Stream {
   /// Bernoulli(p).
   [[nodiscard]] bool bernoulli(double p);
 
-  /// Binomial(n, p) — exact distribution.
-  ///
-  /// Uses BINV sequential inversion, O(1 + np) expected time, when
-  /// np ≤ kInversionCutoff; otherwise splits the trial count (Binomial(a+b,
-  /// p) =d Binomial(a, p) + Binomial(b, p)) so that each leaf is inverted
-  /// cheaply.  Exactness matters: the paper's per-round block counts are
-  /// Binomial(μn, p) and Binomial(νn, p) with tiny p, and the tails
-  /// (P[X=1] vs P[X>1]) are precisely what the analysis counts.
-  [[nodiscard]] std::uint64_t binomial(std::uint64_t n, double p);
-
   /// Geometric: number of Bernoulli(p) failures before the first success.
   [[nodiscard]] std::uint64_t geometric_failures(double p);
 
  private:
-  static constexpr double kInversionCutoff = 64.0;
-  [[nodiscard]] std::uint64_t binomial_inversion(std::uint64_t n, double p);
-
   Key key_;
   Counter prefix_;   ///< slot field = index of the next unfetched block
   Block buffer_{};   ///< lanes of the most recently fetched block

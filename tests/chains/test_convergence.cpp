@@ -179,6 +179,78 @@ TEST(OpportunityAutomaton, MatchesCountOnRandomSeries) {
   EXPECT_GT(total, 2000u);  // the series exercise the counting path
 }
 
+TEST(OpportunityAutomaton, StepQuietEqualsSingleQuietSteps) {
+  // From every state, a jump of k quiet rounds lands where k single
+  // quiet steps do, and completes iff one of them did (at most one can:
+  // a completion lands on the saturated unarmed state).
+  using Input = OpportunityAutomaton::Input;
+  for (const std::uint64_t delta : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    const OpportunityAutomaton automaton(delta);
+    for (std::size_t state = 0; state < automaton.states(); ++state) {
+      for (std::uint64_t k = 0; k <= 3 * delta; ++k) {
+        std::size_t stepped = state;
+        std::uint64_t completions = 0;
+        for (std::uint64_t i = 0; i < k; ++i) {
+          const auto step = automaton.step(stepped, Input::kQuiet);
+          stepped = step.next;
+          completions += step.completes ? 1 : 0;
+        }
+        const auto jump = automaton.step_quiet(state, k);
+        ASSERT_LE(completions, 1u);
+        EXPECT_EQ(jump.next, stepped)
+            << "delta " << delta << " state " << state << " k " << k;
+        EXPECT_EQ(jump.completes, completions == 1)
+            << "delta " << delta << " state " << state << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(OpportunityAutomaton, QuietJumpsMatchCountOnRandomSeries) {
+  // The engine's way: one step per busy round and one jump per stretch
+  // of quiet rounds, however long.
+  crng::Stream rng({3141, 0}, 0, 0, crng::Purpose::kGeneric);
+  std::uint64_t total = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t delta = 1 + rng.uniform_below(5);
+    const double quiet = 0.5 + 0.45 * rng.uniform();
+    std::vector<std::uint32_t> counts(rng.uniform_below(300));
+    for (std::uint32_t& h : counts) {
+      h = rng.bernoulli(quiet) ? 0 : 1 + static_cast<std::uint32_t>(
+                                             rng.uniform_below(3));
+    }
+    const OpportunityAutomaton automaton(delta);
+    std::size_t state = automaton.start();
+    std::uint64_t count = 0;
+    for (std::size_t t = 0; t < counts.size();) {
+      std::size_t end = t;
+      while (end < counts.size() && counts[end] == 0) ++end;
+      const auto step =
+          end > t ? automaton.step_quiet(state, end - t)
+                  : automaton.step(state,
+                                   OpportunityAutomaton::input_of(counts[t]));
+      state = step.next;
+      count += step.completes ? 1 : 0;
+      t = end > t ? end : t + 1;
+    }
+    const std::uint64_t expected =
+        count_convergence_opportunities(counts, delta);
+    ASSERT_EQ(count, expected) << "trial " << trial << " delta " << delta;
+    total += expected;
+  }
+  EXPECT_GT(total, 2000u);
+}
+
+TEST(OpportunityAutomaton, StepQuietSaturatesOnLongStretches) {
+  const OpportunityAutomaton automaton(4);
+  const std::uint64_t huge = ~std::uint64_t{0};
+  for (std::size_t state = 0; state < automaton.states(); ++state) {
+    const auto jump = automaton.step_quiet(state, huge);
+    EXPECT_EQ(jump.next, 4u) << state;
+    EXPECT_EQ(jump.completes, state > 4) << state;
+  }
+}
+
 TEST(OpportunityLaw, EqualsBruteForceEnumeration) {
   // Every sequence of T rounds over {N, H₁, H₂}, weighted by its
   // probability and counted by the one definition of C.

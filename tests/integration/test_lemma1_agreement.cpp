@@ -4,8 +4,8 @@
 //
 // We run the engine with the worst benign delivery (every honest message
 // delayed the full Δ, corrupted miners withholding everything), record
-// every round's honest tips via the observer hook, locate the pattern
-// occurrences from the per-round honest block counts, and assert literal
+// every round's honest tips and honest block count via the observer hook,
+// locate the pattern occurrences from those counts, and assert literal
 // tip equality at each pattern end.  This is the strongest executable
 // statement of the paper's convergence-opportunity semantics.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@ namespace {
 struct RoundSnapshot {
   std::vector<protocol::BlockIndex> tips;
   bool all_equal = false;
+  std::uint32_t honest_mined = 0;
 };
 
 class Lemma1Agreement : public ::testing::TestWithParam<std::uint64_t> {};
@@ -47,17 +48,19 @@ TEST_P(Lemma1Agreement, AllTipsEqualAtOpportunityEnd) {
         for (const auto tip : snap.tips) {
           snap.all_equal &= (tip == snap.tips[0]);
         }
+        snap.honest_mined = e.round_activity().honest_mined;
         history.push_back(std::move(snap));
       });
   ASSERT_EQ(history.size(), config.rounds);
   ASSERT_GT(result.convergence_opportunities, 0u);
 
-  // Locate pattern ends: round t (0-based in honest_counts) has exactly
-  // one honest block, ≥Δ quiet before (genesis seeds the first gap), and
-  // Δ quiet after; the opportunity completes at t+Δ.
+  // Locate pattern ends: round t (0-based in history) has exactly one
+  // honest block, ≥Δ quiet before (genesis seeds the first gap), and Δ
+  // quiet after; the opportunity completes at t+Δ.
   std::uint64_t quiet_before = delta;
   std::uint64_t checked = 0;
-  const auto& counts = result.honest_counts;
+  std::vector<std::uint32_t> counts;
+  for (const RoundSnapshot& snap : history) counts.push_back(snap.honest_mined);
   for (std::size_t t = 0; t < counts.size(); ++t) {
     if (counts[t] == 0) {
       ++quiet_before;

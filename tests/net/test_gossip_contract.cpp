@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "honest_series.hpp"
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
 
@@ -93,7 +94,7 @@ class FixedReplyDelay final : public Adversary {
   std::uint64_t reply_;
 };
 
-RunResult run_with_delay(std::uint64_t reply, std::uint64_t delta) {
+reference::SeriesRun run_with_delay(std::uint64_t reply, std::uint64_t delta) {
   EngineConfig config;
   config.miner_count = 12;
   config.adversary_fraction = 0.0;
@@ -102,11 +103,14 @@ RunResult run_with_delay(std::uint64_t reply, std::uint64_t delta) {
   config.rounds = 3000;
   config.seed = 23;
   ExecutionEngine engine(config, std::make_unique<FixedReplyDelay>(reply));
-  return engine.run();
+  return reference::run_with_series(engine);
 }
 
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.honest_counts, b.honest_counts);
+void expect_identical(const reference::SeriesRun& a_run,
+                      const reference::SeriesRun& b_run) {
+  EXPECT_EQ(a_run.honest_mined, b_run.honest_mined);
+  const RunResult& a = a_run.result;
+  const RunResult& b = b_run.result;
   EXPECT_EQ(a.honest_blocks_total, b.honest_blocks_total);
   EXPECT_EQ(a.adversary_blocks_total, b.adversary_blocks_total);
   EXPECT_EQ(a.convergence_opportunities, b.convergence_opportunities);

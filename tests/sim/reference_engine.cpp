@@ -7,6 +7,7 @@
 #include <span>
 #include <utility>
 
+#include "block_records.hpp"
 #include "chains/convergence.hpp"
 #include "protocol/block_store.hpp"
 #include "protocol/hash.hpp"
@@ -114,7 +115,6 @@ class Model {
       out.rounds.push_back({activity_, tips_});
     }
     RunResult& r = out.result;
-    r.honest_counts = honest_counts_;
     for (const std::uint32_t c : honest_counts_) r.honest_blocks_total += c;
     r.adversary_blocks_total = adversary_blocks_;
     r.convergence_opportunities =
@@ -129,7 +129,8 @@ class Model {
                                static_cast<double>(config_.rounds);
     for (const BlockIndex b : best) {
       if (b == protocol::kGenesisIndex) continue;
-      if (adversarial_[b]) {
+      if (records_.blocks()[b].miner_class ==
+          protocol::MinerClass::kAdversary) {
         ++r.chain.adversary_blocks_in_chain;
       } else {
         ++r.chain.honest_blocks_in_chain;
@@ -142,6 +143,7 @@ class Model {
                           : static_cast<double>(r.chain.honest_blocks_in_chain) /
                                 static_cast<double>(total);
     r.store_size = store_.size();
+    out.blocks.assign(records_.blocks().begin(), records_.blocks().end());
     return out;
   }
 
@@ -150,12 +152,16 @@ class Model {
 
   Chain chain_to(BlockIndex tip) const {
     Chain chain;
-    for (BlockIndex b = tip; b != protocol::kGenesisIndex; b = parent_[b]) {
+    for (BlockIndex b = tip; b != protocol::kGenesisIndex; b = parent_of(b)) {
       chain.push_back(b);
     }
     chain.push_back(protocol::kGenesisIndex);
     std::reverse(chain.begin(), chain.end());
     return chain;
+  }
+
+  BlockIndex parent_of(BlockIndex b) const {
+    return records_.blocks()[b].parent;
   }
 
   /// Highest tip; among equal heights the lowest-indexed view.
@@ -178,10 +184,9 @@ class Model {
     block.round = round;
     block.miner = miner;
     block.miner_class = cls;
-    const BlockIndex index = store_.add(std::move(block));
-    parent_.push_back(parent);
-    adversarial_.push_back(cls == protocol::MinerClass::kAdversary);
-    NEATBOUND_EXPECTS(parent_.size() == store_.size(), "index drift");
+    const BlockIndex index = records_.add(block);
+    const BlockIndex stored = store_.add(std::move(block));
+    NEATBOUND_EXPECTS(stored == index, "index drift");
     return index;
   }
 
@@ -222,7 +227,7 @@ class Model {
     consider(view, block, out);
     std::vector<BlockIndex> children;
     for (auto it = view.orphans.begin(); it != view.orphans.end();) {
-      if (parent_[*it] == block) {
+      if (parent_of(*it) == block) {
         children.push_back(*it);
         it = view.orphans.erase(it);
       } else {
@@ -236,7 +241,7 @@ class Model {
     View& view = views_[v];
     Outcome out;
     if (view.known.count(block) != 0) return out;
-    if (view.known.count(parent_[block]) == 0) {
+    if (view.known.count(parent_of(block)) == 0) {
       if (std::find(view.orphans.begin(), view.orphans.end(), block) ==
           view.orphans.end()) {
         view.orphans.push_back(block);
@@ -328,8 +333,7 @@ class Model {
   GapCursor honest_gaps_;
   GapCursor adversary_gaps_;
   protocol::BlockStore store_;
-  std::vector<BlockIndex> parent_{protocol::kGenesisIndex};
-  std::vector<bool> adversarial_{false};
+  BlockRecords records_;
   std::vector<View> views_;
   std::vector<BlockIndex> tips_;
   std::multimap<std::pair<std::uint64_t, std::uint64_t>,

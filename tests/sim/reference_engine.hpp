@@ -4,8 +4,12 @@
 // It shares no machinery with the engine beyond what defines the run's
 // randomness and block identities: the counter RNG (crng, GapCursor), the
 // random oracle and protocol::assemble_block, and BlockStore::add for the
-// block hashes the adversary strategies read.  Everything the engine
-// optimizes is done the slow, obvious way here:
+// block hashes the adversary strategies read.  It keeps every block's
+// whole record (block_records.hpp), which checks hash uniqueness, and it
+// counts C in one pass over its own per-round series with
+// count_convergence_opportunities, against which the engine's online
+// count is compared.  Everything the engine optimizes is done the slow,
+// obvious way here:
 //   * each honest view holds its known set as a std::set and its chain as
 //     a genesis-first vector; the longest-chain / first-received rule is a
 //     direct comparison of chain lengths, and a reorg's depth is the
@@ -45,6 +49,8 @@ struct RoundRecord {
 struct ReferenceRun {
   RunResult result;  ///< telemetry is left empty
   std::vector<RoundRecord> rounds;  ///< rounds[r − 1] is round r
+  /// Every block's whole record, index-aligned with the engine's store.
+  std::vector<protocol::Block> blocks;
 };
 
 /// Runs `config` against `adversary` for config.rounds rounds.

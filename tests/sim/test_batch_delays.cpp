@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "honest_series.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
 #include "support/telemetry.hpp"
@@ -110,8 +111,11 @@ TEST(BatchDelays, EqualPerRecipientDelaysForEveryStrategyAndNetwork) {
   }
 }
 
-void expect_result_equal(const RunResult& got, const RunResult& want) {
-  EXPECT_EQ(got.honest_counts, want.honest_counts);
+void expect_result_equal(const reference::SeriesRun& got_run,
+                         const reference::SeriesRun& want_run) {
+  EXPECT_EQ(got_run.honest_mined, want_run.honest_mined);
+  const RunResult& got = got_run.result;
+  const RunResult& want = want_run.result;
   EXPECT_EQ(got.honest_blocks_total, want.honest_blocks_total);
   EXPECT_EQ(got.adversary_blocks_total, want.adversary_blocks_total);
   EXPECT_EQ(got.convergence_opportunities, want.convergence_opportunities);
@@ -139,15 +143,16 @@ TEST(BatchDelays, PerRecipientFallbackRunsIdentically) {
   for (const char* strategy : kStrategies) {
     for (const char* network : kNetworks) {
       SCOPED_TRACE(std::string(network) + "+" + strategy);
-      const RunResult batch =
-          ExecutionEngine(config, make_adversary(network, strategy, config))
-              .run();
-      const RunResult fallback =
-          ExecutionEngine(config,
-                          std::make_unique<PerRecipientAdversary>(
-                              make_adversary(network, strategy, config)))
-              .run();
-      ASSERT_GT(batch.honest_blocks_total, 0u);
+      ExecutionEngine batch_engine(config,
+                                   make_adversary(network, strategy, config));
+      ExecutionEngine fallback_engine(
+          config, std::make_unique<PerRecipientAdversary>(
+                      make_adversary(network, strategy, config)));
+      const reference::SeriesRun batch =
+          reference::run_with_series(batch_engine);
+      const reference::SeriesRun fallback =
+          reference::run_with_series(fallback_engine);
+      ASSERT_GT(batch.result.honest_blocks_total, 0u);
       expect_result_equal(fallback, batch);
     }
   }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <memory>
 
+#include "block_records.hpp"
 #include "chains/convergence.hpp"
-#include "protocol/validation.hpp"
+#include "honest_series.hpp"
+#include "reference_engine.hpp"
 #include "sim/strategies.hpp"
 #include "support/contracts.hpp"
 #include "support/telemetry.hpp"
@@ -23,12 +25,16 @@ EngineConfig small_config() {
   return config;
 }
 
+using reference::run_with_series;
+using reference::SeriesRun;
+
 TEST(Engine, RunsAndCountsBlocks) {
   ExecutionEngine engine(small_config(), std::make_unique<NullAdversary>());
-  const RunResult result = engine.run();
-  EXPECT_EQ(result.honest_counts.size(), 4000u);
+  const SeriesRun run = run_with_series(engine);
+  const RunResult& result = run.result;
+  EXPECT_EQ(run.honest_mined.size(), 4000u);
   std::uint64_t total = 0;
-  for (const auto c : result.honest_counts) total += c;
+  for (const auto c : run.honest_mined) total += c;
   EXPECT_EQ(total, result.honest_blocks_total);
   EXPECT_GT(result.honest_blocks_total, 0u);
   EXPECT_EQ(result.adversary_blocks_total, 0u);
@@ -38,20 +44,22 @@ TEST(Engine, RunsAndCountsBlocks) {
 
 TEST(Engine, ConvergenceCountMatchesOfflineRecount) {
   ExecutionEngine engine(small_config(), std::make_unique<NullAdversary>());
-  const RunResult result = engine.run();
-  EXPECT_EQ(result.convergence_opportunities,
-            chains::count_convergence_opportunities(result.honest_counts,
+  const SeriesRun run = run_with_series(engine);
+  EXPECT_EQ(run.result.convergence_opportunities,
+            chains::count_convergence_opportunities(run.honest_mined,
                                                     small_config().delta));
-  EXPECT_GT(result.convergence_opportunities, 0u);
+  EXPECT_GT(run.result.convergence_opportunities, 0u);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {
   ExecutionEngine a(small_config(), std::make_unique<NullAdversary>());
   ExecutionEngine b(small_config(), std::make_unique<NullAdversary>());
-  const RunResult ra = a.run();
-  const RunResult rb = b.run();
+  const SeriesRun sa = run_with_series(a);
+  const SeriesRun sb = run_with_series(b);
+  const RunResult& ra = sa.result;
+  const RunResult& rb = sb.result;
   EXPECT_EQ(ra.honest_blocks_total, rb.honest_blocks_total);
-  EXPECT_EQ(ra.honest_counts, rb.honest_counts);
+  EXPECT_EQ(sa.honest_mined, sb.honest_mined);
   EXPECT_EQ(ra.convergence_opportunities, rb.convergence_opportunities);
   EXPECT_EQ(ra.chain.best_height, rb.chain.best_height);
 }
@@ -61,7 +69,7 @@ TEST(Engine, DifferentSeedsDiffer) {
   other.seed = 43;
   ExecutionEngine a(small_config(), std::make_unique<NullAdversary>());
   ExecutionEngine b(other, std::make_unique<NullAdversary>());
-  EXPECT_NE(a.run().honest_counts, b.run().honest_counts);
+  EXPECT_NE(run_with_series(a).honest_mined, run_with_series(b).honest_mined);
 }
 
 TEST(Engine, RunTwiceForbidden) {
@@ -107,11 +115,17 @@ TEST(Engine, AgreementAtConvergenceOpportunities) {
 }
 
 TEST(Engine, FinalChainValidates) {
+  // The store keeps no proof of work, so the chain is validated on the
+  // reference model's whole records, which the store must equal block for
+  // block.
   EngineConfig config = small_config();
   ExecutionEngine engine(config, std::make_unique<NullAdversary>());
   (void)engine.run();
-  const auto report = protocol::validate_chain(
-      engine.store(), engine.best_honest_tip(), engine.oracle());
+  const reference::ReferenceRun model =
+      reference::run_reference(config, std::make_unique<NullAdversary>());
+  EXPECT_EQ(reference::store_mismatch(engine.store(), model.blocks), "");
+  const auto report = reference::validate_chain(
+      model.blocks, engine.best_honest_tip(), engine.oracle());
   EXPECT_TRUE(report.valid) << report.failure;
 }
 
@@ -229,11 +243,13 @@ TEST(Engine, MineRunMatchesMineOnQueries) {
                              std::make_unique<ChainPublisher>(false));
   ExecutionEngine batched(adversarial_config(),
                           std::make_unique<ChainPublisher>(true));
-  const RunResult a = one_by_one.run();
-  const RunResult b = batched.run();
+  const SeriesRun sa = run_with_series(one_by_one);
+  const SeriesRun sb = run_with_series(batched);
+  const RunResult& a = sa.result;
+  const RunResult& b = sb.result;
   ASSERT_GT(a.adversary_blocks_total, 20u);
   EXPECT_EQ(a.adversary_blocks_total, b.adversary_blocks_total);
-  EXPECT_EQ(a.honest_counts, b.honest_counts);
+  EXPECT_EQ(sa.honest_mined, sb.honest_mined);
   EXPECT_EQ(a.violation_depth, b.violation_depth);
   ASSERT_EQ(one_by_one.store().size(), batched.store().size());
   for (protocol::BlockIndex i = 0; i < one_by_one.store().size(); ++i) {

@@ -2,7 +2,9 @@
 // adversary exercises every AdversaryOps operation with arbitrary (but
 // legal) arguments across many seeds, and we assert the engine's global
 // invariants afterwards:
-//   * every block in the store is well-formed (H.ver holds, heights link),
+//   * every block in the store is well-formed (H.ver holds, heights link):
+//     the store keeps no proof of work, so it must equal the reference
+//     model's whole records block for block, and those must validate,
 //   * the Δ-delay contract held (no honest view is missing a block that was
 //     first received by any honest player more than Δ rounds ago),
 //   * counting identities (store size, per-class totals) hold,
@@ -11,7 +13,8 @@
 #include <gtest/gtest.h>
 #include <memory>
 
-#include "protocol/validation.hpp"
+#include "block_records.hpp"
+#include "reference_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/strategies.hpp"
 #include "support/crng.hpp"
@@ -96,18 +99,24 @@ TEST_P(EngineFuzz, InvariantsSurviveChaos) {
   const RunResult result = engine.run();
 
   const auto& store = engine.store();
-  // 1. Store-wide block well-formedness (linkage, heights, H.ver, rounds).
+  // 1. Store-wide block well-formedness (linkage, heights, H.ver, rounds):
+  // the store equals the reference model's records, the model's run
+  // reports the engine's, and every record validates as a chain tip.
+  const reference::ReferenceRun model = reference::run_reference(
+      config, std::make_unique<FuzzAdversary>(seed * 7));
+  ASSERT_EQ(reference::store_mismatch(store, model.blocks), "");
+  EXPECT_EQ(model.result.convergence_opportunities,
+            result.convergence_opportunities);
+  EXPECT_EQ(model.result.violation_depth, result.violation_depth);
   std::uint64_t honest = 0, adversarial = 0;
   for (protocol::BlockIndex i = 1;
        i < static_cast<protocol::BlockIndex>(store.size()); ++i) {
-    const auto& b = store.block(i);
-    const auto& parent = store.block(b.parent);
-    ASSERT_EQ(b.height, parent.height + 1);
-    ASSERT_GE(b.round, parent.round);
-    ASSERT_TRUE(engine.oracle().verify(b.parent_hash, b.nonce,
-                                       b.payload_digest, b.hash));
-    (b.miner_class == protocol::MinerClass::kHonest ? honest
-                                                    : adversarial)++;
+    const auto report =
+        reference::validate_chain(model.blocks, i, engine.oracle());
+    ASSERT_TRUE(report.valid) << "block " << i << ": " << report.failure;
+    (store.miner_class_of(i) == protocol::MinerClass::kHonest
+         ? honest
+         : adversarial)++;
   }
   // 2. Counting identities.
   EXPECT_EQ(honest, result.honest_blocks_total);
@@ -115,8 +124,8 @@ TEST_P(EngineFuzz, InvariantsSurviveChaos) {
   EXPECT_EQ(store.size(), honest + adversarial + 1);
   // 3. Every honest tip's chain validates end to end.
   for (std::uint32_t m = 0; m < engine.honest_count(); ++m) {
-    const auto report = protocol::validate_chain(
-        store, engine.honest_tip(m), engine.oracle());
+    const auto report = reference::validate_chain(
+        model.blocks, engine.honest_tip(m), engine.oracle());
     ASSERT_TRUE(report.valid) << "miner " << m << ": " << report.failure;
   }
   // 4. Honest blocks propagate within Δ: since every honest block is

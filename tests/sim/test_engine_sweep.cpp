@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "block_records.hpp"
 #include "chains/convergence.hpp"
-#include "protocol/validation.hpp"
+#include "honest_series.hpp"
+#include "reference_engine.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
 
@@ -31,29 +33,35 @@ TEST_P(EngineSweep, UniversalInvariants) {
   config.p = p;
   config.rounds = 4000;
   config.seed = 1234;
-  ExecutionEngine engine(
-      config, scenario::ScenarioRegistry::builtin().make_adversary(
-                  "strategy", scenario::Params{}, strategy,
-                  scenario::Params{}, config));
-  const RunResult result = engine.run();
+  const auto make = [&] {
+    return scenario::ScenarioRegistry::builtin().make_adversary(
+        "strategy", scenario::Params{}, strategy, scenario::Params{}, config);
+  };
+  ExecutionEngine engine(config, make());
+  const reference::SeriesRun run = reference::run_with_series(engine);
+  const RunResult& result = run.result;
 
   // Counting identities.
-  EXPECT_EQ(result.honest_counts.size(), config.rounds);
+  EXPECT_EQ(run.honest_mined.size(), config.rounds);
   std::uint64_t sum = 0;
-  for (const auto c : result.honest_counts) sum += c;
+  for (const auto c : run.honest_mined) sum += c;
   EXPECT_EQ(sum, result.honest_blocks_total);
   EXPECT_EQ(result.store_size,
             1 + result.honest_blocks_total + result.adversary_blocks_total);
 
   // Convergence opportunities are recountable from the trace.
   EXPECT_EQ(result.convergence_opportunities,
-            chains::count_convergence_opportunities(result.honest_counts,
-                                                    delta));
+            chains::count_convergence_opportunities(run.honest_mined, delta));
 
   // The chain the network agrees on is valid and at least as high as the
-  // count of convergence opportunities (each adds one agreed block).
-  const auto report = protocol::validate_chain(
-      engine.store(), engine.best_honest_tip(), engine.oracle());
+  // count of convergence opportunities (each adds one agreed block).  The
+  // store keeps no proof of work: it must equal the reference model's
+  // whole records block for block, and the chain validates on those.
+  const reference::ReferenceRun model =
+      reference::run_reference(config, make());
+  EXPECT_EQ(reference::store_mismatch(engine.store(), model.blocks), "");
+  const auto report = reference::validate_chain(
+      model.blocks, engine.best_honest_tip(), engine.oracle());
   EXPECT_TRUE(report.valid) << report.failure;
   EXPECT_GE(engine.store().height_of(engine.best_honest_tip()),
             result.convergence_opportunities);

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "chains/convergence.hpp"
+#include "honest_series.hpp"
 #include "scenario/registry.hpp"
 #include "support/contracts.hpp"
 #include "support/telemetry.hpp"
@@ -159,9 +161,18 @@ TEST(Oracle, ArmedRunIsBitIdenticalToUnarmed) {
   InvariantOracle oracle(oracle_config);
   ExecutionEngine observed(config,
                            build("strategy", "fork-balancer", config));
-  const RunResult armed = observed.run(oracle.observer());
+  const reference::SeriesRun armed_run =
+      reference::run_with_series(observed, oracle.observer());
+  const RunResult& armed = armed_run.result;
 
-  EXPECT_EQ(armed.honest_counts, unarmed.honest_counts);
+  // The unarmed run's online C and honest total are what the armed run's
+  // per-round honest block counts give.
+  EXPECT_EQ(unarmed.convergence_opportunities,
+            chains::count_convergence_opportunities(armed_run.honest_mined,
+                                                    config.delta));
+  std::uint64_t honest_total = 0;
+  for (const std::uint32_t c : armed_run.honest_mined) honest_total += c;
+  EXPECT_EQ(unarmed.honest_blocks_total, honest_total);
   EXPECT_EQ(armed.honest_blocks_total, unarmed.honest_blocks_total);
   EXPECT_EQ(armed.adversary_blocks_total, unarmed.adversary_blocks_total);
   EXPECT_EQ(armed.convergence_opportunities,

@@ -5,7 +5,9 @@
 // opt into the quiet-act contract, so act() runs and the round is stepped
 // every round.  Both must produce *exactly* the same RunResult, and an
 // observer must see the same record and the same honest tips in every
-// round, for every adversary strategy over every network model.  Every
+// round, for every adversary strategy over every network model; the C
+// each run counts online must equal the one-pass count over the per-round
+// honest block counts its observer saw.  Every
 // registry adversary must opt into the quiet-act contract (otherwise both
 // runs would step every round and the identity would hold vacuously).
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "bounds/zhao.hpp"
+#include "chains/convergence.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/oracle.hpp"
@@ -74,7 +77,6 @@ std::unique_ptr<Adversary> make_adversary(const char* network,
 // Field-by-field equality over everything a RunResult reports except the
 // telemetry snapshot (compared separately where it must match).
 void expect_result_equal(const RunResult& got, const RunResult& want) {
-  EXPECT_EQ(got.honest_counts, want.honest_counts);
   EXPECT_EQ(got.honest_blocks_total, want.honest_blocks_total);
   EXPECT_EQ(got.adversary_blocks_total, want.adversary_blocks_total);
   EXPECT_EQ(got.convergence_opportunities, want.convergence_opportunities);
@@ -159,6 +161,18 @@ ObservedRun observed_run(const EngineConfig& config,
   return out;
 }
 
+/// The run's online C against count_convergence_opportunities over the
+/// honest block counts its observer saw, round by round.
+void expect_online_count_matches_series(const ObservedRun& run,
+                                        std::uint64_t delta) {
+  std::vector<std::uint32_t> series;
+  for (const RoundRecord& record : run.records) {
+    series.push_back(record.honest_mined);
+  }
+  EXPECT_EQ(run.result.convergence_opportunities,
+            chains::count_convergence_opportunities(series, delta));
+}
+
 void expect_rounds_equal(const ObservedRun& got, const ObservedRun& want) {
   ASSERT_EQ(got.records.size(), want.records.size());
   ASSERT_EQ(got.tips.size(), want.tips.size());
@@ -207,6 +221,8 @@ TEST_P(QuietSkipEquivalence, SkippingRunMatchesSteppingRunBitForBit) {
               0u);
     expect_result_equal(skipped.result, stepped.result);
     expect_rounds_equal(skipped, stepped);
+    expect_online_count_matches_series(skipped, config.delta);
+    expect_online_count_matches_series(stepped, config.delta);
   }
 }
 

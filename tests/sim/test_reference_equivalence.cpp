@@ -2,8 +2,12 @@
 // reference_engine.{hpp,cpp}.  Seeded random configurations (n ≤ 24, ν,
 // p, Δ ≤ 6, T ≤ 2000) run every registry strategy over every network
 // model through both, and every RunResult field, every round's
-// RoundActivity and every round's per-view honest tips must agree.  A
-// mismatch prints the first diverging round as a trace slice.  Hand-built
+// RoundActivity and every round's per-view honest tips must agree: the
+// engine's online C among them, against the model's one-pass count over
+// its own per-round series.  The engine's store must equal the model's
+// whole block records block for block, and every record must validate
+// (H.ver, linkage, heights, rounds).  A mismatch prints the first
+// diverging round as a trace slice.  Hand-built
 // cases add an eclipse publication, dense-grid's n = 160 cell and an
 // adversary whose deliveries cover the larger side of a view class.
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "block_records.hpp"
 #include "reference_engine.hpp"
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
@@ -39,6 +44,7 @@ struct EngineRun {
   /// checked against the model.
   RunResult observed;
   RunResult unobserved;  ///< no observer
+  std::unique_ptr<ExecutionEngine> engine;  ///< the unobserved run's
   std::vector<reference::RoundRecord> rounds;
   std::vector<std::size_t> classes;  ///< view classes after each round
   std::vector<std::vector<std::uint32_t>> miners;  ///< each round's miners
@@ -66,8 +72,8 @@ EngineRun run_engine(const EngineConfig& config, MakeAdversary make) {
                               e.round_miners().end());
     });
   }
-  ExecutionEngine engine(config, make());
-  out.unobserved = engine.run();
+  out.engine = std::make_unique<ExecutionEngine>(config, make());
+  out.unobserved = out.engine->run();
   return out;
 }
 
@@ -107,7 +113,6 @@ bool same_round(const reference::RoundRecord& a,
 void expect_result_equal(const RunResult& got, const RunResult& want,
                          const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(got.honest_counts, want.honest_counts);
   EXPECT_EQ(got.honest_blocks_total, want.honest_blocks_total);
   EXPECT_EQ(got.adversary_blocks_total, want.adversary_blocks_total);
   EXPECT_EQ(got.convergence_opportunities, want.convergence_opportunities);
@@ -147,6 +152,15 @@ void expect_equivalent(const EngineRun& engine,
   expect_result_equal(engine.observed, model.result, label + " (observed)");
   expect_result_equal(engine.unobserved, model.result,
                       label + " (unobserved)");
+  EXPECT_EQ(reference::store_mismatch(engine.engine->store(), model.blocks),
+            "")
+      << label;
+  for (protocol::BlockIndex b = 0; b < model.blocks.size(); ++b) {
+    const reference::ValidationReport report =
+        reference::validate_chain(model.blocks, b, engine.engine->oracle());
+    ASSERT_TRUE(report.valid)
+        << label << ": block " << b << ": " << report.failure;
+  }
 }
 
 /// A seeded random configuration: n ≤ 24, ν < 1/2, Δ ≤ 6, T ≤ 2000, with

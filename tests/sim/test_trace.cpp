@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "chains/convergence.hpp"
 #include "sim/strategies.hpp"
 #include "support/telemetry.hpp"
 
@@ -240,6 +241,16 @@ EngineConfig traced_config() {
   return config;
 }
 
+/// The honest block count of each recorded round.
+std::vector<std::uint32_t> honest_series(
+    const std::vector<RoundRecord>& records) {
+  std::vector<std::uint32_t> series;
+  for (const RoundRecord& record : records) {
+    series.push_back(record.honest_mined);
+  }
+  return series;
+}
+
 TEST(RoundTracer, TracedRunIsBitIdenticalToUntraced) {
   ExecutionEngine plain(traced_config(),
                         std::make_unique<PrivateWithholdAdversary>());
@@ -250,7 +261,11 @@ TEST(RoundTracer, TracedRunIsBitIdenticalToUntraced) {
                            std::make_unique<PrivateWithholdAdversary>());
   const RunResult traced = observed.run(make_round_tracer(sink));
 
-  EXPECT_EQ(traced.honest_counts, untraced.honest_counts);
+  // The untraced run's online C is the one-pass count over the honest
+  // block counts the traced run recorded.
+  EXPECT_EQ(untraced.convergence_opportunities,
+            chains::count_convergence_opportunities(
+                honest_series(sink.records), traced_config().delta));
   EXPECT_EQ(traced.honest_blocks_total, untraced.honest_blocks_total);
   EXPECT_EQ(traced.adversary_blocks_total, untraced.adversary_blocks_total);
   EXPECT_EQ(traced.convergence_opportunities,
@@ -290,7 +305,6 @@ TEST(RoundTracer, RecordsAreConsistentWithTheRun) {
     const RoundRecord& record = sink.records[i];
     EXPECT_EQ(record.round, i + 1);  // 1-based, dense
     EXPECT_EQ(record.mined_by.size(), record.honest_mined);
-    EXPECT_EQ(record.honest_mined, result.honest_counts[i]);
     EXPECT_LE(record.adoptions, record.delivered + record.honest_mined);
     EXPECT_GE(record.best_height, prev_best_height);
     EXPECT_GE(record.violation_depth, prev_violation_depth);
@@ -299,6 +313,9 @@ TEST(RoundTracer, RecordsAreConsistentWithTheRun) {
     honest_total += record.honest_mined;
   }
   EXPECT_EQ(honest_total, result.honest_blocks_total);
+  EXPECT_EQ(result.convergence_opportunities,
+            chains::count_convergence_opportunities(
+                honest_series(sink.records), traced_config().delta));
   EXPECT_EQ(sink.records.back().best_height, result.chain.best_height);
   EXPECT_EQ(sink.records.back().violation_depth, result.violation_depth);
 }

@@ -172,40 +172,6 @@ TEST(CrngStats, BernoulliMean) {
   EXPECT_NEAR(static_cast<double>(hits) / n, p, 4.0 * sd);
 }
 
-TEST(CrngStats, BinomialMeanVariance) {
-  Stream s(Key{2026, 4}, 0, 0, Purpose::kGeneric);
-  const std::uint64_t trials = 100;
-  const double p = 0.07;
-  const int n = 40000;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = static_cast<double>(s.binomial(trials, p));
-    ASSERT_LE(x, static_cast<double>(trials));
-    sum += x;
-    sum_sq += x * x;
-  }
-  const double mean = sum / n;
-  const double var = sum_sq / n - mean * mean;
-  const double true_mean = trials * p;                 // 7
-  const double true_var = trials * p * (1.0 - p);      // 6.51
-  EXPECT_NEAR(mean, true_mean, 4.0 * std::sqrt(true_var / n));
-  EXPECT_NEAR(var, true_var, 0.35);
-}
-
-TEST(CrngStats, BinomialLargeCountUsesSplitting) {
-  // np far above the inversion cutoff exercises the recursive split.
-  Stream s(Key{2026, 5}, 0, 0, Purpose::kGeneric);
-  const std::uint64_t trials = 100000;
-  const double p = 0.01;  // mean 1000
-  const int n = 2000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(s.binomial(trials, p));
-  const double true_mean = trials * p;
-  const double sd = std::sqrt(trials * p * (1.0 - p) / n);
-  EXPECT_NEAR(sum / n, true_mean, 4.0 * sd);
-}
-
 TEST(CrngStats, GeometricFailuresMeanVariance) {
   Stream s(Key{2026, 6}, 0, 0, Purpose::kGeneric);
   const double p = 0.02;
@@ -228,9 +194,6 @@ TEST(CrngStats, GeometricFailuresMeanVariance) {
 TEST(CrngStats, GeometricEdgeCases) {
   Stream s(Key{2026, 7}, 0, 0, Purpose::kGeneric);
   EXPECT_EQ(s.geometric_failures(1.0), 0u);
-  EXPECT_EQ(s.binomial(0, 0.5), 0u);
-  EXPECT_EQ(s.binomial(10, 0.0), 0u);
-  EXPECT_EQ(s.binomial(10, 1.0), 10u);
 }
 
 }  // namespace
